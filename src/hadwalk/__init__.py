@@ -31,7 +31,6 @@ from .exactq import (
     poly_discriminant,
     poly_gcd,
     poly_resultant,
-    quad_arith,
 )
 from .residue_engine import (
     DenominatorBound,
@@ -59,7 +58,6 @@ from .walk_core import (
     B,
     AbsorptionResult,
     METHODS,
-    WalkParams,
     absorption,
     absorption_denominator,
     gf,
@@ -98,7 +96,6 @@ __all__ = [
     "SUITES",
     "SimulationReport",
     "StepBudgetExceeded",
-    "WalkParams",
     "absorption",
     "absorption_denominator",
     "build_integrand",
@@ -119,7 +116,6 @@ __all__ = [
     "poly_discriminant",
     "poly_gcd",
     "poly_resultant",
-    "quad_arith",
     "r_poly",
     "residue_sum",
     "row_common_denominator",

@@ -32,24 +32,21 @@ from typing import NoReturn, Sequence
 
 import mpmath
 
-from .errors import (
-    ConsistencyError,
-    PrecisionError,
-    PrecisionEscalation,
-    StepBudgetExceeded,
-)
+from .errors import ConsistencyError, PrecisionError, StepBudgetExceeded
 from .exactq import Rational
 from .residue_engine import (
     MAX_BITS,
     START_BITS,
     build_integrand,
-    classify_roots,
+    certified_poles,
     integrate_exact,
 )
 from .simulator import SimulationReport, simulate
-from .verification import SUITES, certified_roots, run_suite
+from .verification import SUITES, run_suite
 from .walk_core import (
+    METHODS,
     AbsorptionResult,
+    _validate,
     absorption,
     absorption_denominator,
     gf,
@@ -63,7 +60,6 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-_PROB_METHODS = ("closed", "residue", "numeric", "simulate")
 _DEFAULT_TAIL = Fraction(1, 10 ** 10)
 
 _DIV_CTX = decimal.Context(prec=30, rounding=decimal.ROUND_HALF_EVEN)
@@ -112,18 +108,10 @@ class CommandConfig:
                 raise ValueError(f"need a barrier position --n >= 2, got {self.n}")
         if self.subcommand in ("table", "verify") and self.n_max < 2:
             raise ValueError(f"need --n-max >= 2, got {self.n_max}")
-        if self.subcommand == "prob":
-            lo, hi = self._j_range()
-            if self.j is None or not lo <= self.j <= hi:
-                raise ValueError(
-                    f"start site j={self.j} outside {lo}..{hi} for n={self.n} "
-                    f"(method {self.method})"
-                )
-        if self.subcommand == "gf":
-            if self.j is None or not 1 <= self.j <= self.n:
-                raise ValueError(
-                    f"start site j={self.j} outside 1..{self.n} for n={self.n}"
-                )
+        if self.subcommand in ("prob", "gf"):
+            if self.j is None:
+                raise ValueError("need a start site --j")
+            _validate(self.j, self.n, *self._j_range())
         if not 16 <= self.precision_bits <= MAX_BITS:
             raise ValueError(
                 f"--precision-bits must lie in 16..{MAX_BITS}, "
@@ -134,13 +122,13 @@ class CommandConfig:
 
     def _j_range(self) -> tuple[int, int]:
         # The evaluated formula covers the j = 0 and j = n conventions;
-        # the closed form starts at 1; the contour and the simulator
-        # need an interior start.
+        # the closed form and f_j^(n) start at 1; the contour and the
+        # simulator need an interior start.
         assert self.n is not None
+        if self.subcommand == "gf" or self.method == "closed":
+            return 1, self.n
         if self.method == "residue":
             return 0, self.n
-        if self.method == "closed":
-            return 1, self.n
         return 1, self.n - 1
 
 
@@ -173,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--n", type=int, required=True,
                       help="right barrier position (n >= 2)")
     prob.add_argument("--j", type=int, required=True, help="start site")
-    prob.add_argument("--method", choices=_PROB_METHODS + ("all",),
+    prob.add_argument("--method", choices=METHODS + ("all",),
                       default="residue",
                       help="computation pipeline (default: residue)")
     prob.add_argument("--format",
@@ -338,7 +326,7 @@ def _prob_text(cfg: CommandConfig, res: AbsorptionResult,
 
 
 def _run_prob(cfg: CommandConfig) -> int:
-    methods = _PROB_METHODS if cfg.method == "all" else (cfg.method,)
+    methods = METHODS if cfg.method == "all" else (cfg.method,)
     computed = [(m, *_one_method(cfg, m)) for m in methods]
 
     if cfg.format in ("frac", "dec"):
@@ -470,8 +458,7 @@ def _run_verify(cfg: CommandConfig) -> int:
 
 
 def _root_entries(poly, role: str, bits: int):
-    rs = certified_roots(poly, bits)
-    inside, _ = classify_roots(rs, Fraction(1, 2))
+    rs, inside, _ = certified_poles(poly, Fraction(1, 2), bits)
     ordered = sorted(
         rs.approximations, key=lambda x: (float(x.real), float(x.imag))
     )
@@ -542,7 +529,7 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: usage: {exc}\n")
         return EXIT_USAGE
-    except (PrecisionError, PrecisionEscalation, StepBudgetExceeded) as exc:
+    except (PrecisionError, StepBudgetExceeded) as exc:
         sys.stderr.write(f"error: precision: {exc}\n")
         return EXIT_PRECISION
     except ConsistencyError as exc:

@@ -20,9 +20,9 @@ class PrecisionError(Exception):
 class PrecisionEscalation(Exception):
     """Internal signal: the current working precision is insufficient.
 
-    Callers catch this and retry at higher precision.  It never escapes
-    the public API; if the precision ceiling is hit, it is converted to
-    :class:`PrecisionError`.
+    The precision ladder of residue_engine catches this and retries at
+    double the precision; past the ceiling it becomes
+    :class:`PrecisionError`, so no pipeline lets it escape.
     """
 
 

@@ -381,10 +381,6 @@ class QuadExt:
     rational_part = a
     radical_part = b
 
-    @property
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     @staticmethod
     def _coerce(x: object) -> QuadExt | None:
         if isinstance(x, QuadExt):
@@ -520,9 +516,6 @@ class QuadExt:
     def __abs__(self) -> QuadExt:
         return -self if self._sign() < 0 else self
 
-    def __float__(self) -> float:
-        return float(self._a) + float(self._b) * 2 ** 0.5
-
     def __repr__(self) -> str:
         return f"QuadExt({self._a!r}, {self._b!r})"
 
@@ -538,27 +531,6 @@ class QuadExt:
 
 
 SQRT2 = QuadExt(0, 1)
-
-
-def quad_arith(op: str, x: QuadExt, y: QuadExt | None = None) -> QuadExt:
-    """Named-operation dispatch over Q(sqrt 2): add, sub, mul, div, conj.
-
-    Equivalent to the QuadExt operators; conj ignores y.  Exists so that
-    callers driven by an operation tag do not need their own table.
-    """
-    if op == "conj":
-        return x.conj()
-    if y is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 class RationalFunction:
@@ -618,10 +590,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self._num.is_zero
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> RationalFunction:
-        return cls(p, Polynomial.one(p.var))
 
     @classmethod
     def zero(cls, var: str = "t") -> RationalFunction:
@@ -728,8 +696,3 @@ class RationalFunction:
         if " " in num:
             num = f"({num})"
         return f"{num} / ({self._den})"
-
-
-def ratfunc_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Reduce num/den to canonical form (see RationalFunction)."""
-    return RationalFunction(num, den)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -38,10 +38,33 @@ from .exactq import (
     poly_gcd,
     poly_resultant,
 )
-from .walk_core import RFamily, absorption_denominator, gf_denominator, r_poly
+from .walk_core import _validate, absorption_denominator, gf_denominator, r_poly
 
 START_BITS = 128
 MAX_BITS = 8192
+
+_T = TypeVar("_T")
+
+
+def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
+    """rung(bits) at the first precision that certifies.
+
+    The one precision ladder of the package: bits starts at start_bits
+    and doubles each time the rung raises the escalation signal.  Past
+    MAX_BITS the computation fails with PrecisionError, whose message
+    names what could not be certified and why the last rung failed.
+    """
+    bits = start_bits
+    reason = "start precision above the ceiling"
+    while bits <= MAX_BITS:
+        try:
+            return rung(bits)
+        except PrecisionEscalation as exc:
+            reason = str(exc)
+            bits *= 2
+    raise PrecisionError(
+        f"could not certify {what} within {MAX_BITS} bits ({reason})"
+    )
 
 
 @dataclass(frozen=True)
@@ -99,7 +122,7 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
-def build_integrand(j: int, n: int, family: RFamily | None = None) -> Integrand:
+def build_integrand(j: int, n: int) -> Integrand:
     """Contour form of p_j^(n):
 
         p_j^(n) = ((-1)^j / 2 pi i) * integral over |t| = 1/2 of
@@ -109,13 +132,10 @@ def build_integrand(j: int, n: int, family: RFamily | None = None) -> Integrand:
     factor must be squarefree; both hold throughout the family, and a
     violation would be cancelled and flagged rather than integrated.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"start site j={j} outside 1..{n - 1}")
-    b = Polynomial.monomial(j - 1, var="t") * r_poly(n - j, family) ** 2
-    c = gf_denominator(n, family)
-    d = absorption_denominator(n, family)
+    _validate(j, n, 1, n - 1)
+    b = Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
+    c = gf_denominator(n)
+    d = absorption_denominator(n)
     if poly_gcd(c, d).degree > 0:
         # Cannot happen for this family; cancel and continue so the
         # bound below stays meaningful, but treat it as an anomaly.
@@ -320,6 +340,25 @@ def classify_roots(
     return tuple(inside), tuple(outside)
 
 
+def _poles_at(
+    p: Polynomial, radius: Rational, bits: int
+) -> tuple[RootSet, tuple[mpc, ...], tuple[mpc, ...]]:
+    roots = find_roots(p, bits)
+    return (roots, *classify_roots(roots, radius))
+
+
+def certified_poles(
+    p: Polynomial, radius: Rational, start_bits: int = START_BITS
+) -> tuple[RootSet, tuple[mpc, ...], tuple[mpc, ...]]:
+    """(roots, inside, outside): the roots of squarefree p, found and
+    classified against |t| = radius at the same rung of the ladder."""
+    return _escalate(
+        lambda bits: _poles_at(p, radius, bits),
+        f"the roots of a degree-{p.degree} polynomial",
+        start_bits,
+    )
+
+
 def residue_sum(
     b: Polynomial,
     c: Polynomial,
@@ -386,60 +425,45 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     return -value if sign else value
 
 
-def integrate_exact(
-    ig: Integrand,
-    start_bits: int = START_BITS,
-    max_bits: int = MAX_BITS,
-) -> Rational:
+def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
     """Exact value of the contour integral, via certified rounding.
 
-    Precision starts at start_bits and doubles on every escalation
-    signal up to max_bits.  Success requires, at one precision rung:
-    all d-root disks certified strictly inside the contour and c-root
-    disks strictly outside, delta * |scale| * error < 1/4, and the
-    scaled sum within 1/4 of an integer.  The returned rational is then
-    exact, not approximate.
+    Runs on the precision ladder from start_bits.  Success requires, at
+    one rung: all d-root disks certified strictly inside the contour and
+    c-root disks strictly outside, delta * |scale| * error < 1/4, and
+    the scaled sum within 1/4 of an integer.  The returned rational is
+    then exact, not approximate.
     """
     db = denominator_bound(ig)
     quarter = Fraction(1, 4)
-    prec = start_bits
-    while prec <= max_bits:
-        # The certified error never drops below 2^(6-prec), so a rung
-        # with delta >= 2^(prec-8) cannot succeed; skip the numeric work.
-        if prec > 8 and db.delta >> (prec - 8):
-            prec *= 2
-            continue
-        try:
-            d_roots = find_roots(ig.d, prec)
-            inside, outside = classify_roots(d_roots, ig.radius)
-            if outside:
-                raise ConsistencyError(
-                    f"a pole of the inside factor sits outside |t|={ig.radius}"
-                )
-            c_roots = find_roots(ig.c, prec) if ig.c.degree >= 1 else None
-            if c_roots is not None:
-                c_in, _ = classify_roots(c_roots, ig.radius)
-                if c_in:
-                    raise ConsistencyError(
-                        f"a pole of the outside factor sits inside "
-                        f"|t|={ig.radius}"
-                    )
-            total, err = residue_sum(ig.b, ig.c, ig.d, d_roots)
-            err_exact = _mpf_to_fraction(err)
-            if db.delta * abs(ig.scale) * err_exact >= quarter:
-                raise PrecisionEscalation(
-                    f"certified error too large at {prec} bits"
-                )
-            scaled = db.delta * ig.scale * _mpf_to_fraction(total.real)
-            nearest = round(scaled)
-            if abs(scaled - nearest) >= quarter:
-                raise PrecisionEscalation(
-                    f"scaled value not near an integer at {prec} bits"
-                )
-            return Fraction(nearest, db.delta)
-        except PrecisionEscalation:
-            prec *= 2
-    raise PrecisionError(
-        f"could not certify the integral for delta={db.delta} within "
-        f"{max_bits} bits"
+
+    def rung(bits: int) -> Rational:
+        # The certified error never drops below 2^(6-bits), so a rung
+        # with delta >= 2^(bits-8) cannot succeed; skip the numeric work.
+        if bits > 8 and db.delta >> (bits - 8):
+            raise PrecisionEscalation(f"delta needs more than {bits} bits")
+        d_roots, _, outside = _poles_at(ig.d, ig.radius, bits)
+        if outside:
+            raise ConsistencyError(
+                f"a pole of the inside factor sits outside |t|={ig.radius}"
+            )
+        if ig.c.degree >= 1 and _poles_at(ig.c, ig.radius, bits)[1]:
+            raise ConsistencyError(
+                f"a pole of the outside factor sits inside |t|={ig.radius}"
+            )
+        total, err = residue_sum(ig.b, ig.c, ig.d, d_roots)
+        if db.delta * abs(ig.scale) * _mpf_to_fraction(err) >= quarter:
+            raise PrecisionEscalation(f"certified error too large at {bits} bits")
+        scaled = db.delta * ig.scale * _mpf_to_fraction(total.real)
+        nearest = round(scaled)
+        if abs(scaled - nearest) >= quarter:
+            raise PrecisionEscalation(
+                f"scaled value not near an integer at {bits} bits"
+            )
+        return Fraction(nearest, db.delta)
+
+    return _escalate(
+        rung,
+        f"the integral for a {db.delta.bit_length()}-bit delta",
+        start_bits,
     )

@@ -20,6 +20,7 @@ from typing import Mapping
 
 from .errors import ConsistencyError, StepBudgetExceeded
 from .exactq import Rational
+from .walk_core import _validate
 
 LEFT = "L"
 RIGHT = "R"
@@ -44,10 +45,7 @@ class AmplitudeState:
 
 def initial_state(j: int, n: int) -> AmplitudeState:
     """|j, R> with nothing absorbed; requires an interior start site."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"start site j={j} outside 1..{n - 1}")
+    _validate(j, n, 1, n - 1)
     return AmplitudeState(
         n=n,
         step=0,
@@ -171,7 +169,8 @@ def simulate(
                 ),
             )
         state = step(state, n)
-        residual = interior_mass(state)
+        # step() has checked conservation, so this is the interior mass.
+        residual = 1 - state.absorbed_left - state.absorbed_right
     return SimulationReport(
         p_left_lower=state.absorbed_left,
         p_right_lower=state.absorbed_right,
@@ -191,8 +190,7 @@ _ENUMERATION_GUARD = 24
 
 
 def _tally(j: int, n: int, m_max: int, absorb_site: int) -> SignedPathTally:
-    if n < 2 or not 1 <= j <= n - 1:
-        raise ValueError(f"start site j={j} outside 1..{n - 1}")
+    _validate(j, n, 1, n - 1)
     if not 1 <= m_max <= _ENUMERATION_GUARD:
         raise ValueError(
             f"m_max={m_max} outside 1..{_ENUMERATION_GUARD} (2^m enumeration)"

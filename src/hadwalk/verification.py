@@ -21,14 +21,12 @@ from typing import Callable
 
 import mpmath
 
-from .errors import PrecisionError, PrecisionEscalation
-from .exactq import QuadExt, Rational
+from .errors import PrecisionError
+from .exactq import QuadExt, Rational, poly_discriminant
 from .residue_engine import (
-    MAX_BITS,
     build_integrand,
-    classify_roots,
+    certified_poles,
     denominator_bound,
-    find_roots,
     integrate_exact,
 )
 from .simulator import enumerate_paths, initial_state, simulate, step
@@ -43,7 +41,6 @@ from .walk_core import (
     p_exact,
     watrous_step,
 )
-from .exactq import Polynomial, poly_discriminant
 
 F = Fraction
 
@@ -258,18 +255,6 @@ def check_center_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:
 # --------------------------------------------------------------- structure
 
 
-def certified_roots(p: Polynomial, start_bits: int = 128):
-    """find_roots with the standard doubling ladder on certification
-    failure; raises PrecisionError only past the global bit ceiling."""
-    bits = start_bits
-    while bits <= MAX_BITS:
-        try:
-            return find_roots(p, bits)
-        except PrecisionEscalation:
-            bits *= 2
-    raise PrecisionError(f"roots of {p} not certified within {MAX_BITS} bits")
-
-
 def check_pole_classification(n_max: int, tail_eps: Rational) -> CheckResult:
     """Certified disks put every root of r_n - r_{n-1} strictly inside
     |t| = 1/2 and every root of r_n + 2t r_{n-1} strictly outside."""
@@ -277,19 +262,15 @@ def check_pole_classification(n_max: int, tail_eps: Rational) -> CheckResult:
     half = F(1, 2)
     for n in range(2, n_max + 1):
         try:
-            inside, outside = classify_roots(
-                certified_roots(absorption_denominator(n)), half
-            )
+            _, inside, outside = certified_poles(absorption_denominator(n), half)
             if len(inside) != n - 1 or outside:
                 return _fail(name, f"inside factor misplaced root at n={n}")
             c = gf_denominator(n)
             if c.degree >= 1:
-                inside, outside = classify_roots(
-                    certified_roots(c), half
-                )
+                _, inside, outside = certified_poles(c, half)
                 if inside or len(outside) != n - 2:
                     return _fail(name, f"outside factor misplaced root at n={n}")
-        except (PrecisionError, PrecisionEscalation) as exc:
+        except PrecisionError as exc:
             return _fail(name, f"certification failed at n={n}: {exc}")
     return _ok(name, f"n = 2..{n_max}, certified disks")
 

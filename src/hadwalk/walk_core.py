@@ -34,20 +34,6 @@ METHODS = ("closed", "residue", "numeric", "simulate")
 
 
 @dataclass(frozen=True)
-class WalkParams:
-    """Validated (n, j): right barrier at n >= 2, start site 0 <= j <= n."""
-
-    n: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
-        if not 0 <= self.j <= self.n:
-            raise ValueError(f"start site j={self.j} outside 0..{self.n}")
-
-
-@dataclass(frozen=True)
 class AbsorptionResult:
     """Absorption probabilities for one (j, n) as computed by one method.
 
@@ -106,37 +92,38 @@ class RFamily:
     __getitem__ = r
 
 
-_DEFAULT_FAMILY = RFamily()
+_FAMILY = RFamily()
 
 
-def r_poly(k: int, family: RFamily | None = None) -> Polynomial:
-    """The k-th member of the r family, from the shared cache by default."""
-    return (family or _DEFAULT_FAMILY).r(k)
+def r_poly(k: int) -> Polynomial:
+    """The k-th member of the r family, from the shared cache."""
+    return _FAMILY.r(k)
 
 
-def gf_denominator(n: int, family: RFamily | None = None) -> Polynomial:
+def gf_denominator(n: int) -> Polynomial:
     """r_n + 2t r_{n-1}: common denominator (in t) of the row's
     generating functions."""
-    fam = family or _DEFAULT_FAMILY
     two_t = Polynomial((0, 2), var="t")
-    return fam.r(n) + two_t * fam.r(n - 1)
+    return r_poly(n) + two_t * r_poly(n - 1)
 
-def absorption_denominator(n: int, family: RFamily | None = None) -> Polynomial:
+
+def absorption_denominator(n: int) -> Polynomial:
     """r_n - r_{n-1}: its value at t = -1/2 is the denominator scale of
     the row's absorption probabilities, and its roots are the poles
     picked up by the contour route."""
-    fam = family or _DEFAULT_FAMILY
-    return fam.r(n) - fam.r(n - 1)
+    return r_poly(n) - r_poly(n - 1)
 
 
 def _validate(j: int, n: int, j_low: int, j_high: int) -> None:
+    """The package's one range check for a cell (j, n): n >= 2 and
+    j_low <= j <= j_high, the bounds being those of the caller's route."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if not j_low <= j <= j_high:
         raise ValueError(f"start site j={j} outside {j_low}..{j_high} for n={n}")
 
 
-def gf(j: int, n: int, family: RFamily | None = None) -> RationalFunction:
+def gf(j: int, n: int) -> RationalFunction:
     """Signed path-count generating function f_j^(n), canonical in z.
 
     f_j^(n)(z) = Σ_m (signed count of length-m first-exit paths to the
@@ -150,12 +137,11 @@ def gf(j: int, n: int, family: RFamily | None = None) -> RationalFunction:
     _validate(j, n, 1, n)
     if j == n:
         return RationalFunction.zero("z")
-    fam = family or _DEFAULT_FAMILY
     z_sq = Polynomial.monomial(2, var="z")
-    num = fam.r(n - j).compose(z_sq) * Polynomial.monomial(j, var="z")
+    num = r_poly(n - j).compose(z_sq) * Polynomial.monomial(j, var="z")
     if j % 2 == 0:
         num = -num
-    den = gf_denominator(n, fam).compose(z_sq)
+    den = gf_denominator(n).compose(z_sq)
     return RationalFunction(num, den)
 
 
@@ -211,27 +197,28 @@ def gf_coefficients(j: int, n: int, m_max: int) -> list[int]:
     return out
 
 
-_HALF_POINT = Fraction(-1, 2)
-
-
-def p_exact(j: int, n: int, family: RFamily | None = None) -> Rational:
+def p_exact(j: int, n: int) -> Rational:
     """Left-barrier absorption probability, by the evaluated residue
     formula
 
         p_j^(n) = (1/2) r_{n-j}(r_j - r_{j-1}) / (r_n - r_{n-1})
 
-    with every polynomial evaluated at t = -1/2.  Exact rational; j = 0
-    returns the convention value 1.
+    with every polynomial evaluated at t = -1/2.  Only those values are
+    needed, so no polynomial is built: the integers s_k = 2^k r_k(-1/2)
+    obey s_0 = 0, s_1 = 2, s_{k+2} = 4 s_{k+1} - 2 s_k, and the formula
+    becomes s_{n-j} (s_j - 2 s_{j-1}) / (2 (s_n - 2 s_{n-1})).  Exact
+    rational; j = 0 returns the convention value 1.
     """
     _validate(j, n, 0, n)
     if j == 0:
         return Fraction(1)
-    fam = family or _DEFAULT_FAMILY
-    den = (fam.r(n) - fam.r(n - 1))(_HALF_POINT)
+    s = [0, 2]
+    for _ in range(n - 1):
+        s.append(4 * s[-1] - 2 * s[-2])
+    den = 2 * (s[n] - 2 * s[n - 1])
     if den == 0:
         raise ConsistencyError(f"absorption denominator vanished at n={n}")
-    num = fam.r(n - j)(_HALF_POINT) * (fam.r(j) - fam.r(j - 1))(_HALF_POINT)
-    p = num / den / 2
+    p = Fraction(s[n - j] * (s[j] - 2 * s[j - 1]), den)
     if not 0 <= p <= 1:
         raise ConsistencyError(f"p_exact({j}, {n}) = {p} outside [0, 1]")
     return p
@@ -262,7 +249,7 @@ def p_closed(j: int, n: int) -> Rational:
     return p
 
 
-def h_quotient(j: int, n: int, family: RFamily | None = None) -> Polynomial:
+def h_quotient(j: int, n: int) -> Polynomial:
     """Exact quotient H_j / (r_n - r_{n-1}) where
 
         H_j = t^(j-1)(1 + 2t) r_{n-j} + (-1)^j (r_j - r_{j-1})(r_n + 2t r_{n-1}).
@@ -272,13 +259,12 @@ def h_quotient(j: int, n: int, family: RFamily | None = None) -> Polynomial:
     the property suite (the second).
     """
     _validate(j, n, 1, n)
-    fam = family or _DEFAULT_FAMILY
     t_pow = Polynomial.monomial(j - 1, var="t")
     one_plus_2t = Polynomial((1, 2), var="t")
-    h = t_pow * one_plus_2t * fam.r(n - j)
-    tail = (fam.r(j) - fam.r(j - 1)) * gf_denominator(n, fam)
+    h = t_pow * one_plus_2t * r_poly(n - j)
+    tail = (r_poly(j) - r_poly(j - 1)) * gf_denominator(n)
     h = h + tail if j % 2 == 0 else h - tail
-    quot, rem = divmod(h, absorption_denominator(n, fam))
+    quot, rem = divmod(h, absorption_denominator(n))
     if not rem.is_zero:
         raise ConsistencyError(
             f"H_{j} not divisible by r_{n} - r_{n - 1}; remainder {rem}"
@@ -286,14 +272,14 @@ def h_quotient(j: int, n: int, family: RFamily | None = None) -> Polynomial:
     return quot
 
 
-def row_table(n: int, family: RFamily | None = None) -> list[Rational]:
+def row_table(n: int) -> list[Rational]:
     """[p_1^(n), ..., p_{n-1}^(n)] by p_exact, each entry cross-checked
     against p_closed.  Disagreement raises instead of returning."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     row: list[Rational] = []
     for j in range(1, n):
-        pe = p_exact(j, n, family)
+        pe = p_exact(j, n)
         pc = p_closed(j, n)
         if pe != pc:
             raise ConsistencyError(

@@ -199,6 +199,16 @@ def test_prob_step_budget_maps_to_precision_exit(capsys, monkeypatch):
     assert err.startswith("error: precision:")
 
 
+def test_prob_numeric_exhaustion_is_one_short_line(capsys):
+    # Past n = 40 the contour route's denominator bound outgrows the
+    # precision ceiling; the error names delta's size, not its digits.
+    code, out, err = invoke(capsys, "prob", "--n", "45", "--j", "22",
+                            "--method", "numeric")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: precision:") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 # ------------------------------------------------------------------- table
 
 
@@ -343,6 +353,16 @@ def test_roots_text_classification_counts(capsys):
     assert out.count("  inside") == 4
     assert out.count("  outside") == 3
     assert "inside-factor: 16t^4 - 12t^3 + 5t^2 - t" in out
+
+
+def test_roots_low_start_precision_climbs_the_ladder(capsys):
+    # At 16 bits the root disks touch the contour; classification must
+    # escalate along with root finding instead of failing.
+    code, out, err = invoke(capsys, "roots", "--n", "6",
+                            "--precision-bits", "16")
+    assert (code, err) == (0, "")
+    assert out.count("  inside") == 5
+    assert out.count("  outside") == 4
 
 
 def test_roots_constant_outside_factor(capsys):

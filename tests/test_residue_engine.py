@@ -19,6 +19,7 @@ from hadwalk.residue_engine import (
     Integrand,
     _mpf_to_fraction,
     build_integrand,
+    certified_poles,
     classify_roots,
     denominator_bound,
     find_roots,
@@ -188,6 +189,21 @@ def test_classify_every_row_splits_cleanly():
             assert not inside and len(outside) == n - 2
 
 
+def test_certified_poles_escalates_transparently():
+    # Degree-1 input certifies at the first rung.
+    rs, inside, outside = certified_poles(T(1, -1), HALF)
+    assert rs.precision_bits == 128
+    assert not inside and len(outside) == 1
+    with pytest.raises(ValueError):
+        certified_poles(T(5), HALF)
+
+
+def test_certified_poles_reports_exhaustion():
+    # Roots exactly on the contour never classify, at any precision.
+    with pytest.raises(PrecisionError, match="degree-2 polynomial"):
+        certified_poles(T(-1, 0, 4), HALF, 4096)
+
+
 def test_classify_root_on_contour_escalates():
     rs = find_roots(T(-1, 0, 4), 128)  # roots exactly at +-1/2
     with pytest.raises(PrecisionEscalation):
@@ -255,8 +271,11 @@ def test_integrate_exact_stable_under_start_precision():
 
 
 def test_integrate_exact_reports_exhaustion():
-    with pytest.raises(PrecisionError):
-        integrate_exact(build_integrand(1, 5), start_bits=16, max_bits=32)
+    # delta has more bits than the ceiling allows: every rung escalates.
+    # The message gives delta's size, never delta itself.
+    with pytest.raises(PrecisionError, match="8826-bit delta") as info:
+        integrate_exact(build_integrand(22, 45))
+    assert len(str(info.value)) < 200
 
 
 # ----------------------------------------------------------------- plumbing

@@ -6,11 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from hadwalk.exactq import Polynomial
 from hadwalk.verification import (
     SUITES,
     CheckResult,
-    certified_roots,
     check_first_column_numerators,
     check_method_agreement,
     run_suite,
@@ -53,11 +51,3 @@ def test_method_agreement_standalone():
 
 def test_first_column_numerators_standalone():
     assert check_first_column_numerators(9, Fraction(1, 10)).passed
-
-
-def test_certified_roots_escalates_transparently():
-    # Degree-1 input certifies at the first rung.
-    rs = certified_roots(Polynomial((1, 2), var="t"))
-    assert rs.precision_bits == 128
-    with pytest.raises(ValueError):
-        certified_roots(Polynomial((5,), var="t"))

@@ -14,7 +14,6 @@ from hadwalk.walk_core import (
     B,
     AbsorptionResult,
     RFamily,
-    WalkParams,
     absorption,
     absorption_denominator,
     gf,
@@ -201,6 +200,17 @@ def test_p_exact_frozen_values():
     assert p_exact(7, 7) == 0
 
 
+def test_p_exact_matches_the_polynomial_formula():
+    # Reference: the residue formula with r_poly evaluated at t = -1/2,
+    # p = (1/2) r_{n-j} (r_j - r_{j-1}) / (r_n - r_{n-1}); p_0 = 1.
+    r = [r_poly(k)(F(-1, 2)) for k in range(61)]
+    for n in range(2, 61):
+        assert p_exact(0, n) == 1
+        for j in range(1, n + 1):
+            expect = r[n - j] * (r[j] - r[j - 1]) / (r[n] - r[n - 1]) / 2
+            assert p_exact(j, n) == expect, (j, n)
+
+
 def test_p_closed_frozen_values():
     assert p_closed(1, 4) == F(7, 10)
     assert p_closed(4, 5) == F(5, 17)
@@ -328,17 +338,6 @@ def test_absorption_denominator_squarefree():
 
 
 # ------------------------------------------------------------- result types
-
-
-def test_walk_params_validation():
-    WalkParams(n=2, j=0)
-    WalkParams(n=5, j=5)
-    with pytest.raises(ValueError):
-        WalkParams(n=1, j=0)
-    with pytest.raises(ValueError):
-        WalkParams(n=4, j=5)
-    with pytest.raises(ValueError):
-        WalkParams(n=4, j=-1)
 
 
 def test_absorption_result_validation():
