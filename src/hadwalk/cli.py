@@ -223,54 +223,43 @@ def parse_argv(argv: Sequence[str]) -> CommandConfig:
 # ----------------------------------------------------------------- renderers
 
 
-def _frac(x: Rational) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+# The renderers take (num, den) pairs, so a table row can keep its
+# shared, unreduced denominator; _nd turns a rational into its pair.
+Pair = tuple[int, int]
 
 
-def _pair(x: Rational) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+def _nd(x: Rational) -> Pair:
+    return x.numerator, x.denominator
 
 
-def _cell_json(n: int, j: int, p: Rational, q: Rational, method: str) -> dict:
+def _frac(x: Pair) -> str:
+    num, den = x
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _pair(x: Pair) -> dict:
+    num, den = x
+    return {"num": str(num), "den": str(den)}
+
+
+def _cell_json(n: int, j: int, p: Pair, q: Pair, method: str) -> dict:
     return {
         "n": n,
         "j": j,
         "p": _pair(p),
         "q": _pair(q),
-        "decimal": decimal_expansion(p),
+        "decimal": decimal_expansion(Fraction(*p)),
         "method": method,
     }
 
 
-def _csv_table(rows: list[tuple[int, int, Rational, Rational, str]]) -> str:
+def _csv_table(rows: list[tuple[int, int, Pair, Pair, str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "j", "p_num", "p_den", "q_num", "q_den", "method"])
     for n, j, p, q, method in rows:
-        writer.writerow(
-            [n, j, p.numerator, p.denominator, q.numerator, q.denominator, method]
-        )
+        writer.writerow([n, j, *p, *q, method])
     return buf.getvalue()
-
-
-class _Unreduced:
-    """Fraction stand-in that keeps a deliberately unreduced num/den
-    pair; renderers only touch these two attributes."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, num: int, den: int):
-        self.numerator = num
-        self.denominator = den
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, int) and self.numerator == other * self.denominator
-
-
-def _unreduced(n: int) -> list[tuple[_Unreduced, _Unreduced]]:
-    """Row n as (p, q) pairs over the shared row denominator."""
-    shared, nums = row_common_denominator(n)
-    return [(_Unreduced(m, shared), _Unreduced(shared - m, shared)) for m in nums]
 
 
 # ------------------------------------------------------------------ prob
@@ -297,12 +286,14 @@ def _prob_line(res: AbsorptionResult, rep: SimulationReport | None,
                fmt: str) -> str:
     if rep is not None:
         if fmt == "frac":
-            return f"{_frac(res.p_left)} {_frac(res.p_right)} {_frac(rep.residual)}"
+            return " ".join(
+                _frac(_nd(x)) for x in (res.p_left, res.p_right, rep.residual)
+            )
         return (f"≈ {decimal_expansion(res.p_left)} "
                 f"≈ {decimal_expansion(res.p_right)} "
                 f"≈ {decimal_expansion(rep.residual)}")
     if fmt == "frac":
-        return _frac(res.p_left)
+        return _frac(_nd(res.p_left))
     return f"≈ {decimal_expansion(res.p_left)}"
 
 
@@ -310,17 +301,17 @@ def _prob_text(cfg: CommandConfig, res: AbsorptionResult,
                rep: SimulationReport | None) -> list[str]:
     lines = [f"n = {cfg.n}  j = {cfg.j}  method = {res.method}"]
     if rep is None:
-        lines.append(f"p_left  = {_frac(res.p_left)}"
+        lines.append(f"p_left  = {_frac(_nd(res.p_left))}"
                      f"  ≈ {decimal_expansion(res.p_left)}")
-        lines.append(f"p_right = {_frac(res.p_right)}"
+        lines.append(f"p_right = {_frac(_nd(res.p_right))}"
                      f"  ≈ {decimal_expansion(res.p_right)}")
     else:
         lines[0] += f"  steps = {rep.steps_run}"
-        lines.append(f"p_left  >= {_frac(res.p_left)}"
+        lines.append(f"p_left  >= {_frac(_nd(res.p_left))}"
                      f"  ≈ {decimal_expansion(res.p_left)}")
-        lines.append(f"p_right >= {_frac(res.p_right)}"
+        lines.append(f"p_right >= {_frac(_nd(res.p_right))}"
                      f"  ≈ {decimal_expansion(res.p_right)}")
-        lines.append(f"residual <= {_frac(rep.residual)}"
+        lines.append(f"residual <= {_frac(_nd(rep.residual))}"
                      f"  ≈ {decimal_expansion(rep.residual)}")
     return lines
 
@@ -338,15 +329,17 @@ def _run_prob(cfg: CommandConfig) -> int:
         print("\n\n".join(blocks))
     elif cfg.format == "csv":
         print(_csv_table(
-            [(cfg.n, cfg.j, res.p_left, res.p_right, m)
+            [(cfg.n, cfg.j, _nd(res.p_left), _nd(res.p_right), m)
              for m, res, rep in computed]
         ), end="")
     else:
         cells = []
         for m, res, rep in computed:
-            cell = _cell_json(cfg.n, cfg.j, res.p_left, res.p_right, m)
+            cell = _cell_json(
+                cfg.n, cfg.j, _nd(res.p_left), _nd(res.p_right), m
+            )
             if rep is not None:
-                cell["residual"] = _pair(rep.residual)
+                cell["residual"] = _pair(_nd(rep.residual))
                 cell["steps"] = rep.steps_run
             cells.append(cell)
         print(canonical_json(cells if cfg.method == "all" else cells[0]))
@@ -374,16 +367,19 @@ def _run_prob(cfg: CommandConfig) -> int:
 # ----------------------------------------------------------------- table
 
 
-def _table_rows(cfg: CommandConfig) -> list[tuple[int, int, Rational, Rational]]:
+def _table_rows(cfg: CommandConfig) -> list[tuple[int, int, Pair, Pair]]:
+    """(n, j, p, q) for every cell, p and q as (num, den) pairs: reduced,
+    or over the row's shared denominator with --common-denominator."""
     out = []
     for n in range(2, cfg.n_max + 1):
         if cfg.common_denominator:
-            pairs = _unreduced(n)
+            shared, nums = row_common_denominator(n)
+            pairs = [(m, shared) for m in nums]
         else:
-            row = row_table(n)
-            pairs = [(p, 1 - p) for p in row]
-        for j, (p, q) in enumerate(pairs, start=1):
-            out.append((n, j, p, q))
+            pairs = [_nd(p) for p in row_table(n)]
+        # q = 1 - p over the same denominator, reduced whenever p is.
+        for j, (num, den) in enumerate(pairs, start=1):
+            out.append((n, j, (num, den), (den - num, den)))
     return out
 
 
@@ -394,7 +390,8 @@ def _run_table(cfg: CommandConfig) -> int:
         for n in range(2, cfg.n_max + 1):
             row = [c for c in cells if c[0] == n]
             if cfg.format == "dec":
-                shown = ["≈" + decimal_expansion(p) for _, _, p, _ in row]
+                shown = ["≈" + decimal_expansion(Fraction(*p))
+                         for _, _, p, _ in row]
             else:
                 shown = [_frac(p) for _, _, p, _ in row]
             print(f"n={n}".ljust(width) + "  " + "  ".join(shown))

@@ -13,11 +13,27 @@ rounded value is provably exact.
 Everything numeric lives behind escalation: any failed bound raises an
 internal signal, the working precision doubles, and the computation
 reruns (warm-started) until it certifies or hits the ceiling.
+
+Roots are found the way MPSolve finds them (Bini 1996; Bini and Robol
+2014): cheap starting points first, a certificate afterwards.  A cold
+start is an Aberth run in double precision from Newton-polygon radii,
+stopped at the double noise floor; Aberth sweeps at doubling precision
+then refine it up to the rung's precision.  The certificate (disks of
+radius deg |p/p'|, pairwise disjoint) is computed at that precision
+from the final approximations alone, so the starting points decide how
+long a run takes, never whether its answer is right.  The outside
+factor c is classified once, before the ladder, since the residue sum
+only evaluates c at the roots of d.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -168,9 +184,15 @@ def denominator_bound(ig: Integrand) -> DenominatorBound:
     return DenominatorBound(R=R, D=D, lc_correction=lc_correction, delta=delta)
 
 
+def _int_coeffs(p: Polynomial) -> list[int]:
+    if any(c.denominator != 1 for c in p.coeffs):
+        raise ValueError("root finding and residues need integer coefficients")
+    return [int(c) for c in p.coeffs]
+
+
 def _coeffs_mpf(p: Polynomial) -> list[mpf]:
     # Integer coefficients below the working mantissa convert exactly.
-    return [mpf(int(c)) for c in p.coeffs]
+    return [mpf(c) for c in _int_coeffs(p)]
 
 
 def _eval_with_bound(coeffs: Sequence, x) -> tuple[mpc, mpf]:
@@ -201,23 +223,114 @@ def _disk_variation_bound(coeffs: Sequence, x, rho: mpf) -> mpf:
     return rho * total * (1 + mpf(2) ** (8 - mpmath.mp.prec) * len(coeffs))
 
 
-def _initial_circle(coeffs: Sequence) -> list[mpc]:
-    deg = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    bound = 1 + max(abs(c) for c in coeffs[:-1]) / lead
-    out = []
-    for k in range(deg):
-        theta = 2 * mpmath.pi * (k + mpf(3) / 8) / deg + mpf(1) / 3
-        out.append(bound * mpmath.exp(1j * theta))
+_EPS = sys.float_info.epsilon
+# A guard only: on the r family up to degree 80 the double run freezes
+# every point in fewer than 30 sweeps.
+_DOUBLE_SWEEPS = 500
+# Bits credited to a double start: multiprecision refinement of one
+# begins at START_BITS.
+_DOUBLE_BITS = START_BITS // 2
+
+
+def _double_start(ints: Sequence[int]) -> list[complex]:
+    """Starting points on the circles of the Newton polygon.
+
+    The upper convex hull of the points (k, log|a_k|) splits the roots
+    into groups of known size with known typical modulus: an edge from
+    i to k stands for k - i roots near the circle of radius
+    (|a_i|/|a_k|)^(1/(k-i)) (Bini 1996).  Vanishing coefficients
+    a_0 .. a_(h-1) stand for h roots at zero.  Logarithms of Python
+    ints never overflow; radii beyond the double range are clamped,
+    which only slows the run.
+    """
+    deg = len(ints) - 1
+    logs = [math.log(abs(c)) if c else -math.inf for c in ints]
+    hull: list[int] = []
+    for k in range(deg + 1):
+        if not ints[k]:
+            continue
+        while len(hull) >= 2 and (
+            (logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+            <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])
+        ):
+            hull.pop()
+        hull.append(k)
+    out = [0j] * hull[0]
+    for i, k in zip(hull, hull[1:]):
+        m = k - i
+        radius = math.exp(max(-700.0, min(700.0, (logs[i] - logs[k]) / m)))
+        for q in range(m):
+            theta = 2 * math.pi * (q / m + len(out) / deg) + 0.7
+            out.append(cmath.rect(radius, theta))
     return out
 
 
-def _aberth(coeffs: Sequence, initial: Sequence | None) -> list[mpc]:
+def _horner_double(
+    a: Sequence[float], x: complex
+) -> tuple[complex, complex, float]:
+    """p(x), p'(x) and sum |a_k| |x|^k in doubles."""
+    v = dv = 0j
+    mag = 0.0
+    ax = abs(x)
+    for c in reversed(a):
+        dv = dv * x + v
+        v = v * x + c
+        mag = mag * ax + abs(c)
+    return v, dv, mag
+
+
+def _log_derivative_double(a, rev, x: complex) -> complex | None:
+    """p'(x)/p(x) in doubles, or None when p(x) is at the noise floor.
+
+    Outside the unit disk the reversed polynomial q is evaluated at
+    y = 1/x, so no power of x overflows: p(x) = x^deg q(y) gives
+    p'(x)/p(x) = (deg - y q'(y)/q(y)) / x.
+    """
+    deg = len(a) - 1
+    inside = abs(x) <= 1
+    y = x if inside else 1 / x
+    v, dv, mag = _horner_double(a if inside else rev, y)
+    if abs(v) <= 4 * deg * _EPS * mag:
+        return None
+    return dv / v if inside else (deg - y * dv / v) / x
+
+
+def _aberth_double(ints: Sequence[int]) -> tuple[list[complex], int]:
+    """Aberth iteration in double precision from Newton-polygon starts.
+
+    Coefficients are scaled by a power of two first, so any integer
+    polynomial converts without overflow.  Each approximation freezes
+    once |p(x)| is within a few ulps of sum |a_k| |x|^k, the point past
+    which a double evaluation carries no direction; the run ends when
+    every approximation is frozen.  Returns (roots, sweeps).
+    """
+    scale = 2 ** max(abs(c) for c in ints).bit_length()
+    a = [c / scale for c in ints]
+    rev = a[::-1]
+    roots = _double_start(ints)
+    live = set(range(len(roots)))
+    sweeps = 0
+    while live and sweeps < _DOUBLE_SWEEPS:
+        sweeps += 1
+        for i in sorted(live):
+            x = roots[i]
+            w = _log_derivative_double(a, rev, x)
+            if w is None:
+                live.discard(i)
+                continue
+            for k, z in enumerate(roots):
+                if k != i and z != x:
+                    w -= 1 / (x - z)
+            step = 1 / w if w else 0j
+            if cmath.isfinite(step):
+                roots[i] = x - step
+    return roots, sweeps
+
+
+def _aberth(coeffs: Sequence, initial: Sequence) -> list[mpc]:
     deg = len(coeffs) - 1
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    roots = list(initial) if initial else _initial_circle(coeffs)
-    if len(roots) != deg:
-        roots = _initial_circle(coeffs)
+    roots = [mpc(x) for x in initial]
     tol = mpf(2) ** (12 - mpmath.mp.prec)
     for _ in range(60 + mpmath.mp.prec // 2):
         moved = mpf(0)
@@ -250,7 +363,43 @@ def _aberth(coeffs: Sequence, initial: Sequence | None) -> list[mpc]:
     return roots
 
 
-_ROOT_CACHE: dict[tuple[Polynomial, int], RootSet] = {}
+class _RootCache:
+    """Certified root sets keyed by polynomial, then by precision.
+
+    At most `size` polynomials are kept, the least recently used going
+    first; every read and write happens under a lock.  A stored RootSet
+    is never replaced, so repeated calls return the same object.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+        self._sets: OrderedDict[Polynomial, dict[int, RootSet]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def lookup(
+        self, p: Polynomial, bits: int
+    ) -> tuple[RootSet | None, RootSet | None]:
+        """(the set at exactly bits, the most precise set below bits);
+        either may be None."""
+        with self._lock:
+            by_bits = self._sets.get(p)
+            if by_bits is None:
+                return None, None
+            self._sets.move_to_end(p)
+            lower = [b for b in by_bits if b < bits]
+            warm = by_bits[max(lower)] if lower else None
+            return by_bits.get(bits), warm
+
+    def store(self, p: Polynomial, rs: RootSet) -> RootSet:
+        with self._lock:
+            by_bits = self._sets.setdefault(p, {})
+            self._sets.move_to_end(p)
+            while len(self._sets) > self._size:
+                self._sets.popitem(last=False)
+            return by_bits.setdefault(rs.precision_bits, rs)
+
+
+_ROOT_CACHE = _RootCache(256)
 
 
 def find_roots(
@@ -260,33 +409,41 @@ def find_roots(
 ) -> RootSet:
     """All complex roots of squarefree p with a certified error radius.
 
-    Refines simultaneous approximations, then certifies a posteriori:
-    the disk of radius deg * |p(x)/p'(x)| around any point contains a
-    root, so taking the worst such radius and checking the disks are
-    pairwise disjoint pins exactly one root per disk.  Failure to
-    certify raises the precision-escalation signal.
+    Starts from `initial`, else from the most precise cached set for p,
+    else from a double-precision Aberth run (Newton-polygon starts,
+    stopped at the double noise floor), then refines by Aberth sweeps
+    at doubling precisions up to precision_bits.  Certification is a
+    posteriori and ignores where the approximations came from: the
+    disk of radius deg * |p(x)/p'(x)| around any point contains a root,
+    so taking the worst such radius and checking the disks are pairwise
+    disjoint pins exactly one root per disk.  A poor start can
+    therefore only cost sweeps or an escalation, never a wrong
+    certificate.  Failure to certify raises the precision-escalation
+    signal.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    cached = _ROOT_CACHE.get((p, precision_bits))
+    cached, warm = _ROOT_CACHE.lookup(p, precision_bits)
     if cached is not None:
         return cached
-    if initial is None:
-        warm = [
-            rs for (q, bits), rs in _ROOT_CACHE.items()
-            if q == p and bits < precision_bits
-        ]
-        if warm:
-            initial = max(warm, key=lambda rs: rs.precision_bits).approximations
-        elif precision_bits > 2 * START_BITS:
-            # Cascade: converge cheaply at half precision, then refine.
-            try:
-                initial = find_roots(p, precision_bits // 2).approximations
-            except PrecisionEscalation:
-                initial = None
+    known_bits = _DOUBLE_BITS
+    if initial is None or len(initial) != p.degree:
+        if warm is not None:
+            initial, known_bits = warm.approximations, warm.precision_bits
+        else:
+            initial = _aberth_double(_int_coeffs(p))[0]
+    # Near simple roots an Aberth sweep triples the correct bits, so
+    # refining through doubling precisions spends about two sweeps per
+    # rung and only the last rung's at the full precision.
+    rungs = [precision_bits]
+    while rungs[-1] // 2 > known_bits:
+        rungs.append(rungs[-1] // 2)
+    roots = initial
+    for bits in reversed(rungs):
+        with workprec(bits):
+            roots = _aberth(_coeffs_mpf(p), roots)
     with workprec(precision_bits):
         coeffs = _coeffs_mpf(p)
-        roots = _aberth(coeffs, initial)
         deriv = [k * c for k, c in enumerate(coeffs)][1:]
         deg = p.degree
         radii = []
@@ -311,8 +468,7 @@ def find_roots(
             error_radius=error_radius,
             precision_bits=precision_bits,
         )
-    _ROOT_CACHE[(p, precision_bits)] = out
-    return out
+    return _ROOT_CACHE.store(p, out)
 
 
 def classify_roots(
@@ -428,14 +584,21 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
 def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
     """Exact value of the contour integral, via certified rounding.
 
-    Runs on the precision ladder from start_bits.  Success requires, at
-    one rung: all d-root disks certified strictly inside the contour and
-    c-root disks strictly outside, delta * |scale| * error < 1/4, and
-    the scaled sum within 1/4 of an integer.  The returned rational is
-    then exact, not approximate.
+    First certifies, on its own ladder from start_bits, that every
+    c-root disk lies strictly outside the contour.  Then runs the
+    integral's ladder from start_bits.  Success requires, at one rung:
+    all d-root disks certified strictly inside the contour,
+    delta * |scale| * error < 1/4, and the scaled sum within 1/4 of an
+    integer.  The returned rational is then exact, not approximate.
     """
     db = denominator_bound(ig)
     quarter = Fraction(1, 4)
+    # c is only classified, never integrated over (residue_sum reads its
+    # coefficients at the roots of d), so one certified rung suffices.
+    if ig.c.degree >= 1 and certified_poles(ig.c, ig.radius, start_bits)[1]:
+        raise ConsistencyError(
+            f"a pole of the outside factor sits inside |t|={ig.radius}"
+        )
 
     def rung(bits: int) -> Rational:
         # The certified error never drops below 2^(6-bits), so a rung
@@ -446,10 +609,6 @@ def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
         if outside:
             raise ConsistencyError(
                 f"a pole of the inside factor sits outside |t|={ig.radius}"
-            )
-        if ig.c.degree >= 1 and _poles_at(ig.c, ig.radius, bits)[1]:
-            raise ConsistencyError(
-                f"a pole of the outside factor sits inside |t|={ig.radius}"
             )
         total, err = residue_sum(ig.b, ig.c, ig.d, d_roots)
         if db.delta * abs(ig.scale) * _mpf_to_fraction(err) >= quarter:

@@ -19,7 +19,7 @@ from hadwalk.errors import StepBudgetExceeded
 from hadwalk.exactq import Polynomial
 from hadwalk.simulator import SimulationReport
 from hadwalk.verification import CheckResult
-from hadwalk.walk_core import AbsorptionResult, gf
+from hadwalk.walk_core import AbsorptionResult, gf, p_exact
 
 F = Fraction
 
@@ -157,6 +157,26 @@ def test_prob_all_agreement(capsys):
     assert lines[3].startswith("simulate ")
 
 
+def test_prob_numeric_json_is_the_exact_cell_to_n16(capsys):
+    # The contour route's printed cell, byte for byte, is the one built
+    # from p_exact: root finding may change, the rational may not.
+    for n in range(2, 17):
+        for j in range(1, n):
+            code, out, err = invoke(capsys, "prob", "--n", str(n), "--j",
+                                    str(j), "--method", "numeric",
+                                    "--format", "json")
+            p = p_exact(j, n)
+            expected = canonical_json({
+                "n": n, "j": j,
+                "p": {"num": str(p.numerator), "den": str(p.denominator)},
+                "q": {"num": str(p.denominator - p.numerator),
+                      "den": str(p.denominator)},
+                "decimal": decimal_expansion(p),
+                "method": "numeric",
+            })
+            assert (code, err, out) == (0, "", expected + "\n"), (j, n)
+
+
 def test_prob_all_detects_method_disagreement(capsys, monkeypatch):
     real = cli.absorption
 
@@ -231,6 +251,16 @@ def test_table_common_denominator_matches_reference(capsys):
     assert rows[4] == ["41/58", "24/58", "21/58", "20/58", "17/58"]
     assert rows[7] == ["408/577", "239/577", "210/577", "205/577",
                        "204/577", "203/577", "198/577", "169/577"]
+
+
+def test_table_json_keeps_the_common_denominator(capsys):
+    _, out, _ = invoke(capsys, "table", "--n-max", "4", "--format", "json",
+                       "--common-denominator")
+    cell = json.loads(out)[4]
+    assert (cell["n"], cell["j"]) == (4, 2)
+    assert cell["p"] == {"num": "4", "den": "10"}
+    assert cell["q"] == {"num": "6", "den": "10"}
+    assert cell["decimal"] == decimal_expansion(F(2, 5))
 
 
 def test_table_csv_deterministic_order(capsys):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
+from hadwalk import residue_engine
 from hadwalk.errors import (
     ConsistencyError,
     DegenerateIntegrandError,
@@ -16,7 +19,10 @@ from hadwalk.errors import (
 )
 from hadwalk.exactq import Polynomial
 from hadwalk.residue_engine import (
+    START_BITS,
     Integrand,
+    _aberth_double,
+    _RootCache,
     _mpf_to_fraction,
     build_integrand,
     certified_poles,
@@ -158,9 +164,126 @@ def test_find_roots_cached_per_precision():
     assert find_roots(p, 128) is find_roots(p, 128)
 
 
+def test_root_cache_is_bounded_and_keeps_the_warm_start():
+    cache = _RootCache(2)
+    p, q, r = T(1, -1), T(0, -2), T(1, 2)
+    p128, p256 = find_roots(p, 128), find_roots(p, 256)
+    assert cache.store(p, p128) is p128
+    assert cache.store(p, p256) is p256
+    assert cache.lookup(p, 256) == (p256, p128)
+    assert cache.lookup(p, 512) == (None, p256)
+    cache.store(q, find_roots(q, 128))
+    cache.lookup(p, 128)  # p is now the most recently used
+    cache.store(r, find_roots(r, 128))
+    assert cache.lookup(q, 128) == (None, None)
+    assert cache.lookup(p, 128)[0] is p128
+    # A stored set is never replaced: the first one stays the answer.
+    assert cache.store(p, find_roots(T(-1, 1), 128)) is p128
+
+
+def test_root_cache_under_concurrent_callers(monkeypatch):
+    # More threads than cores, with a short switch interval: every
+    # caller gets the one stored object for each (p, bits), which a
+    # lost update between two storing threads would break.
+    monkeypatch.setattr(residue_engine, "_ROOT_CACHE", _RootCache(8))
+    polys = [absorption_denominator(n) for n in (3, 4, 5, 6)]
+    seen: dict[tuple[int, int], list] = {}
+    lock = threading.Lock()
+
+    def work():
+        for _ in range(3):
+            for k, p in enumerate(polys):
+                for bits in (128, 256):
+                    rs = find_roots(p, bits)
+                    with lock:
+                        seen.setdefault((k, bits), []).append(rs)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(len(v) for v in seen.values()) == [6 * 3] * 8
+    for got in seen.values():
+        assert all(rs is got[0] for rs in got)
+
+
+def _one_true_root_per_disk(p: Polynomial, rs) -> None:
+    """Each certified disk holds exactly one root of mpmath.polyroots
+    computed at twice the certifying precision, and no root is missed."""
+    with mpmath.workprec(2 * rs.precision_bits):
+        true = mpmath.polyroots(
+            [int(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=64
+        )
+        hits = [
+            [k for k, z in enumerate(true) if abs(z - x) <= rs.error_radius]
+            for x in rs.approximations
+        ]
+    assert all(len(h) == 1 for h in hits)
+    assert sorted(h[0] for h in hits) == list(range(len(true)))
+
+
+def _bad_starts(p: Polynomial) -> dict[str, list]:
+    deg = p.degree
+    lead = abs(p.leading_coefficient)
+    cauchy = 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    far = mpf(10) ** 6 * mpf(cauchy.numerator) / cauchy.denominator
+    return {
+        "all equal": [mpc("0.3", "0.1")] * deg,
+        "all zero": [mpc(0)] * deg,
+        "far outside": [far * mpmath.expjpi(mpf(2 * k + 1) / deg)
+                        for k in range(deg)],
+    }
+
+
+@pytest.mark.parametrize("p", [
+    absorption_denominator(7),
+    gf_denominator(8),
+    T(-2, 0, 1) * T(-3, 1),
+], ids=["d7", "c8", "cubic"])
+def test_find_roots_is_sound_from_bad_starts(monkeypatch, p):
+    # A start can cost sweeps or force an escalation, but whatever
+    # certifies is right.
+    for name, start in _bad_starts(p).items():
+        monkeypatch.setattr(residue_engine, "_ROOT_CACHE", _RootCache(4))
+        try:
+            rs = find_roots(p, 128, initial=start)
+        except PrecisionEscalation:
+            continue
+        _one_true_root_per_disk(p, rs)
+
+
+def test_find_roots_coefficients_beyond_the_double_range():
+    p = T(-2, 0, 1) * T(-3, 1) * 10 ** 400
+    assert max(abs(c) for c in p.coeffs) > 10 ** 308
+    start, _ = _aberth_double([int(c) for c in p.coeffs])
+    assert sorted(round(z.real, 6) for z in start) == [-1.414214, 1.414214, 3.0]
+    rs = find_roots(p, 128)
+    _one_true_root_per_disk(p, rs)
+
+
+def test_double_start_stops_at_its_noise_floor():
+    # The double run ends because every point froze, not at its cap.
+    for n in range(2, 41):
+        for p in (absorption_denominator(n), gf_denominator(n)):
+            if p.degree >= 1:
+                roots, sweeps = _aberth_double([int(c) for c in p.coeffs])
+                assert len(roots) == p.degree
+                assert sweeps < residue_engine._DOUBLE_SWEEPS // 10
+
+
 def test_find_roots_validation():
     with pytest.raises(ValueError):
         find_roots(T(3), 128)
+    # Truncating 1/2 to 0 would certify the root 0 of t.
+    with pytest.raises(ValueError, match="integer coefficients"):
+        find_roots(T(F(1, 2), 1), 128)
 
 
 # ----------------------------------------------------------- classification
@@ -262,6 +385,25 @@ def test_integrate_exact_frozen():
     assert integrate_exact(build_integrand(1, 2)) == F(1, 2)
     assert integrate_exact(build_integrand(1, 3)) == F(2, 3)
     assert integrate_exact(build_integrand(2, 3)) == F(1, 3)
+
+
+def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
+    # d needs a 2048-bit rung here; c is classified once, at the first
+    # rung that certifies it, and never refined along the ladder.
+    ig = build_integrand(9, 18)
+    calls: list[tuple[Polynomial, int]] = []
+    real = residue_engine.find_roots
+
+    def spy(p, precision_bits, initial=None):
+        calls.append((p, precision_bits))
+        return real(p, precision_bits, initial)
+
+    monkeypatch.setattr(residue_engine, "find_roots", spy)
+    assert integrate_exact(ig) == p_exact(9, 18)
+    c_bits = [bits for p, bits in calls if p == ig.c]
+    assert c_bits == [certified_poles(ig.c, HALF)[0].precision_bits]
+    assert c_bits == [START_BITS]
+    assert max(bits for p, bits in calls if p == ig.d) == 2048
 
 
 def test_integrate_exact_stable_under_start_precision():
