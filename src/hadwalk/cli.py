@@ -454,6 +454,21 @@ def _run_verify(cfg: CommandConfig) -> int:
 # ------------------------------------------------------------------- roots
 
 
+_ROOT_DIGITS = 20
+
+
+def _certified_part(x, radius) -> str:
+    """One coordinate of a root known to within ``radius``: ``0.0`` if
+    it lies within the radius of 0, else at most _ROOT_DIGITS significant
+    digits and none finer than the radius.  A part within a decade of
+    the radius keeps its leading digit although that digit is finer."""
+    if abs(x) <= radius:
+        return "0.0"
+    finest = int(mpmath.ceil(mpmath.log10(radius)))
+    lead = int(mpmath.floor(mpmath.log10(abs(x))))
+    return mpmath.nstr(x, max(1, min(_ROOT_DIGITS, lead - finest + 1)))
+
+
 def _root_entries(poly, role: str, bits: int):
     rs, inside, _ = certified_poles(poly, Fraction(1, 2), bits)
     ordered = sorted(
@@ -464,8 +479,8 @@ def _root_entries(poly, role: str, bits: int):
         for x in ordered:
             location = "inside" if any(x == y for y in inside) else "outside"
             entries.append({
-                "re": mpmath.nstr(x.real, 20),
-                "im": mpmath.nstr(x.imag, 20),
+                "re": _certified_part(x.real, rs.error_radius),
+                "im": _certified_part(x.imag, rs.error_radius),
                 "location": location,
             })
         radius = mpmath.nstr(rs.error_radius, 5)

@@ -7,15 +7,21 @@ from (s, L) it moves to (s+1, R) with +1/sqrt2 and to (s-1, L) with
 so each absorbed path contributes its squared amplitude exactly once, at
 its arrival step.
 
-All amplitudes are integers under a global (1/sqrt2)^step scale, which
-keeps the evolution exact and makes the simulator a true oracle for the
-series coefficients of the generating functions.
+All amplitudes are integers under a global (1/sqrt2)^step scale, so every
+probability mass is an integer numerator over 2^step: the walk state holds
+only integers and no ``Fraction`` is built inside the step loop.  Each
+step doubles the absorbed numerators and adds the squared barrier hits,
+and conservation is the integer identity
+``left_num + right_num + sum(a^2) == 2^step``.  This keeps the evolution
+exact and makes the simulator a true oracle for the series coefficients
+of the generating functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Mapping
 
 from .errors import ConsistencyError, StepBudgetExceeded
@@ -30,88 +36,100 @@ RIGHT = "R"
 class AmplitudeState:
     """Walk state after ``step`` steps on sites 0..n.
 
-    ``amps`` maps (site, direction) to the integer numerator of the
-    amplitude; the true amplitude is numerator * (1/sqrt2)**step.  Only
-    interior sites 1..n-1 appear.  ``absorbed_left``/``absorbed_right``
-    hold the probability mass measured at the barriers so far.
+    ``right[s]`` and ``left[s]`` (s = 0..n) are the integer numerators of
+    the amplitudes at (s, R) and (s, L); the true amplitude is
+    numerator * (1/sqrt2)**step.  Only interior sites 1..n-1 are ever
+    non-zero.  ``left_num``/``right_num`` are the numerators, over
+    2**step, of the probability mass measured at the barriers so far.
     """
 
     n: int
     step: int
-    amps: Mapping[tuple[int, str], int]
-    absorbed_left: Rational
-    absorbed_right: Rational
+    right: tuple[int, ...]
+    left: tuple[int, ...]
+    left_num: int
+    right_num: int
+
+    @property
+    def amps(self) -> Mapping[tuple[int, str], int]:
+        """The non-zero numerators keyed by (site, "L"/"R")."""
+        out = {}
+        for site in range(self.n + 1):
+            if self.left[site]:
+                out[(site, LEFT)] = self.left[site]
+            if self.right[site]:
+                out[(site, RIGHT)] = self.right[site]
+        return out
+
+    @property
+    def absorbed_left(self) -> Rational:
+        return Fraction(self.left_num, 1 << self.step)
+
+    @property
+    def absorbed_right(self) -> Rational:
+        return Fraction(self.right_num, 1 << self.step)
 
 
 def initial_state(j: int, n: int) -> AmplitudeState:
     """|j, R> with nothing absorbed; requires an interior start site."""
     _validate(j, n, 1, n - 1)
+    right = [0] * (n + 1)
+    right[j] = 1
     return AmplitudeState(
         n=n,
         step=0,
-        amps={(j, RIGHT): 1},
-        absorbed_left=Fraction(0),
-        absorbed_right=Fraction(0),
+        right=tuple(right),
+        left=(0,) * (n + 1),
+        left_num=0,
+        right_num=0,
     )
+
+
+def _interior_num(state: AmplitudeState) -> int:
+    """Numerator over 2**step of the mass still inside the barriers."""
+    right, left = state.right, state.left
+    return sum(map(mul, right, right)) + sum(map(mul, left, left))
 
 
 def interior_mass(state: AmplitudeState) -> Rational:
     """Probability mass still inside the barriers, exactly."""
-    scale = Fraction(1, 2 ** state.step)
-    return sum((a * a * scale for a in state.amps.values()), Fraction(0))
+    return Fraction(_interior_num(state), 1 << state.step)
 
 
 def check_conservation(state: AmplitudeState) -> None:
-    """Raise unless absorbed + interior mass is exactly 1."""
-    total = state.absorbed_left + state.absorbed_right + interior_mass(state)
-    if total != 1:
+    """Raise unless absorbed + interior mass is exactly 1, checked as
+    the integer identity left_num + right_num + sum(a^2) == 2**step."""
+    total = state.left_num + state.right_num + _interior_num(state)
+    if total != 1 << state.step:
         raise ConsistencyError(
-            f"mass {total} != 1 at step {state.step} (n={state.n})"
+            f"mass {Fraction(total, 1 << state.step)} != 1 at step "
+            f"{state.step} (n={state.n})"
         )
 
 
 def step(state: AmplitudeState, n: int) -> AmplitudeState:
-    """One unitary step plus barrier measurement; exact."""
+    """One unitary step plus barrier measurement; exact.
+
+    right'[s+1] = R[s] + L[s] and left'[s-1] = R[s] - L[s] for the
+    interior sites s; right'[n] and left'[0] are the barrier hits, which
+    are measured and leave the barrier slots at 0.  Nothing reaches
+    (0, R) or (n, L), since a barrier is only entered moving towards it.
+    """
     if n != state.n:
         raise ValueError(f"state is for n={state.n}, not n={n}")
-    new: dict[tuple[int, str], int] = {}
-
-    def add(site: int, direction: str, value: int) -> None:
-        if value:
-            key = (site, direction)
-            new[key] = new.get(key, 0) + value
-
-    for (site, direction), a in state.amps.items():
-        if direction == RIGHT:
-            add(site + 1, RIGHT, a)
-            add(site - 1, LEFT, a)
-        else:
-            add(site + 1, RIGHT, a)
-            add(site - 1, LEFT, -a)
-    # Opposite contributions may cancel exactly; drop dead entries so
-    # equal states compare equal.
-    new = {key: val for key, val in new.items() if val}
-
-    new_step = state.step + 1
-    scale = Fraction(1, 2 ** new_step)
-    absorbed_left = state.absorbed_left
-    absorbed_right = state.absorbed_right
-    left_hit = new.pop((0, LEFT), 0)
-    if left_hit:
-        absorbed_left += left_hit * left_hit * scale
-    right_hit = new.pop((n, RIGHT), 0)
-    if right_hit:
-        absorbed_right += right_hit * right_hit * scale
-    # A barrier can only be reached in the direction pointing at it.
-    if (0, RIGHT) in new or (n, LEFT) in new:
-        raise ConsistencyError("amplitude reached a barrier moving inward")
-
+    right, left = state.right[1:n], state.left[1:n]
+    up = list(map(add, right, left))
+    down = list(map(sub, right, left))
+    right_hit = up.pop()
+    left_hit = down[0]
+    down[0] = 0
     out = AmplitudeState(
         n=n,
-        step=new_step,
-        amps=new,
-        absorbed_left=absorbed_left,
-        absorbed_right=absorbed_right,
+        step=state.step + 1,
+        right=(0, 0, *up, 0),
+        left=(*down, 0, 0),
+        left_num=2 * state.left_num + left_hit * left_hit,
+        right_num=2 * state.right_num + right_hit * right_hit,
     )
     check_conservation(out)
     return out
@@ -154,27 +172,30 @@ def simulate(
     tail_eps = Fraction(tail_eps)
     if tail_eps <= 0:
         raise ValueError(f"tail_eps must be > 0, got {tail_eps}")
+    eps_num, eps_den = tail_eps.numerator, tail_eps.denominator
     state = initial_state(j, n)
-    residual = interior_mass(state)
-    while residual >= tail_eps:
+    while True:
+        # step() has checked conservation, so the unabsorbed numerator
+        # is the interior mass; compare it with tail_eps in integers.
+        total = 1 << state.step
+        rest = total - state.left_num - state.right_num
+        if rest * eps_den < eps_num * total:
+            return _report(state, rest)
         if state.step >= max_steps:
+            report = _report(state, rest)
             raise StepBudgetExceeded(
-                f"residual {float(residual):.3e} still above tail_eps after "
-                f"{state.step} steps",
-                SimulationReport(
-                    p_left_lower=state.absorbed_left,
-                    p_right_lower=state.absorbed_right,
-                    residual=residual,
-                    steps_run=state.step,
-                ),
+                f"residual {float(report.residual):.3e} still above "
+                f"tail_eps after {state.step} steps",
+                report,
             )
         state = step(state, n)
-        # step() has checked conservation, so this is the interior mass.
-        residual = 1 - state.absorbed_left - state.absorbed_right
+
+
+def _report(state: AmplitudeState, rest: int) -> SimulationReport:
     return SimulationReport(
         p_left_lower=state.absorbed_left,
         p_right_lower=state.absorbed_right,
-        residual=residual,
+        residual=Fraction(rest, 1 << state.step),
         steps_run=state.step,
     )
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hadwalk import cli
@@ -19,7 +21,13 @@ from hadwalk.errors import StepBudgetExceeded
 from hadwalk.exactq import Polynomial
 from hadwalk.simulator import SimulationReport
 from hadwalk.verification import CheckResult
-from hadwalk.walk_core import AbsorptionResult, gf, p_exact
+from hadwalk.walk_core import (
+    AbsorptionResult,
+    absorption_denominator,
+    gf,
+    gf_denominator,
+    p_exact,
+)
 
 F = Fraction
 
@@ -412,6 +420,35 @@ def test_roots_json_round_trip_and_sorting(capsys):
     assert all(e["location"] == "inside" for e in inside["roots"])
     reals = [float(e["re"]) for e in inside["roots"]]
     assert reals == sorted(reals)
+
+
+@pytest.mark.parametrize("precision", [(), ("--precision-bits", "16")])
+def test_roots_print_only_certified_digits(capsys, precision):
+    # A real root's imaginary part lies within the error radius of 0, so
+    # it prints as 0.0; every other printed digit is at least as coarse
+    # as the radius, since finer ones are iteration noise.
+    code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json",
+                          *precision)
+    assert code == 0
+    obj = json.loads(out)
+    radius = Decimal(obj["error_radius"])
+    polys = [absorption_denominator(9), gf_denominator(9)]
+    for poly, factor in zip(polys, obj["factors"]):
+        with mpmath.workprec(200):
+            roots = mpmath.polyroots(
+                [int(a) for a in reversed(poly.coeffs)], maxsteps=200,
+                extraprec=400)
+            reals = sorted(float(x.real) for x in roots
+                           if abs(x.imag) < mpmath.mpf(10) ** -40)
+        entries = factor["roots"]
+        real_entries = [e for e in entries if e["im"] == "0.0"]
+        assert [float(e["re"]) for e in real_entries] == pytest.approx(
+            reals, abs=1e-4)
+        for e in entries:
+            for part in (e["re"], e["im"]):
+                if part != "0.0":
+                    place = Decimal(1).scaleb(Decimal(part).as_tuple().exponent)
+                    assert place >= radius, (part, obj["error_radius"])
 
 
 # ------------------------------------------------------------------ driver

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hadwalk.errors import StepBudgetExceeded
+from hadwalk.errors import ConsistencyError, StepBudgetExceeded
 from hadwalk.simulator import (
     AmplitudeState,
     SignedPathTally,
@@ -86,6 +87,52 @@ def test_conservation_on_random_triples():
         )
 
 
+def _reference_step(amps, absorbed_left, absorbed_right, n, new_step):
+    """The coined-walk rule on a dict keyed by (site, "L"/"R") with
+    Fraction masses: a layout-independent reference for step()."""
+    new = {}
+    for (site, direction), a in amps.items():
+        for key, value in (((site + 1, "R"), a),
+                           ((site - 1, "L"), a if direction == "R" else -a)):
+            new[key] = new.get(key, 0) + value
+    new = {key: val for key, val in new.items() if val}
+    scale = F(1, 2**new_step)
+    absorbed_left += new.pop((0, "L"), 0) ** 2 * scale
+    absorbed_right += new.pop((n, "R"), 0) ** 2 * scale
+    return new, absorbed_left, absorbed_right
+
+
+def test_step_matches_reference_stepper():
+    for n in range(2, 9):
+        for j in range(1, n):
+            s = initial_state(j, n)
+            amps, left, right = {(j, "R"): 1}, F(0), F(0)
+            for k in range(1, 201):
+                s = step(s, n)
+                amps, left, right = _reference_step(amps, left, right, n, k)
+                assert s.step == k
+                assert s.amps == amps, (j, n, k)
+                assert (s.absorbed_left, s.absorbed_right) == (left, right)
+                assert interior_mass(s) == sum(
+                    (F(a * a, 2**k) for a in amps.values()), F(0))
+
+
+def test_conservation_failure_is_detected():
+    s = initial_state(3, 7)
+    for _ in range(9):
+        s = step(s, 7)
+    check_conservation(s)
+    site = next(i for i, a in enumerate(s.right) if a)
+    for delta in (1, -1):
+        right = list(s.right)
+        right[site] += delta
+        with pytest.raises(ConsistencyError):
+            check_conservation(dataclasses.replace(s, right=tuple(right)))
+        with pytest.raises(ConsistencyError):
+            check_conservation(
+                dataclasses.replace(s, left_num=s.left_num + delta))
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -111,6 +158,15 @@ def test_simulate_brackets_p_exact_sample():
         assert rep.p_left_lower <= p <= rep.p_left_lower + rep.residual
         q = 1 - p
         assert rep.p_right_lower <= q <= rep.p_right_lower + rep.residual
+
+
+def test_simulate_certifies_row_20():
+    # Row 20 needs about 7,700 steps at 1e-10, inside the default budget.
+    eps = F(1, 10**10)
+    rep = simulate(10, 20, eps)
+    p = p_exact(10, 20)
+    assert rep.p_left_lower <= p <= rep.p_left_lower + rep.residual
+    assert rep.residual < eps
 
 
 def test_simulate_budget_error_carries_partial_report():
