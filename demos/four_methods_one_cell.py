@@ -40,12 +40,14 @@ print(f"residue formula:    {evaluated}")
 # --- 3. Contour integral.  The same probability is an integral around
 # |t| = 1/2; its poles inside the contour are the roots of
 # r_n - r_{n-1}.  The engine sums residues in certified floating point,
-# multiplies by an integer delta built from a resultant and a
-# discriminant, and rounds -- provably landing on the exact rational.
+# multiplies by an integer delta built from one resultant taken after
+# the substitution t = s/4, and rounds -- provably landing on the exact
+# rational.
 ig = build_integrand(J, N)
 bound = denominator_bound(ig)
 print(f"denominator bound:  delta = {bound.delta} "
-      f"(resultant {bound.R}, discriminant {bound.D})")
+      f"(resultant {bound.rho} after t = s/4, lc {bound.lead}, "
+      f"2-adic exponent {bound.e})")
 roots = find_roots(ig.d, 128)
 print(f"poles inside:       {len(roots.approximations)} roots of {ig.d}, "
       f"each pinned within {float(roots.error_radius):.1e}")

@@ -470,6 +470,7 @@ def _certified_part(x, radius) -> str:
 
 
 def _root_entries(poly, role: str, bits: int):
+    """The factor's JSON block and its certified error radius."""
     rs, inside, _ = certified_poles(poly, Fraction(1, 2), bits)
     ordered = sorted(
         rs.approximations, key=lambda x: (float(x.real), float(x.imag))
@@ -484,21 +485,27 @@ def _root_entries(poly, role: str, bits: int):
                 "location": location,
             })
         radius = mpmath.nstr(rs.error_radius, 5)
-    return {"role": role, "poly": str(poly), "roots": entries}, radius
+    block = {"role": role, "poly": str(poly), "error_radius": radius,
+             "roots": entries}
+    return block, rs.error_radius
 
 
 def _run_roots(cfg: CommandConfig) -> int:
     n = cfg.n
     d = absorption_denominator(n)
     c = gf_denominator(n)
-    blocks = []
     inside_block, radius = _root_entries(d, "inside-factor", cfg.precision_bits)
-    blocks.append(inside_block)
+    blocks = [inside_block]
     if c.degree >= 1:
-        outside_block, _ = _root_entries(c, "outside-factor", cfg.precision_bits)
+        outside_block, c_radius = _root_entries(
+            c, "outside-factor", cfg.precision_bits
+        )
         blocks.append(outside_block)
+        radius = max(radius, c_radius)
+    # The header covers every printed root, so it states the larger radius.
+    shown = mpmath.nstr(radius, 5)
     if cfg.format == "text":
-        print(f"n = {n}  contour |t| = 1/2  error radius <= {radius}")
+        print(f"n = {n}  contour |t| = 1/2  error radius <= {shown}")
         for block in blocks:
             print(f"{block['role']}: {block['poly']}")
             for e in block["roots"]:
@@ -509,7 +516,7 @@ def _run_roots(cfg: CommandConfig) -> int:
         print(canonical_json({
             "n": n,
             "contour_radius": "1/2",
-            "error_radius": radius,
+            "error_radius": shown,
             "factors": blocks,
         }))
     return EXIT_OK

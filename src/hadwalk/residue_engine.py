@@ -88,8 +88,8 @@ class Integrand:
     """The rational integrand scale * b / (c d) on the circle |t| = radius.
 
     b, c, d carry integer coefficients exactly as constructed from the
-    r family; no content is split off (the denominator bound absorbs
-    leading coefficients instead, which only ever overestimates).
+    r family; no content is split off, since the denominator bound needs
+    only integer coefficients.
     """
 
     b: Polynomial
@@ -117,14 +117,40 @@ class RootSet:
 class DenominatorBound:
     """Integer delta with delta * (integral value) guaranteed integral.
 
-    delta = |m2 * R * D * lc_correction| where R = resultant(c, d),
-    D = discriminant(d), m2 = denominator of the scale, and
-    lc_correction compensates for non-monic c, d.
+    The bound is built after the substitution t = s/4.  B, C and D are
+    b, c and d evaluated at t = s/4, each multiplied by the least power
+    of two, 2^e_b, 2^e_c and 2^e_d, that makes its coefficients
+    integers; deg D = m.  Then
+
+        delta = m2 * 2^max(0, e) * |rho| * |lead|^(deg B + 1)
+
+    with m2 the denominator of the scale, e = e_b - e_c - e_d + 2,
+    rho = Res(C, D) and lead = lc(D).
+
+    Proof, for c and d coprime (rho != 0) and d squarefree; the integral
+    is scale times the sum of b(a)/(c(a) d'(a)) over the roots a of d.
+
+    1. Each root a of d gives the root x = 4a of D, and D'(s) =
+       2^e_d d'(s/4) / 4, so b(a)/(c(a) d'(a)) = 2^-e B(x)/(C(x) D'(x)).
+    2. The adjugate of the Sylvester matrix gives U, V in Z[s] with
+       deg U < m and U C + V D = rho (for constant C, U = C^(m-1) and
+       V = 0).  At a root of D this reads 1/C(x) = U(x)/rho.
+    3. Let h = B U in Z[s].  Pseudo-division gives Q, r in Z[s] with
+       lead^k h = Q D + r, deg r < m and k = max(0, deg h - m + 1);
+       since deg U < m, k <= deg B.  So h(x) = r(x)/lead^k at the roots.
+    4. D is squarefree, so partial fractions give r/D = sum over the
+       roots x of r(x)/(D'(x)(s - x)).  Comparing the coefficients of
+       1/s at infinity (Euler-Jacobi): sum r(x)/D'(x) = r_(m-1)/lead.
+
+    Together: the sum is 2^-e r_(m-1) / (rho lead^(k+1)), with r_(m-1)
+    an integer and k + 1 <= deg B + 1, so delta clears it; m2 clears
+    the scale.  No discriminant enters the bound, and only the scale,
+    e, rho and lead are needed, never U or r themselves.
     """
 
-    R: int
-    D: int
-    lc_correction: int
+    rho: int
+    lead: int
+    e: int
     delta: int
 
     def __post_init__(self) -> None:
@@ -163,25 +189,44 @@ def build_integrand(j: int, n: int) -> Integrand:
     return Integrand(b=b, c=c, d=d, scale=scale, radius=Fraction(1, 2))
 
 
+def _quarter_scaled(p: Polynomial) -> tuple[Polynomial, int]:
+    """(2^e p(s/4), e) for the least e that leaves integer coefficients.
+
+    The coefficient a_k becomes a_k 2^(e - 2k), an integer exactly when
+    e >= 2k - v_2(a_k).
+    """
+    ints = [int(a) for a in p.coeffs]
+    e = max(
+        (2 * k - ((a & -a).bit_length() - 1) for k, a in enumerate(ints) if a),
+        default=0,
+    )
+    scaled = [
+        a << (e - 2 * k) if e >= 2 * k else a >> (2 * k - e)
+        for k, a in enumerate(ints)
+    ]
+    return Polynomial(scaled, var=p.var), e
+
+
 def denominator_bound(ig: Integrand) -> DenominatorBound:
-    """Exact integer multiplier that clears the integral's denominator."""
+    """Exact integer multiplier that clears the integral's denominator:
+    one resultant after t = s/4 (the proof is on DenominatorBound)."""
     for name, p in (("b", ig.b), ("c", ig.c), ("d", ig.d)):
         for coeff in p.coeffs:
             if coeff.denominator != 1:
                 raise ConsistencyError(f"integrand part {name} not integral")
-    R = _as_int(poly_resultant(ig.c, ig.d), "resultant(c, d)")
-    D = _as_int(poly_discriminant(ig.d), "discriminant(d)")
-    if R == 0 or D == 0:
-        raise DegenerateIntegrandError(
-            f"resultant {R}, discriminant {D}: poles are not distinct"
-        )
-    lc_c = _as_int(ig.c.leading_coefficient, "lc(c)")
-    lc_d = _as_int(ig.d.leading_coefficient, "lc(d)")
-    lc_correction = abs(
-        lc_c ** ig.d.degree * lc_d ** (ig.b.degree + ig.c.degree + 1)
-    )
-    delta = abs(ig.scale.denominator * R * D * lc_correction)
-    return DenominatorBound(R=R, D=D, lc_correction=lc_correction, delta=delta)
+    B, e_b = _quarter_scaled(ig.b)
+    C, e_c = _quarter_scaled(ig.c)
+    D, e_d = _quarter_scaled(ig.d)
+    rho = _as_int(poly_resultant(C, D), "resultant(C, D)")
+    if rho == 0:
+        raise DegenerateIntegrandError("c and d share a root")
+    if poly_discriminant(ig.d) == 0:
+        raise DegenerateIntegrandError("d has a repeated root")
+    e = e_b - e_c - e_d + 2
+    lead = int(D.leading_coefficient)
+    delta = (ig.scale.denominator * 2 ** max(0, e) * abs(rho)
+             * abs(lead) ** (B.degree + 1))
+    return DenominatorBound(rho=rho, lead=lead, e=e, delta=delta)
 
 
 def _int_coeffs(p: Polynomial) -> list[int]:

@@ -307,14 +307,23 @@ def check_squarefree_denominators(n_max: int, tail_eps: Rational) -> CheckResult
 def check_denominator_bound_integrality(
     n_max: int, tail_eps: Rational
 ) -> CheckResult:
-    """delta * p is an integer for every interior cell."""
+    """delta * p is an integer for every interior cell; the detail sets
+    the largest delta against the largest true denominator."""
     name = "denominator-bound-integrality"
+    delta_bits = den_bits = 0
     for n in range(2, n_max + 1):
         for j in range(1, n):
             delta = denominator_bound(build_integrand(j, n)).delta
-            if (delta * p_exact(j, n)).denominator != 1:
+            p = p_exact(j, n)
+            if (delta * p).denominator != 1:
                 return _fail(name, f"delta misses denominator at j={j}, n={n}")
-    return _ok(name, f"n = 2..{n_max}")
+            delta_bits = max(delta_bits, delta.bit_length())
+            den_bits = max(den_bits, p.denominator.bit_length())
+    return _ok(
+        name,
+        f"n = 2..{n_max}, delta <= {delta_bits} bits, "
+        f"denominators <= {den_bits} bits",
+    )
 
 
 def check_first_column_numerators(n_max: int, tail_eps: Rational) -> CheckResult:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hadwalk import cli
+from hadwalk import cli, residue_engine
 from hadwalk.cli import (
     CommandConfig,
     canonical_json,
@@ -227,13 +227,15 @@ def test_prob_step_budget_maps_to_precision_exit(capsys, monkeypatch):
     assert err.startswith("error: precision:")
 
 
-def test_prob_numeric_exhaustion_is_one_short_line(capsys):
-    # Past n = 40 the contour route's denominator bound outgrows the
-    # precision ceiling; the error names delta's size, not its digits.
-    code, out, err = invoke(capsys, "prob", "--n", "45", "--j", "22",
+def test_prob_numeric_exhaustion_is_one_short_line(capsys, monkeypatch):
+    # Under a 512-bit ceiling the 810-bit denominator bound of n = 40
+    # cannot certify; the error names delta's size, not its digits.
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 512)
+    code, out, err = invoke(capsys, "prob", "--n", "40", "--j", "20",
                             "--method", "numeric")
     assert (code, out) == (3, "")
     assert err.startswith("error: precision:") and err.count("\n") == 1
+    assert "810-bit delta" in err
     assert len(err) < 200
 
 
@@ -420,6 +422,21 @@ def test_roots_json_round_trip_and_sorting(capsys):
     assert all(e["location"] == "inside" for e in inside["roots"])
     reals = [float(e["re"]) for e in inside["roots"]]
     assert reals == sorted(reals)
+
+
+def test_roots_radius_covers_both_factors(capsys):
+    # At n = 9 the outside factor's disks are wider than the inside
+    # factor's; each block states its own radius and the header the
+    # larger one, so no printed root is claimed tighter than it is.
+    code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    inside, outside = (Decimal(f["error_radius"]) for f in obj["factors"])
+    assert outside > inside
+    assert Decimal(obj["error_radius"]) == outside
+    code, out, _ = invoke(capsys, "roots", "--n", "9")
+    header = out.splitlines()[0]
+    assert header.endswith(f"error radius <= {obj['error_radius']}")
 
 
 @pytest.mark.parametrize("precision", [(), ("--precision-bits", "16")])

@@ -85,20 +85,26 @@ def test_build_integrand_validation():
 
 
 def test_denominator_bound_frozen():
+    # j=1, n=2: b = 1, c = 1, d = -2t.  At t = s/4: B = 1, C = 1 and
+    # d(s/4) = -s/2, so D = -s with e_d = 1; e = 0 - 0 - 1 + 2 = 1.
+    # rho = Res(1, -s) = 1, lc(D) = -1: delta = 2^1 * 1 * 1 = 2.
     db = denominator_bound(build_integrand(1, 2))
-    assert (db.R, db.D, db.lc_correction, db.delta) == (1, 1, 2, 2)
+    assert (db.rho, db.lead, db.e, db.delta) == (1, -1, 1, 2)
 
-    # j=1, n=3: c = 1 - t, d = 4t^2 - t, b = (1 - 2t)^2.
-    # res(c, d) = 3, disc(d) = 1, |lc_c^2 * lc_d^4| = 256.
+    # j=1, n=3: c = 1 - t, d = 4t^2 - t, b = (1 - 2t)^2.  At t = s/4,
+    # times 4 each: C = 4 - s, D = s^2 - s, B = s^2 - 4s + 4, so
+    # e = 2 - 2 - 2 + 2 = 0.  rho = Res(C, D) = (-1)^2 D(4) = 12 and
+    # lc(D) = 1: delta = 12, a multiple of the true denominator 3.
     db = denominator_bound(build_integrand(1, 3))
-    assert (db.R, db.D, db.lc_correction, db.delta) == (3, 1, 256, 768)
+    assert (db.rho, db.lead, db.e, db.delta) == (12, 1, 0, 12)
 
 
 def test_denominator_bound_clears_the_true_denominator():
-    for n in range(2, 10):
-        for j in range(1, n):
-            db = denominator_bound(build_integrand(j, n))
-            assert (db.delta * p_exact(j, n)).denominator == 1
+    cells = [(j, n) for n in range(2, 31) for j in range(1, n)]
+    cells += [(j, n) for n in (40, 60) for j in (1, n // 2, n - 1)]
+    for j, n in cells:
+        db = denominator_bound(build_integrand(j, n))
+        assert (db.delta * p_exact(j, n)).denominator == 1, (j, n)
 
 
 def test_denominator_bound_rejects_fractional_coefficients():
@@ -388,9 +394,9 @@ def test_integrate_exact_frozen():
 
 
 def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
-    # d needs a 2048-bit rung here; c is classified once, at the first
+    # d needs a 1024-bit rung here; c is classified once, at the first
     # rung that certifies it, and never refined along the ladder.
-    ig = build_integrand(9, 18)
+    ig = build_integrand(15, 30)
     calls: list[tuple[Polynomial, int]] = []
     real = residue_engine.find_roots
 
@@ -399,11 +405,11 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
         return real(p, precision_bits, initial)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
-    assert integrate_exact(ig) == p_exact(9, 18)
+    assert integrate_exact(ig) == p_exact(15, 30)
     c_bits = [bits for p, bits in calls if p == ig.c]
     assert c_bits == [certified_poles(ig.c, HALF)[0].precision_bits]
     assert c_bits == [START_BITS]
-    assert max(bits for p, bits in calls if p == ig.d) == 2048
+    assert max(bits for p, bits in calls if p == ig.d) == 1024
 
 
 def test_integrate_exact_stable_under_start_precision():
@@ -412,12 +418,20 @@ def test_integrate_exact_stable_under_start_precision():
         assert integrate_exact(ig) == integrate_exact(ig, start_bits=512)
 
 
-def test_integrate_exact_reports_exhaustion():
-    # delta has more bits than the ceiling allows: every rung escalates.
-    # The message gives delta's size, never delta itself.
-    with pytest.raises(PrecisionError, match="8826-bit delta") as info:
-        integrate_exact(build_integrand(22, 45))
+def test_integrate_exact_reports_exhaustion(monkeypatch):
+    # delta (810 bits at n = 40) needs more bits than a 512-bit ceiling
+    # allows: every rung escalates.  The message gives delta's size,
+    # never delta itself.
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 512)
+    with pytest.raises(PrecisionError, match="810-bit delta") as info:
+        integrate_exact(build_integrand(20, 40))
     assert len(str(info.value)) < 200
+
+
+def test_integrate_exact_certifies_at_n_50():
+    # delta has 1,262 bits at (25, 50), far inside MAX_BITS, so the
+    # route certifies there.
+    assert integrate_exact(build_integrand(25, 50)) == p_exact(25, 50)
 
 
 # ----------------------------------------------------------------- plumbing
