@@ -39,8 +39,10 @@ from .residue_engine import (
     build_integrand,
     classify_roots,
     denominator_bound,
+    denominator_bounds,
     find_roots,
     integrate_exact,
+    integrate_row,
     residue_sum,
 )
 from .simulator import (
@@ -101,6 +103,7 @@ __all__ = [
     "build_integrand",
     "classify_roots",
     "denominator_bound",
+    "denominator_bounds",
     "enumerate_paths",
     "enumerate_paths_right",
     "find_roots",
@@ -111,6 +114,7 @@ __all__ = [
     "h_quotient",
     "initial_state",
     "integrate_exact",
+    "integrate_row",
     "p_closed",
     "p_exact",
     "poly_discriminant",

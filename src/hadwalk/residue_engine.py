@@ -10,9 +10,22 @@ of the exact value, and rounded to the nearest integer.  If the
 certified error and the rounding distance both stay below 1/4, the
 rounded value is provably exact.
 
+A row is the unit of work.  The cells of row n share c = r_n + 2t r_{n-1}
+and d = r_n - r_{n-1}; only the numerator b_j = t^(j-1) r_{n-j}^2 depends
+on j.  So the roots of d, the classification of c, the row part of the
+denominator bound and, at each precision, the weights
+w(x) = 1/(c(x) d'(x)) are computed once per row; one pass of the r
+recurrence at a root gives b_j there for every j, and each cell is one
+weighted sum (`integrate_row`).  `integrate_exact` runs the same engine
+on a single cell, with its numerator evaluated by Horner's rule.
+
 Everything numeric lives behind escalation: any failed bound raises an
 internal signal, the working precision doubles, and the computation
-reruns (warm-started) until it certifies or hits the ceiling.
+reruns (warm-started) until it certifies or hits the ceiling.  A cell
+waits for a rung that its delta allows and is done at the first rung
+where it certifies; the ladder climbs while any cell is pending.  A
+delta that no rung up to MAX_BITS could clear fails at once, before any
+root is found.
 
 Roots are found the way MPSolve finds them (Bini 1996; Bini and Robol
 2014): cheap starting points first, a certificate afterwards.  A cold
@@ -32,7 +45,6 @@ import cmath
 import math
 import sys
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +59,19 @@ from .errors import (
     PrecisionError,
     PrecisionEscalation,
 )
-from .exactq import (
-    Polynomial,
-    Rational,
-    poly_discriminant,
-    poly_gcd,
-    poly_resultant,
-)
+from .exactq import Polynomial, Rational, poly_resultant
 from .walk_core import _validate, absorption_denominator, gf_denominator, r_poly
 
 START_BITS = 128
 MAX_BITS = 8192
 
 _T = TypeVar("_T")
+
+
+def _exhausted(what: str, reason: str) -> PrecisionError:
+    return PrecisionError(
+        f"could not certify {what} within {MAX_BITS} bits ({reason})"
+    )
 
 
 def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
@@ -78,9 +90,7 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
         except PrecisionEscalation as exc:
             reason = str(exc)
             bits *= 2
-    raise PrecisionError(
-        f"could not certify {what} within {MAX_BITS} bits ({reason})"
-    )
+    raise _exhausted(what, reason)
 
 
 @dataclass(frozen=True)
@@ -164,29 +174,31 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
+_CONTOUR = Fraction(1, 2)
+
+
+def _sign(j: int) -> Fraction:
+    return Fraction(-1) if j % 2 else Fraction(1)
+
+
 def build_integrand(j: int, n: int) -> Integrand:
     """Contour form of p_j^(n):
 
         p_j^(n) = ((-1)^j / 2 pi i) * integral over |t| = 1/2 of
                   t^(j-1) r_{n-j}^2 / ((r_n + 2t r_{n-1})(r_n - r_{n-1})) dt.
 
-    The two denominator factors must not share a root, and the inside
-    factor must be squarefree; both hold throughout the family, and a
-    violation would be cancelled and flagged rather than integrated.
+    The two denominator factors never share a root and the inside factor
+    is squarefree; denominator_bound checks both and raises
+    DegenerateIntegrandError on a violation.
     """
     _validate(j, n, 1, n - 1)
-    b = Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
-    c = gf_denominator(n)
-    d = absorption_denominator(n)
-    if poly_gcd(c, d).degree > 0:
-        # Cannot happen for this family; cancel and continue so the
-        # bound below stays meaningful, but treat it as an anomaly.
-        warnings.warn(f"shared factor between denominator parts at n={n}")
-        g = poly_gcd(c, d).primitive_part()
-        c = c // g
-        d = d // g
-    scale = Fraction(-1) if j % 2 else Fraction(1)
-    return Integrand(b=b, c=c, d=d, scale=scale, radius=Fraction(1, 2))
+    return Integrand(
+        b=Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2,
+        c=gf_denominator(n),
+        d=absorption_denominator(n),
+        scale=_sign(j),
+        radius=_CONTOUR,
+    )
 
 
 def _quarter_scaled(p: Polynomial) -> tuple[Polynomial, int]:
@@ -207,6 +219,81 @@ def _quarter_scaled(p: Polynomial) -> tuple[Polynomial, int]:
     return Polynomial(scaled, var=p.var), e
 
 
+# 2^61 - 1, then two spare primes, for the squarefree certificate.
+_SQUAREFREE_PRIMES = (2**61 - 1, 2**31 - 1, 998_244_353)
+
+
+def _trim_mod(v: Sequence[int], p: int) -> list[int]:
+    out = [a % p for a in v]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Degree of gcd(a mod p, b mod p) over F_p, for prime p and
+    coefficient lists from the constant term up (-1 if both vanish)."""
+    a, b = _trim_mod(a, p), _trim_mod(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, coeff in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * coeff) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _squarefree(ints: Sequence[int]) -> bool:
+    """Whether the integer polynomial d = sum ints[k] t^k is squarefree.
+
+    Modular certificate: let p be a prime above deg d that does not
+    divide lc d.  Reduction mod p then keeps the degrees of d and d'
+    (the leading coefficient of d' is deg d * lc d), so the Sylvester
+    determinant reduces to Res(d mod p, d' mod p), which is nonzero
+    exactly when gcd(d mod p, d' mod p) = 1.  A unit gcd therefore
+    proves Res(d, d') != 0, that is disc(d) != 0.  Only when every prime
+    fails, because it divides disc(d) or d has a repeated root, is
+    Res(d, d') computed exactly.
+    """
+    if len(ints) <= 2:
+        return True
+    deriv = [k * a for k, a in enumerate(ints)][1:]
+    for p in _SQUAREFREE_PRIMES:
+        usable = ints[-1] % p and len(ints) <= p
+        if usable and _gcd_degree_mod(ints, deriv, p) == 0:
+            return True
+    return poly_resultant(Polynomial(ints), Polynomial(deriv)) != 0
+
+
+def _row_bound(c: Polynomial, d: Polynomial) -> tuple[int, int, int]:
+    """(rho, lead, e_c + e_d): the part of the bound that a row's cells
+    share.  Raises DegenerateIntegrandError unless c and d are coprime
+    and d is squarefree, the hypotheses of the proof on DenominatorBound.
+    """
+    C, e_c = _quarter_scaled(c)
+    D, e_d = _quarter_scaled(d)
+    rho = _as_int(poly_resultant(C, D), "resultant(C, D)")
+    if rho == 0:
+        raise DegenerateIntegrandError("c and d share a root")
+    if not _squarefree([int(a) for a in d.coeffs]):
+        raise DegenerateIntegrandError("d has a repeated root")
+    return rho, int(D.leading_coefficient), e_c + e_d
+
+
+def _cell_bound(
+    e_b: int, deg_b: int, scale: Rational, row: tuple[int, int, int]
+) -> DenominatorBound:
+    rho, lead, e_cd = row
+    e = e_b - e_cd + 2
+    delta = (scale.denominator * 2 ** max(0, e) * abs(rho)
+             * abs(lead) ** (deg_b + 1))
+    return DenominatorBound(rho=rho, lead=lead, e=e, delta=delta)
+
+
 def denominator_bound(ig: Integrand) -> DenominatorBound:
     """Exact integer multiplier that clears the integral's denominator:
     one resultant after t = s/4 (the proof is on DenominatorBound)."""
@@ -215,18 +302,42 @@ def denominator_bound(ig: Integrand) -> DenominatorBound:
             if coeff.denominator != 1:
                 raise ConsistencyError(f"integrand part {name} not integral")
     B, e_b = _quarter_scaled(ig.b)
-    C, e_c = _quarter_scaled(ig.c)
-    D, e_d = _quarter_scaled(ig.d)
-    rho = _as_int(poly_resultant(C, D), "resultant(C, D)")
-    if rho == 0:
-        raise DegenerateIntegrandError("c and d share a root")
-    if poly_discriminant(ig.d) == 0:
-        raise DegenerateIntegrandError("d has a repeated root")
-    e = e_b - e_c - e_d + 2
-    lead = int(D.leading_coefficient)
-    delta = (ig.scale.denominator * 2 ** max(0, e) * abs(rho)
-             * abs(lead) ** (B.degree + 1))
-    return DenominatorBound(rho=rho, lead=lead, e=e, delta=delta)
+    return _cell_bound(e_b, B.degree, ig.scale, _row_bound(ig.c, ig.d))
+
+
+def _row(
+    n: int, js: Sequence[int] | None
+) -> tuple[list[int], Polynomial, Polynomial, list[DenominatorBound]]:
+    """(js, c, d, bounds) for the cells (j, n), j in js (default
+    1..n-1), with the row part of the bounds computed once.
+
+    No b_j is built.  With m = n - j and (R_m, e_m) the quarter-scaled
+    r_m, 2^e b_j(s/4) = 2^(e - 2(j-1) - 2 e_m) s^(j-1) R_m(s)^2.  As e_m
+    is least, R_m has an odd coefficient, and so has R_m^2, since
+    F_2[s] has no zero divisors.  So e_b = 2(j-1) + 2 e_m and
+    deg B = j - 1 + 2 deg r_m, as _quarter_scaled(b_j) would give.
+    """
+    _validate(1, n, 1, n - 1)
+    js = list(range(1, n) if js is None else js)
+    for j in js:
+        _validate(j, n, 1, n - 1)
+    c, d = gf_denominator(n), absorption_denominator(n)
+    if not js:
+        return js, c, d, []
+    row = _row_bound(c, d)
+    bounds = []
+    for j in js:
+        R_m, e_m = _quarter_scaled(r_poly(n - j))
+        bounds.append(_cell_bound(
+            2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree, _sign(j), row
+        ))
+    return js, c, d, bounds
+
+
+def denominator_bounds(n: int) -> list[DenominatorBound]:
+    """denominator_bound of every interior cell (j, n), j = 1..n-1, with
+    the row part computed once."""
+    return _row(n, None)[3]
 
 
 def _int_coeffs(p: Polynomial) -> list[int]:
@@ -560,6 +671,94 @@ def certified_poles(
     )
 
 
+def _unit() -> mpf:
+    """mu = 2^(2 - prec): bounds the error of one complex + or * at the
+    working precision, relative to |u| + |v| or |u||v| (mpmath rounds
+    each real part once, so mu holds with room)."""
+    return mpmath.ldexp(1, 2 - mpmath.mp.prec)
+
+
+def _value_on_disk(coeffs: Sequence, x, rho: mpf) -> tuple[mpc, mpf]:
+    """q(x) by Horner, and a bound on its distance from q(y) for every
+    y with |y - x| <= rho (rounding plus variation over the disk)."""
+    v, e = _eval_with_bound(coeffs, x)
+    return v, e + _disk_variation_bound(coeffs, x, rho)
+
+
+def _weight(cc: Sequence, dc: Sequence, x, rho: mpf) -> tuple[mpc, mpf]:
+    """w = 1/(c(x) d'(x)) at an approximation x of a root a of d, with
+    |a - x| <= rho, and a bound e_w on |w - 1/(c(a) d'(a))|.
+
+    With |c(a) - c(x)| <= e_c, |d'(a) - d'(x)| <= e_d and the lower
+    bounds c_low = |c(x)| - e_c, d_low = |d'(x)| - e_d, the exact
+    difference of the reciprocals is at most
+    (|c| e_d + e_c |d'| + e_c e_d) / (c_low d_low |c| |d'|); the product
+    and the reciprocal add at most 3 mu |w| of rounding.
+    """
+    cv, ce = _value_on_disk(cc, x, rho)
+    dv, de = _value_on_disk(dc, x, rho)
+    cm, dm = abs(cv), abs(dv)
+    c_low = cm - ce
+    d_low = dm - de
+    if c_low <= 0 or d_low <= 0:
+        raise PrecisionEscalation(
+            f"denominator lower bound collapsed at {mpmath.mp.prec} bits"
+        )
+    w = 1 / (cv * dv)
+    spread = (cm * de + ce * dm + ce * de) / (c_low * d_low * cm * dm)
+    return w, spread + 3 * _unit() * abs(w)
+
+
+def _weights(
+    c: Polynomial, d: Polynomial, d_roots: RootSet
+) -> list[tuple[mpc, mpf]]:
+    """_weight at every approximation of d_roots, at the current precision."""
+    cc = _coeffs_mpf(c)
+    dc = _coeffs_mpf(d.derivative())
+    rho = d_roots.error_radius
+    return [_weight(cc, dc, x, rho) for x in d_roots.approximations]
+
+
+def _values_on_disks(b: Polynomial, d_roots: RootSet) -> list[tuple[mpc, mpf]]:
+    """_value_on_disk of b at every approximation of d_roots."""
+    bc = _coeffs_mpf(b)
+    rho = d_roots.error_radius
+    return [_value_on_disk(bc, x, rho) for x in d_roots.approximations]
+
+
+def _weighted_sum(
+    values: Sequence[tuple[mpc, mpf]], weights: Sequence[tuple[mpc, mpf]]
+) -> tuple[mpc, mpf]:
+    """(sum of b(x) w(x) over the roots x, certified error bound).
+
+    values and weights pair each approximation x of a root a with
+    (b(x), e_b) and (w(x), e_w), their errors bounding the distance to
+    b(a) and w(a).  Then |b(x) w(x) - b(a) w(a)| <= e_b (|w| + e_w) +
+    |b| e_w, the product rounds by at most mu |term|, and summing m
+    terms adds at most 2 (m - 1) mu sum |term| (Higham 2002, ch. 4).
+    The bound itself is a sum of non-negative terms, so its own
+    rounding is covered by the factor 1 + 2^-16 at 64 bits or more.
+    The true sum is real for every integrand in this package, so an
+    imaginary part beyond the bound raises the escalation signal.
+    """
+    total = mpc(0)
+    err = mpf(0)
+    mass = mpf(0)
+    for (bv, be), (w, we) in zip(values, weights):
+        term = bv * w
+        err += be * (abs(w) + we) + abs(bv) * we
+        mass += abs(term)
+        total += term
+    err += 2 * (len(weights) + 1) * _unit() * mass
+    err = err * (1 + mpf(2) ** -16) + mpf(2) ** (6 - mpmath.mp.prec)
+    if abs(total.imag) > err:
+        raise PrecisionEscalation(
+            f"imaginary residue beyond certified error at "
+            f"{mpmath.mp.prec} bits"
+        )
+    return total, err
+
+
 def residue_sum(
     b: Polynomial,
     c: Polynomial,
@@ -574,40 +773,83 @@ def residue_sum(
     impossible and triggers escalation.
     """
     with workprec(d_roots.precision_bits):
-        bc = _coeffs_mpf(b)
-        cc = _coeffs_mpf(c)
-        dp = d.derivative()
-        dc = _coeffs_mpf(dp)
-        rho = d_roots.error_radius
-        total = mpc(0)
-        err = mpf(0)
-        tiny = mpf(2) ** (6 - d_roots.precision_bits)
-        for x in d_roots.approximations:
-            bv, be0 = _eval_with_bound(bc, x)
-            cv, ce0 = _eval_with_bound(cc, x)
-            dv, de0 = _eval_with_bound(dc, x)
-            be = be0 + _disk_variation_bound(bc, x, rho)
-            ce = ce0 + _disk_variation_bound(cc, x, rho)
-            de = de0 + _disk_variation_bound(dc, x, rho)
-            bm, cm, dm = abs(bv), abs(cv), abs(dv)
-            c_low = cm - ce
-            d_low = dm - de
-            if c_low <= 0 or d_low <= 0:
-                raise PrecisionEscalation(
-                    f"denominator lower bound collapsed at "
-                    f"{d_roots.precision_bits} bits"
-                )
-            term = bv / (cv * dv)
-            num_err = be * cm * dm + bm * (cm * de + ce * dm + ce * de)
-            err += num_err / (c_low * d_low * cm * dm) + abs(term) * tiny
-            total += term
-        err = err * (1 + mpf(2) ** -16) + tiny
-        if abs(total.imag) > err:
-            raise PrecisionEscalation(
-                f"imaginary residue beyond certified error at "
-                f"{d_roots.precision_bits} bits"
-            )
-    return total, err
+        return _weighted_sum(
+            _values_on_disks(b, d_roots), _weights(c, d, d_roots)
+        )
+
+
+def _slp_error(ops: int, magnitude: mpf) -> mpf:
+    """((1 + mu)^ops - 1) * magnitude <= 2 ops mu magnitude, valid while
+    ops mu <= 1: the rounding lemma's bound (see integrate_row)."""
+    return 2 * ops * _unit() * magnitude
+
+
+def _r_at(x: mpc, top: int) -> tuple[list[mpc], list[mpc]]:
+    """r_k(x) and r_k'(x) for k = 0..top, by the forward recurrence
+    r_{k+2} = (1 - 2x) r_{k+1} + x r_k (Clenshaw 1955) and its
+    derivative r'_{k+2} = (1 - 2x) r'_{k+1} - 2 r_{k+1} + x r'_k + r_k.
+    Their rounding errors are at most _slp_error(3(k - 1), R_k(|x|))
+    and _slp_error(5(k - 1), R_k'(|x|)) (see integrate_row)."""
+    a = 1 - 2 * x
+    r = [mpc(0), mpc(1)]
+    dr = [mpc(0), mpc(0)]
+    for _ in range(top - 1):
+        dr.append(a * dr[-1] - 2 * r[-1] + x * dr[-2] + r[-2])
+        r.append(a * r[-1] + x * r[-2])
+    return r, dr
+
+
+def _majorant(z: mpf, top: int) -> tuple[list[mpf], list[mpf]]:
+    """R_k(z) and R_k'(z) for k = 0..top, where R_0 = 0, R_1 = 1 and
+    R_{k+2} = (1 + 2z) R_{k+1} + z R_k majorizes r_k coefficient by
+    coefficient (see integrate_row)."""
+    a = 1 + 2 * z
+    R = [mpf(0), mpf(1)]
+    dR = [mpf(0), mpf(0)]
+    for _ in range(top - 1):
+        dR.append(a * dR[-1] + 2 * R[-1] + z * dR[-2] + R[-2])
+        R.append(a * R[-1] + z * R[-2])
+    return R, dR
+
+
+def _numerators_at(
+    x: mpc, rho: mpf, n: int, js: Sequence[int]
+) -> list[tuple[mpc, mpf]]:
+    """(b_j(x), e_j) for each j in js, where b_j = t^(j-1) r_{n-j}^2 and
+    e_j bounds |b_j(x) computed - b_j(y)| for every |y - x| <= rho < 1.
+
+    One pass of the r recurrence at x serves every j.  Beside it, the
+    majorant R and its derivative at |x| bound the rounding of b_j and
+    b_j', and R at |x| + 1 bounds the Taylor tail of b_j over the disk
+    (proof on integrate_row).
+    """
+    top = n - min(js)
+    z = abs(x)
+    r, dr = _r_at(x, top)
+    R, dR = _majorant(z, top)
+    far, _ = _majorant(z + 1, top)
+    powers, z_powers, far_powers = [mpc(1)], [mpf(1)], [mpf(1)]
+    for _ in range(max(js) - 1):
+        powers.append(powers[-1] * x)
+        z_powers.append(z_powers[-1] * z)
+        far_powers.append(far_powers[-1] * (z + 1))
+    out = []
+    for j in js:
+        m = n - j
+        square = r[m] * r[m]
+        square_major = R[m] * R[m]
+        slope = 2 * powers[j - 1] * (r[m] * dr[m])
+        slope_major = 2 * z_powers[j - 1] * R[m] * dR[m]
+        if j > 1:
+            slope += (j - 1) * powers[j - 2] * square
+            slope_major += (j - 1) * z_powers[j - 2] * square_major
+        rounding = _slp_error(max(j - 2, 0) + 6 * (m - 1) + 2,
+                              z_powers[j - 1] * square_major)
+        slope_bound = abs(slope) + _slp_error(j + 8 * m + 1, slope_major)
+        tail = far_powers[j - 1] * far[m] * far[m]
+        out.append((powers[j - 1] * square,
+                    rounding + rho * slope_bound + rho * rho * tail))
+    return out
 
 
 def _mpf_to_fraction(x: mpf) -> Fraction:
@@ -626,48 +868,184 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     return -value if sign else value
 
 
+# Below this precision the bounds' own rounding is not covered by the
+# 1 + 2^-16 factor in _weighted_sum, so integration rungs start here.
+_MIN_INTEGRATION_BITS = 64
+
+# Numerator values of the cells `live` (indices into the engine's cell
+# list) at every approximation of d's roots: one list per cell, one
+# (value, error) pair per root.
+_Numerators = Callable[[RootSet, list[int]], list[list[tuple[mpc, mpf]]]]
+
+
+def _round_cell(
+    total: mpc, err: mpf, scale: Rational, delta: int, bits: int
+) -> Rational:
+    quarter = Fraction(1, 4)
+    if delta * abs(scale) * _mpf_to_fraction(err) >= quarter:
+        raise PrecisionEscalation(f"certified error too large at {bits} bits")
+    scaled = delta * scale * _mpf_to_fraction(total.real)
+    nearest = round(scaled)
+    if abs(scaled - nearest) >= quarter:
+        raise PrecisionEscalation(
+            f"scaled value not near an integer at {bits} bits"
+        )
+    return Fraction(nearest, delta)
+
+
+def _integrate(
+    c: Polynomial,
+    d: Polynomial,
+    radius: Rational,
+    cells: Sequence[tuple[Rational, int]],
+    numerators: _Numerators,
+    start_bits: int,
+) -> list[Rational]:
+    """The contour route's one engine: the integrals scale * sum of
+    b/(c d') over the roots of d, one per cell (scale, delta), each
+    cell's b given by numerators.
+
+    Fails fast when some delta needs more than MAX_BITS, then certifies
+    once that every c-root disk lies outside |t| = radius.  Each rung
+    finds d's roots and the weights once; every pending cell whose delta
+    the rung allows is one weighted sum of its numerators, and is done
+    once delta * |scale| * error < 1/4 and the scaled sum lies within
+    1/4 of an integer: that integer over delta is then exact.
+    """
+    if not cells:
+        return []
+    widest = max(delta.bit_length() for _, delta in cells)
+    what = f"the integral for a {widest}-bit delta"
+    if widest > MAX_BITS - 8:
+        raise _exhausted(what, f"delta needs more than {MAX_BITS} bits")
+    # c is only classified, never integrated over (the weights read its
+    # coefficients at the roots of d), so one certified rung suffices.
+    if c.degree >= 1 and certified_poles(c, radius, start_bits)[1]:
+        raise ConsistencyError(
+            f"a pole of the outside factor sits inside |t|={radius}"
+        )
+    done: dict[int, Rational] = {}
+
+    def rung(bits: int) -> list[Rational]:
+        if bits < _MIN_INTEGRATION_BITS:
+            raise PrecisionEscalation(
+                f"integration needs at least {_MIN_INTEGRATION_BITS} bits"
+            )
+        # The certified error never drops below 2^(6-bits), so a cell
+        # with delta >= 2^(bits-8) cannot certify here: it waits.
+        waiting = PrecisionEscalation(f"delta needs more than {bits} bits")
+        live = [k for k, (_, delta) in enumerate(cells)
+                if k not in done and not delta >> (bits - 8)]
+        if not live:
+            raise waiting
+        d_roots, _, outside = _poles_at(d, radius, bits)
+        if outside:
+            raise ConsistencyError(
+                f"a pole of the inside factor sits outside |t|={radius}"
+            )
+        failure = waiting
+        with workprec(bits):
+            weights = _weights(c, d, d_roots)
+            for k, values in zip(live, numerators(d_roots, live)):
+                try:
+                    total, err = _weighted_sum(values, weights)
+                    done[k] = _round_cell(total, err, *cells[k], bits)
+                except PrecisionEscalation as exc:
+                    failure = exc
+        if len(done) < len(cells):
+            raise failure
+        return [done[k] for k in range(len(cells))]
+
+    return _escalate(rung, what, start_bits)
+
+
 def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
     """Exact value of the contour integral, via certified rounding.
 
-    First certifies, on its own ladder from start_bits, that every
-    c-root disk lies strictly outside the contour.  Then runs the
-    integral's ladder from start_bits.  Success requires, at one rung:
-    all d-root disks certified strictly inside the contour,
-    delta * |scale| * error < 1/4, and the scaled sum within 1/4 of an
-    integer.  The returned rational is then exact, not approximate.
+    One cell through the engine of integrate_row, with b evaluated by
+    Horner's rule at each root of d.  The returned rational is exact,
+    not approximate.
     """
-    db = denominator_bound(ig)
-    quarter = Fraction(1, 4)
-    # c is only classified, never integrated over (residue_sum reads its
-    # coefficients at the roots of d), so one certified rung suffices.
-    if ig.c.degree >= 1 and certified_poles(ig.c, ig.radius, start_bits)[1]:
-        raise ConsistencyError(
-            f"a pole of the outside factor sits inside |t|={ig.radius}"
-        )
-
-    def rung(bits: int) -> Rational:
-        # The certified error never drops below 2^(6-bits), so a rung
-        # with delta >= 2^(bits-8) cannot succeed; skip the numeric work.
-        if bits > 8 and db.delta >> (bits - 8):
-            raise PrecisionEscalation(f"delta needs more than {bits} bits")
-        d_roots, _, outside = _poles_at(ig.d, ig.radius, bits)
-        if outside:
-            raise ConsistencyError(
-                f"a pole of the inside factor sits outside |t|={ig.radius}"
-            )
-        total, err = residue_sum(ig.b, ig.c, ig.d, d_roots)
-        if db.delta * abs(ig.scale) * _mpf_to_fraction(err) >= quarter:
-            raise PrecisionEscalation(f"certified error too large at {bits} bits")
-        scaled = db.delta * ig.scale * _mpf_to_fraction(total.real)
-        nearest = round(scaled)
-        if abs(scaled - nearest) >= quarter:
-            raise PrecisionEscalation(
-                f"scaled value not near an integer at {bits} bits"
-            )
-        return Fraction(nearest, db.delta)
-
-    return _escalate(
-        rung,
-        f"the integral for a {db.delta.bit_length()}-bit delta",
+    return _integrate(
+        ig.c,
+        ig.d,
+        ig.radius,
+        [(ig.scale, denominator_bound(ig).delta)],
+        lambda d_roots, live: [_values_on_disks(ig.b, d_roots)],
         start_bits,
-    )
+    )[0]
+
+
+def integrate_row(
+    n: int, js: Sequence[int] | None = None, start_bits: int = START_BITS
+) -> list[Rational]:
+    """Exact p_j^(n) for each j in js (default every interior cell
+    1..n-1), in that order, by the contour route.
+
+    The row's work is done once: c, d, the row part of the bound and
+    c's classification; at each rung, d's roots and their weights
+    w(x) = 1/(c(x) d'(x)).  At each root x one pass of the recurrence
+    gives r_0(x)..r_n(x) and so b_j(x) = x^(j-1) r_{n-j}(x)^2 for every
+    j, and each cell is one weighted sum.
+
+    The bound on b_j.  Let x approximate a root a of d with
+    |a - x| <= rho, let z = |x|, and let mu bound the error of one
+    complex + or * (see _unit).  Write m = n - j.
+
+    1. Majorant.  R_0 = 0, R_1 = 1, R_{k+2} = (1 + 2z) R_{k+1} + z R_k
+       has non-negative coefficients, and |[t^i] r_k| <= [t^i] R_k for
+       every i and k: by induction, [t^i] r_{k+2} is
+       [t^i] r_{k+1} - 2 [t^(i-1)] r_{k+1} + [t^(i-1)] r_k, whose
+       modulus is at most [t^i] R_{k+2}.  Products and derivatives keep
+       the relation (|sum u_i v_(k-i)| <= sum U_i V_(k-i)), so
+       B_j(z) = z^(j-1) R_m(z)^2 majorizes b_j, and every derivative
+       of B_j majorizes the same derivative of b_j, coefficient by
+       coefficient; R_k' follows the differentiated recurrence.
+    2. Rounding: the straight-line-program lemma (Higham 2002, ch. 3).
+       Let a program of complex + and * run on exactly represented
+       inputs, each operation adding an error at most mu times the same
+       operation applied to the moduli of its operands.  Give each
+       input the count N = 0, u + v the count max(N_u, N_v) + 1 and
+       u * v the count N_u + N_v + 1.  Then each computed value lies
+       within ((1 + mu)^N - 1) V <= 2 N mu V (for N mu <= 1) of its
+       exact value, where V is the same program run on the moduli of
+       the inputs.  Induction: with relative errors eps_u, eps_v on the
+       operands, |u~ v~ - u v| <= ((1 + eps_u)(1 + eps_v) - 1) U V, and
+       the product's own rounding adds mu (1 + eps_u)(1 + eps_v) U V,
+       which gives (1 + mu)^(N_u + N_v + 1) - 1; a sum is the same with
+       U + V in place of U V.  The bound grows with N, so any upper
+       bound on the count will do.  Here 1 - 2x has N = 1 and modulus
+       at most 1 + 2z; r_k has N = 3(k - 1) and r_k', summed left to
+       right (doubling is exact), N = 5(k - 1); x^k by repeated
+       products has N = k - 1; b_j = x^(j-1) (r_m r_m) has
+       N = max(j - 2, 0) + 6(m - 1) + 2, and
+       b_j' = 2 x^(j-1) (r_m r_m') + (j - 1) x^(j-2) (r_m r_m) at most
+       j + 8m + 1.  Their absolute-value programs are R_k(z), R_k'(z),
+       B_j(z) and B_j'(z).
+    3. Variation.  For |y - x| <= rho, Taylor's formula at x gives
+       b_j(y) - b_j(x) = b_j'(x) (y - x) + sum over i >= 2 of
+       b_j^(i)(x) (y - x)^i / i!, with |b_j^(i)(x)| <= B_j^(i)(z) by 1.
+       Since rho < 1 (every root disk lies inside |t| = 1/2), the tail
+       is at most rho^2 times the Taylor series of B_j at z evaluated
+       one unit away, whose terms are all non-negative: at most
+       rho^2 B_j(z + 1).
+
+    So |computed b_j(x) - b_j(a)| <= 2 N mu B_j(z)
+    + rho (|computed b_j'(x)| + 2 N' mu B_j'(z)) + rho^2 B_j(z + 1).
+    The majorants are sums and products of non-negative numbers, so
+    their own rounding, and that of z = |x|, is a relative error that
+    the factor 1 + 2^-16 of _weighted_sum covers at 64 bits or more for
+    n < 2^40.
+    """
+    js, c, d, bounds = _row(n, js)
+    cells = [(_sign(j), db.delta) for j, db in zip(js, bounds)]
+
+    def numerators(
+        d_roots: RootSet, live: list[int]
+    ) -> list[list[tuple[mpc, mpf]]]:
+        cells = [js[k] for k in live]
+        per_root = [_numerators_at(x, d_roots.error_radius, n, cells)
+                    for x in d_roots.approximations]
+        return [list(values) for values in zip(*per_root)]
+
+    return _integrate(c, d, _CONTOUR, cells, numerators, start_bits)

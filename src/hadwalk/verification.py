@@ -23,12 +23,7 @@ import mpmath
 
 from .errors import PrecisionError
 from .exactq import QuadExt, Rational, poly_discriminant
-from .residue_engine import (
-    build_integrand,
-    certified_poles,
-    denominator_bound,
-    integrate_exact,
-)
+from .residue_engine import certified_poles, denominator_bounds, integrate_row
 from .simulator import enumerate_paths, initial_state, simulate, step
 from .walk_core import (
     absorption_denominator,
@@ -145,11 +140,11 @@ def check_method_agreement(n_max: int, tail_eps: Rational) -> CheckResult:
     name = "method-agreement"
     cells = 0
     for n in range(2, n_max + 1):
-        for j in range(1, n):
+        for j, contour in enumerate(integrate_row(n), start=1):
             pe = p_exact(j, n)
             if p_closed(j, n) != pe:
                 return _fail(name, f"closed form differs at j={j}, n={n}")
-            if integrate_exact(build_integrand(j, n)) != pe:
+            if contour != pe:
                 return _fail(name, f"contour value differs at j={j}, n={n}")
             cells += 1
     return _ok(name, f"n = 2..{n_max}, {cells} cells, three methods")
@@ -312,8 +307,8 @@ def check_denominator_bound_integrality(
     name = "denominator-bound-integrality"
     delta_bits = den_bits = 0
     for n in range(2, n_max + 1):
-        for j in range(1, n):
-            delta = denominator_bound(build_integrand(j, n)).delta
+        for j, db in enumerate(denominator_bounds(n), start=1):
+            delta = db.delta
             p = p_exact(j, n)
             if (delta * p).denominator != 1:
                 return _fail(name, f"delta misses denominator at j={j}, n={n}")

@@ -14,7 +14,12 @@ import mpmath
 import pytest
 
 from hadwalk.exactq import QuadExt
-from hadwalk.residue_engine import build_integrand, denominator_bound, integrate_exact
+from hadwalk.residue_engine import (
+    build_integrand,
+    denominator_bounds,
+    integrate_exact,
+    integrate_row,
+)
 from hadwalk.simulator import (
     enumerate_paths,
     initial_state,
@@ -88,11 +93,11 @@ def test_criterion_2_cross_method_equality_to_n20(capsys):
     failures: list[str] = []
     cells = 0
     for n in range(2, 21):
-        for j in range(1, n):
+        for j, contour in enumerate(integrate_row(n), start=1):
             pe = p_exact(j, n)
             if p_closed(j, n) != pe:
                 failures.append(f"closed vs exact at j={j}, n={n}")
-            if integrate_exact(build_integrand(j, n)) != pe:
+            if contour != pe:
                 failures.append(f"contour vs exact at j={j}, n={n}")
             cells += 1
     elapsed = time.perf_counter() - t0
@@ -234,13 +239,12 @@ def test_criterion_9_denominator_bound_soundness(capsys):
     the starting precision returns identical rationals."""
     failures: list[str] = []
     for n in range(2, 21):
-        for j in range(1, n):
-            ig = build_integrand(j, n)
-            delta = denominator_bound(ig).delta
+        cells = zip(denominator_bounds(n), integrate_row(n, start_bits=256))
+        for j, (db, contour) in enumerate(cells, start=1):
             p = p_exact(j, n)
-            if (delta * p).denominator != 1:
+            if (db.delta * p).denominator != 1:
                 failures.append(f"delta misses denominator at j={j}, n={n}")
-            if integrate_exact(ig, start_bits=256) != p:
+            if contour != p:
                 failures.append(f"doubled precision differs at j={j}, n={n}")
     ok = not failures
     _report(capsys, 9, ok,

@@ -22,14 +22,21 @@ from hadwalk.residue_engine import (
     START_BITS,
     Integrand,
     _aberth_double,
+    _majorant,
+    _numerators_at,
+    _r_at,
     _RootCache,
     _mpf_to_fraction,
+    _slp_error,
+    _squarefree,
     build_integrand,
     certified_poles,
     classify_roots,
     denominator_bound,
+    denominator_bounds,
     find_roots,
     integrate_exact,
+    integrate_row,
     residue_sum,
 )
 from hadwalk.walk_core import (
@@ -100,11 +107,17 @@ def test_denominator_bound_frozen():
 
 
 def test_denominator_bound_clears_the_true_denominator():
-    cells = [(j, n) for n in range(2, 31) for j in range(1, n)]
-    cells += [(j, n) for n in (40, 60) for j in (1, n // 2, n - 1)]
-    for j, n in cells:
-        db = denominator_bound(build_integrand(j, n))
-        assert (db.delta * p_exact(j, n)).denominator == 1, (j, n)
+    for n in [*range(2, 31), 40, 60]:
+        for j, db in enumerate(denominator_bounds(n), start=1):
+            assert (db.delta * p_exact(j, n)).denominator == 1, (j, n)
+
+
+def test_row_bounds_equal_the_cell_bounds():
+    # denominator_bounds never builds b_j, yet must give the bound read
+    # off each cell's integrand.
+    for n in range(2, 17):
+        want = [denominator_bound(build_integrand(j, n)) for j in range(1, n)]
+        assert denominator_bounds(n) == want, n
 
 
 def test_denominator_bound_rejects_fractional_coefficients():
@@ -122,6 +135,35 @@ def test_denominator_bound_degenerate_pole_configurations():
     ig = Integrand(b=T(1), c=T(-1, 1), d=T(-1, 0, 1), scale=F(1), radius=HALF)
     with pytest.raises(DegenerateIntegrandError):
         denominator_bound(ig)
+
+
+def test_squarefree_certificate_and_its_exact_fallback(monkeypatch):
+    exact_calls = []
+    real = residue_engine.poly_resultant
+
+    def spy(p, q):
+        exact_calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(residue_engine, "poly_resultant", spy)
+    # Every d of the family up to n = 30 certifies modulo 2^61 - 1.
+    for n in range(2, 31):
+        d = absorption_denominator(n)
+        assert _squarefree([int(a) for a in d.coeffs]), n
+    assert exact_calls == []
+    # t^2 - P with P the product of all three primes: each prime divides
+    # disc = 4P, so only the exact resultant decides (squarefree).
+    P = 1
+    for prime in residue_engine._SQUAREFREE_PRIMES:
+        P *= prime
+    assert _squarefree([-P, 0, 1])
+    assert len(exact_calls) == 1
+    # A prime dividing the leading coefficient is skipped, not trusted.
+    assert _squarefree([-1, 0, 2**61 - 1])
+    assert len(exact_calls) == 1
+    # A repeated root fails every prime and the exact check.
+    assert not _squarefree([1, -2, 1])
+    assert len(exact_calls) == 2
 
 
 # ------------------------------------------------------------- root finding
@@ -413,25 +455,146 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
 
 
 def test_integrate_exact_stable_under_start_precision():
-    for j, n in [(1, 5), (3, 8)]:
+    # Rungs below 64 bits escalate (the bounds' own rounding is only
+    # covered from there), so a 16-bit start climbs to the same answer.
+    for j, n in [(1, 2), (1, 5), (3, 8)]:
         ig = build_integrand(j, n)
-        assert integrate_exact(ig) == integrate_exact(ig, start_bits=512)
+        want = integrate_exact(ig)
+        assert integrate_exact(ig, start_bits=512) == want
+        assert integrate_exact(ig, start_bits=16) == want
+        assert integrate_row(n, [j], start_bits=16) == [want]
 
 
 def test_integrate_exact_reports_exhaustion(monkeypatch):
     # delta (810 bits at n = 40) needs more bits than a 512-bit ceiling
-    # allows: every rung escalates.  The message gives delta's size,
-    # never delta itself.
+    # allows, so the route fails before it finds a single root.  The
+    # message gives delta's size, never delta itself.
     monkeypatch.setattr(residue_engine, "MAX_BITS", 512)
-    with pytest.raises(PrecisionError, match="810-bit delta") as info:
-        integrate_exact(build_integrand(20, 40))
-    assert len(str(info.value)) < 200
+    calls = []
+    real = residue_engine.find_roots
+
+    def spy(p, precision_bits, initial=None):
+        calls.append(precision_bits)
+        return real(p, precision_bits, initial)
+
+    monkeypatch.setattr(residue_engine, "find_roots", spy)
+    for run in (lambda: integrate_exact(build_integrand(20, 40)),
+                lambda: integrate_row(40, [1, 20])):
+        with pytest.raises(PrecisionError, match="810-bit delta") as info:
+            run()
+        assert "delta needs more than 512 bits" in str(info.value)
+        assert len(str(info.value)) < 200
+    assert calls == []
 
 
 def test_integrate_exact_certifies_at_n_50():
     # delta has 1,262 bits at (25, 50), far inside MAX_BITS, so the
     # route certifies there.
     assert integrate_exact(build_integrand(25, 50)) == p_exact(25, 50)
+
+
+# ------------------------------------------------------------ row engine
+
+
+def _exact_at(p: Polynomial, x: tuple[F, F]) -> tuple[F, F]:
+    # Horner in exact complex rationals, (re, im) pairs.
+    re, im = F(0), F(0)
+    for a in reversed(p.coeffs):
+        re, im = re * x[0] - im * x[1] + a, re * x[1] + im * x[0]
+    return re, im
+
+
+def _within(got: mpc, want: tuple[F, F], bound: mpf) -> bool:
+    dre = _mpf_to_fraction(got.real) - want[0]
+    dim = _mpf_to_fraction(got.imag) - want[1]
+    return dre * dre + dim * dim <= _mpf_to_fraction(bound) ** 2
+
+
+def _points_near_roots(n: int) -> list[mpc]:
+    # Roots of d cut to 60-bit rationals: exact inputs with full-length
+    # products at 128 bits, so the recurrence really rounds.
+    out = []
+    for x in find_roots(absorption_denominator(n), 128).approximations:
+        with mpmath.workprec(60):
+            out.append(mpc(+x.real, +x.imag))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_recurrence_values_within_their_rounding_bounds(n):
+    js = list(range(1, n))
+    with mpmath.workprec(128):
+        for x in _points_near_roots(n):
+            point = (_mpf_to_fraction(x.real), _mpf_to_fraction(x.imag))
+            r, dr = _r_at(x, n - 1)
+            R, dR = _majorant(abs(x), n - 1)
+            for k in range(1, n):
+                assert _within(r[k], _exact_at(r_poly(k), point),
+                               _slp_error(3 * (k - 1), R[k])), (n, k)
+                assert _within(dr[k], _exact_at(r_poly(k).derivative(), point),
+                               _slp_error(5 * (k - 1), dR[k])), (n, k)
+            for j, (value, err) in zip(js, _numerators_at(x, mpf(0), n, js)):
+                b = build_integrand(j, n).b
+                assert _within(value, _exact_at(b, point), err), (n, j)
+
+
+@pytest.mark.parametrize("n", [4, 9, 14])
+def test_recurrence_values_cover_the_root_disk(n):
+    # Points y on the rim |y - x| = rho: b_j(y) lies within the stated
+    # error of the value computed at x.
+    js = list(range(1, n))
+    bs = [build_integrand(j, n).b for j in js]
+    rho = mpf(2) ** -40
+    with mpmath.workprec(128):
+        for x in _points_near_roots(n):
+            values = _numerators_at(x, rho, n, js)
+            for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
+                y = (_mpf_to_fraction(x.real) + F(dre) / 2**40,
+                     _mpf_to_fraction(x.imag) + F(dim) / 2**40)
+                for j, b, (value, err) in zip(js, bs, values):
+                    assert _within(value, _exact_at(b, y), err), (n, j)
+
+
+def test_integrate_row_equals_the_evaluated_formula():
+    for n in range(2, 13):
+        assert integrate_row(n) == [p_exact(j, n) for j in range(1, n)], n
+    assert integrate_row(9, [7, 2]) == [p_exact(7, 9), p_exact(2, 9)]
+    assert integrate_row(9, []) == []
+    with pytest.raises(ValueError):
+        integrate_row(1)
+    with pytest.raises(ValueError):
+        integrate_row(5, [2, 5])
+
+
+def test_weights_once_per_root_and_rung(monkeypatch):
+    # The weights depend on the row only: one per root of d at each rung
+    # the ladder runs, however many cells the row asks for.
+    n = 13
+    d = absorption_denominator(n)
+    for js in ([1], [3, 4, 5, 6], None):
+        precisions = []
+        real = residue_engine._weight
+
+        def spy(cc, dc, x, rho):
+            precisions.append(mpmath.mp.prec)
+            return real(cc, dc, x, rho)
+
+        monkeypatch.setattr(residue_engine, "_weight", spy)
+        integrate_row(n, js)
+        monkeypatch.undo()
+        rungs = sorted(set(precisions))
+        assert precisions == [bits for bits in rungs for _ in range(d.degree)]
+    # The full row of 13 runs two rungs: the count is per rung, not per
+    # cell.
+    assert rungs == [128, 256]
+
+
+def test_row_cells_equal_single_cell_integration():
+    # A cell gives the same rational alone and inside its row.
+    n = 16
+    row = integrate_row(n, start_bits=256)
+    for j in (1, 5, 8, 15):
+        assert row[j - 1] == integrate_exact(build_integrand(j, n)), j
 
 
 # ----------------------------------------------------------------- plumbing
