@@ -16,117 +16,88 @@ Q(sqrt 2) arithmetic; floating point appears only inside the certified
 root-finding layer and never reaches a returned probability.
 """
 
-from .errors import (
-    ConsistencyError,
-    DegenerateIntegrandError,
-    PrecisionError,
-    StepBudgetExceeded,
-)
-from .exactq import (
-    Polynomial,
-    QuadExt,
-    Rational,
-    RationalFunction,
-    SQRT2,
-    poly_discriminant,
-    poly_gcd,
-    poly_resultant,
-)
-from .residue_engine import (
-    DenominatorBound,
-    Integrand,
-    RootSet,
-    build_integrand,
-    classify_roots,
-    denominator_bound,
-    denominator_bounds,
-    find_roots,
-    integrate_exact,
-    integrate_row,
-    residue_sum,
-)
-from .simulator import (
-    AmplitudeState,
-    SimulationReport,
-    enumerate_paths,
-    enumerate_paths_right,
-    initial_state,
-    simulate,
-    step,
-)
-from .verification import CheckResult, SUITES, run_suite
-from .walk_core import (
-    A,
-    B,
-    AbsorptionResult,
-    METHODS,
-    absorption,
-    absorption_denominator,
-    gf,
-    gf_coefficients,
-    gf_denominator,
-    gf_via_recurrence,
-    h_quotient,
-    p_closed,
-    p_exact,
-    r_poly,
-    row_common_denominator,
-    row_table,
-    watrous_step,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  A name is imported
+# on first access (PEP 562), so ``import hadwalk`` loads no pipeline, and
+# mpmath only with the contour route or the verification suite.
+_SOURCES = {
+    "errors": (
+        "ConsistencyError",
+        "DegenerateIntegrandError",
+        "PrecisionError",
+        "StepBudgetExceeded",
+    ),
+    "exactq": (
+        "Polynomial",
+        "QuadExt",
+        "Rational",
+        "RationalFunction",
+        "SQRT2",
+        "poly_discriminant",
+        "poly_gcd",
+        "poly_resultant",
+    ),
+    "residue_engine": (
+        "DenominatorBound",
+        "Integrand",
+        "RootSet",
+        "build_integrand",
+        "classify_roots",
+        "denominator_bound",
+        "denominator_bounds",
+        "find_roots",
+        "integrate_exact",
+        "integrate_row",
+        "residue_sum",
+    ),
+    "simulator": (
+        "AmplitudeState",
+        "SimulationReport",
+        "enumerate_paths",
+        "enumerate_paths_right",
+        "initial_state",
+        "simulate",
+        "step",
+    ),
+    "verification": ("CheckResult", "SUITES", "run_suite"),
+    "walk_core": (
+        "A",
+        "B",
+        "AbsorptionResult",
+        "METHODS",
+        "absorption",
+        "absorption_denominator",
+        "gf",
+        "gf_coefficients",
+        "gf_denominator",
+        "gf_via_recurrence",
+        "h_quotient",
+        "p_closed",
+        "p_exact",
+        "r_poly",
+        "row_common_denominator",
+        "row_table",
+        "watrous_step",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A",
-    "AbsorptionResult",
-    "AmplitudeState",
-    "B",
-    "CheckResult",
-    "ConsistencyError",
-    "DegenerateIntegrandError",
-    "DenominatorBound",
-    "Integrand",
-    "METHODS",
-    "Polynomial",
-    "PrecisionError",
-    "QuadExt",
-    "Rational",
-    "RationalFunction",
-    "RootSet",
-    "SQRT2",
-    "SUITES",
-    "SimulationReport",
-    "StepBudgetExceeded",
-    "absorption",
-    "absorption_denominator",
-    "build_integrand",
-    "classify_roots",
-    "denominator_bound",
-    "denominator_bounds",
-    "enumerate_paths",
-    "enumerate_paths_right",
-    "find_roots",
-    "gf",
-    "gf_coefficients",
-    "gf_denominator",
-    "gf_via_recurrence",
-    "h_quotient",
-    "initial_state",
-    "integrate_exact",
-    "integrate_row",
-    "p_closed",
-    "p_exact",
-    "poly_discriminant",
-    "poly_gcd",
-    "poly_resultant",
-    "r_poly",
-    "residue_sum",
-    "row_common_denominator",
-    "row_table",
-    "run_suite",
-    "simulate",
-    "step",
-    "watrous_step",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]

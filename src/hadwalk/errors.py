@@ -12,6 +12,13 @@ class ConsistencyError(Exception):
     """
 
 
+# The contour route's precision ladder starts at START_BITS and doubles up
+# to MAX_BITS.  The two live beside the error that ends the ladder, so the
+# CLI checks --precision-bits without importing the route and mpmath.
+START_BITS = 128
+MAX_BITS = 8192
+
+
 class PrecisionError(Exception):
     """A certified numeric computation could not reach its target even at
     the maximum allowed working precision."""

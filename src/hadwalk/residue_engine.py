@@ -54,6 +54,8 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .errors import (
+    MAX_BITS,
+    START_BITS,
     ConsistencyError,
     DegenerateIntegrandError,
     PrecisionError,
@@ -61,9 +63,6 @@ from .errors import (
 )
 from .exactq import Polynomial, Rational, poly_resultant
 from .walk_core import _validate, absorption_denominator, gf_denominator, r_poly
-
-START_BITS = 128
-MAX_BITS = 8192
 
 _T = TypeVar("_T")
 

@@ -147,8 +147,13 @@ def gf(j: int, n: int) -> RationalFunction:
 
 _Z_RF = RationalFunction(Polynomial.variable("z"), Polynomial.one("z"))
 
+# Entries kept by each of the two recurrence caches below: every cell of
+# the rows up to 16 (120 cells), so a sweep over rows in order rebuilds
+# nothing, while a long process holds a bounded number of functions.
+_RECURRENCE_CACHE = 128
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_RECURRENCE_CACHE)
 def _f1(n: int) -> RationalFunction:
     if n == 2:
         return _Z_RF
@@ -156,7 +161,7 @@ def _f1(n: int) -> RationalFunction:
     return _Z_RF * (1 - 2 * _Z_RF * prev) / (1 - _Z_RF * prev)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RECURRENCE_CACHE)
 def gf_via_recurrence(j: int, n: int) -> RationalFunction:
     """f_j^(n) built purely from the two classical recurrences.
 
@@ -206,15 +211,20 @@ def p_exact(j: int, n: int) -> Rational:
     with every polynomial evaluated at t = -1/2.  Only those values are
     needed, so no polynomial is built: the integers s_k = 2^k r_k(-1/2)
     obey s_0 = 0, s_1 = 2, s_{k+2} = 4 s_{k+1} - 2 s_k, and the formula
-    becomes s_{n-j} (s_j - 2 s_{j-1}) / (2 (s_n - 2 s_{n-1})).  Exact
+    becomes s_{n-j} (s_j - 2 s_{j-1}) / (2 (s_n - 2 s_{n-1})).  One
+    pass keeps only those five values, so memory is O(n) bits.  Exact
     rational; j = 0 returns the convention value 1.
     """
     _validate(j, n, 0, n)
     if j == 0:
         return Fraction(1)
-    s = [0, 2]
-    for _ in range(n - 1):
-        s.append(4 * s[-1] - 2 * s[-2])
+    wanted = {j - 1, j, n - j, n - 1, n}
+    s = {}
+    s_k, s_next = 0, 2
+    for k in range(n + 1):
+        if k in wanted:
+            s[k] = s_k
+        s_k, s_next = s_next, 4 * s_next - 2 * s_k
     den = 2 * (s[n] - 2 * s[n - 1])
     if den == 0:
         raise ConsistencyError(f"absorption denominator vanished at n={n}")

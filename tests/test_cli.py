@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from hadwalk import cli, residue_engine
+from hadwalk import cli, residue_engine, simulator, verification
 from hadwalk.cli import (
     CommandConfig,
     canonical_json,
@@ -94,6 +98,28 @@ def test_prob_out_of_range_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["frac", "text", "csv", "json"])
+def test_prob_prints_every_digit_of_a_large_cell(capsys, fmt):
+    # p_6000^(12000) has about 6,400 digits, past the 4,300 at which
+    # Python 3.11 refuses an int <-> str conversion by default; the
+    # limit is back in place once the command returns.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = invoke(capsys, "prob", "--n", "12000", "--j", "6000",
+                            "--format", fmt)
+    assert (code, err, limit()) == (0, "", before)
+    if fmt == "json":
+        num, den = (json.loads(out)["p"][k] for k in ("num", "den"))
+    elif fmt == "csv":
+        num, den = out.splitlines()[1].split(",")[2:4]
+    elif fmt == "text":
+        num, den = out.splitlines()[1].split()[2].split("/")
+    else:
+        num, den = out.strip().split("/")
+    # Decimal parses without the digit limit.
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == p_exact(6000, 12000)
 
 
 def test_prob_boundary_conventions(capsys):
@@ -209,7 +235,7 @@ def test_prob_all_detects_bracket_miss(capsys, monkeypatch):
             residual=F(1, 20), steps_run=1,
         )
 
-    monkeypatch.setattr(cli, "simulate", lying_simulate)
+    monkeypatch.setattr(simulator, "simulate", lying_simulate)
     code, _, err = invoke(capsys, "prob", "--n", "4", "--j", "1",
                           "--method", "all")
     assert code == 1
@@ -220,7 +246,7 @@ def test_prob_step_budget_maps_to_precision_exit(capsys, monkeypatch):
     def exhausted(j, n, tail_eps, max_steps=10_000):
         raise StepBudgetExceeded("residual still above tail_eps", report=None)
 
-    monkeypatch.setattr(cli, "simulate", exhausted)
+    monkeypatch.setattr(simulator, "simulate", exhausted)
     code, _, err = invoke(capsys, "prob", "--n", "4", "--j", "1",
                           "--method", "simulate")
     assert code == 3
@@ -372,11 +398,15 @@ def test_verify_failure_exits_one_and_names_the_identity(capsys, monkeypatch):
         return [CheckResult(name="row-recurrence", passed=False,
                             detail="broken at n=6")]
 
-    monkeypatch.setattr(cli, "run_suite", rigged)
+    monkeypatch.setattr(verification, "run_suite", rigged)
     code, out, err = invoke(capsys, "verify")
     assert code == 1
     assert "FAIL row-recurrence: broken at n=6" in out
     assert err == "error: verification: row-recurrence: broken at n=6\n"
+
+
+def test_suite_choices_are_the_registry():
+    assert cli.SUITE_NAMES == tuple(sorted(verification.SUITES))
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -486,3 +516,62 @@ def test_bad_tail_eps_is_usage_error(capsys):
     code, _, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
                           "--method", "simulate", "--tail-eps", "1/0")
     assert code == 2 and "bad fraction" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int <-> str digit limit before Python 3.11")
+def test_tail_eps_parsing_keeps_the_digit_limit(capsys):
+    code, _, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
+                          "--method", "simulate",
+                          "--tail-eps", "1/1" + "0" * 5000)
+    assert code == 2 and "Exceeds the limit" in err
+
+
+# ------------------------------------------------------------ import diet
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+_PIPELINES = ("mpmath", "hadwalk.residue_engine", "hadwalk.simulator",
+              "hadwalk.verification")
+
+
+def _cli(*argv):
+    return ("import contextlib, io\n"
+            "from hadwalk import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.run({list(argv)!r}) == 0\n")
+
+
+@pytest.mark.parametrize("code,loaded", [
+    (_cli("prob", "--n", "5", "--j", "2"), ()),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "closed"), ()),
+    (_cli("table", "--n-max", "6"), ()),
+    (_cli("gf", "--n", "5", "--j", "2"), ()),
+    ("import hadwalk\nhadwalk.p_exact(2, 5)\n", ()),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate"),
+     ("hadwalk.simulator",)),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"),
+     ("mpmath", "hadwalk.residue_engine")),
+    (_cli("roots", "--n", "5"), ("mpmath", "hadwalk.residue_engine")),
+], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
+        "roots"])
+def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
+    probe = code + "import sys\nprint(' '.join(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(_SRC), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert {m for m in _PIPELINES if m in modules} == set(loaded)
+
+
+def test_package_names_resolve_on_first_access():
+    import hadwalk
+
+    names: dict = {}
+    exec("from hadwalk import *", names)
+    assert set(hadwalk.__all__) <= set(names)
+    assert set(hadwalk.__all__) <= set(dir(hadwalk))
+    assert hadwalk.integrate_row is residue_engine.integrate_row
+    with pytest.raises(AttributeError):
+        hadwalk.no_such_name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hadwalk.walk_core import (
     B,
     AbsorptionResult,
     RFamily,
+    _f1,
     absorption,
     absorption_denominator,
     gf,
@@ -139,6 +141,25 @@ def test_gf_equals_gf_via_recurrence():
             assert gf(j, n) == gf_via_recurrence(j, n), (j, n)
 
 
+def test_recurrence_caches_hold_a_sweep_and_stay_bounded():
+    # verify's recurrence-built-gf sweep (rows <= 12) builds each cell
+    # once; a longer sweep leaves both caches at their bound.
+    _f1.cache_clear()
+    gf_via_recurrence.cache_clear()
+    for n in range(2, 13):
+        for j in range(1, n):
+            gf_via_recurrence(j, n)
+    assert gf_via_recurrence.cache_info().misses == 66
+    assert _f1.cache_info().misses == 11
+    for n in range(13, 18):
+        for j in range(1, n):
+            gf_via_recurrence(j, n)
+    for cache in (_f1, gf_via_recurrence):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert gf_via_recurrence.cache_info().misses == 136
+
+
 def test_gf_row_shares_canonical_denominator():
     for n in range(2, 11):
         dens = {gf(j, n).den for j in range(1, n)}
@@ -209,6 +230,18 @@ def test_p_exact_matches_the_polynomial_formula():
         for j in range(1, n + 1):
             expect = r[n - j] * (r[j] - r[j - 1]) / (r[n] - r[n - 1]) / 2
             assert p_exact(j, n) == expect, (j, n)
+
+
+def test_p_exact_memory_is_linear_in_n():
+    # The s_k values of row 20,000 take about 44 MB together; the five
+    # the formula reads take about 22 kB.
+    tracemalloc.start()
+    try:
+        p_exact(10_000, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_p_closed_frozen_values():
