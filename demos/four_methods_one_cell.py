@@ -39,7 +39,7 @@ print(f"residue formula:    {evaluated}")
 
 # --- 3. Contour integral.  The same probability is an integral around
 # |t| = 1/2; its poles inside the contour are the roots of
-# r_n - r_{n-1}.  The engine sums residues in certified floating point,
+# r_n - r_{n-1}.  The engine sums residues in certified fixed point,
 # multiplies by an integer delta built from one resultant taken after
 # the substitution t = s/4, and rounds -- provably landing on the exact
 # rational.

@@ -12,15 +12,16 @@ absorbing barriers at 0 and n:
                           dyadic arithmetic, yielding certified bounds.
 
 Everything downstream of the integer walk rules is exact rational or
-Q(sqrt 2) arithmetic; floating point appears only inside the certified
-root-finding layer and never reaches a returned probability.
+Q(sqrt 2) arithmetic; approximate arithmetic (a double-precision start,
+then Gaussian fixed point with integer error bounds) appears only inside
+the certified contour layer and never reaches a returned probability.
 """
 
 import importlib
 
 # Each public name and the submodule that defines it.  A name is imported
 # on first access (PEP 562), so ``import hadwalk`` loads no pipeline, and
-# mpmath only with the contour route or the verification suite.
+# mpmath only with the verification suite or the roots display.
 _SOURCES = {
     "errors": (
         "ConsistencyError",

@@ -50,9 +50,9 @@ from .walk_core import (
     row_table,
 )
 
-# The contour route, the simulator, the verification suite and mpmath are
-# imported by the subcommand that runs them, so a process loads only the
-# pipeline it uses.
+# The contour route, the simulator, the verification suite and mpmath (the
+# roots display) are imported by the subcommand that runs them, so a
+# process loads only the pipeline it uses.
 if TYPE_CHECKING:
     from .exactq import Rational
     from .simulator import SimulationReport
@@ -163,11 +163,21 @@ class _SingleLineParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_ECHO_CHARS = 32
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}")
+        # The argument and the parser's message (which may quote it) are
+        # cut short, so the error stays one short line whatever was passed.
+        shown = repr(text) if len(text) <= _ECHO_CHARS else (
+            f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")
+        reason = str(exc)
+        if len(reason) > 2 * _ECHO_CHARS:
+            reason = reason[:2 * _ECHO_CHARS] + "..."
+        raise argparse.ArgumentTypeError(f"bad fraction {shown}: {reason}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,22 +521,24 @@ def _root_entries(poly, role: str, bits: int):
     from .residue_engine import certified_poles
 
     rs, inside, _ = certified_poles(poly, Fraction(1, 2), bits)
-    ordered = sorted(
-        rs.approximations, key=lambda x: (float(x.real), float(x.imag))
-    )
+    # Fixed-point pairs (X, Y) at F bits stand for (X + iY) 2^-F.
+    F = rs.precision_bits
+    unit = 1 << F
+    ordered = sorted(rs.approximations,
+                     key=lambda x: (x[0] / unit, x[1] / unit))
     entries = []
-    with mpmath.workprec(rs.precision_bits):
+    with mpmath.workprec(F):
+        radius = mpmath.mpf((rs.radius, -F))
         for x in ordered:
-            location = "inside" if any(x == y for y in inside) else "outside"
             entries.append({
-                "re": _certified_part(x.real, rs.error_radius),
-                "im": _certified_part(x.imag, rs.error_radius),
-                "location": location,
+                "re": _certified_part(mpmath.mpf((x[0], -F)), radius),
+                "im": _certified_part(mpmath.mpf((x[1], -F)), radius),
+                "location": "inside" if x in inside else "outside",
             })
-        radius = mpmath.nstr(rs.error_radius, 5)
-    block = {"role": role, "poly": str(poly), "error_radius": radius,
+        shown = mpmath.nstr(radius, 5)
+    block = {"role": role, "poly": str(poly), "error_radius": shown,
              "roots": entries}
-    return block, rs.error_radius
+    return block, radius
 
 
 def _run_roots(cfg: CommandConfig) -> int:

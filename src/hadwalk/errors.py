@@ -14,7 +14,7 @@ class ConsistencyError(Exception):
 
 # The contour route's precision ladder starts at START_BITS and doubles up
 # to MAX_BITS.  The two live beside the error that ends the ladder, so the
-# CLI checks --precision-bits without importing the route and mpmath.
+# CLI checks --precision-bits without importing the route.
 START_BITS = 128
 MAX_BITS = 8192
 

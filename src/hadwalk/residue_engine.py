@@ -4,11 +4,34 @@ exact rational.
 The probability p_j^(n) equals a scale factor times the sum of residues
 of b/(c d) over the roots of d, all of which lie inside the contour
 |t| = 1/2 while the roots of c stay outside.  The sum is approximated
-in arbitrary-precision floating point with a fully propagated error
-bound, multiplied by an integer delta known to clear the denominator
-of the exact value, and rounded to the nearest integer.  If the
-certified error and the rounding distance both stay below 1/4, the
-rounded value is provably exact.
+in _Gaussian fixed point with a fully propagated error bound,
+multiplied by an integer delta known to clear the denominator of the
+exact value, and rounded to the nearest integer.  If the certified
+error and the rounding distance both stay below 1/4, the rounded value
+is provably exact.
+
+Arithmetic.  At a rung of F bits a complex value is a pair of Python
+ints (X, Y) standing for (X + iY) 2^-F, and an error bound is a
+non-negative int E standing for E 2^-F (E ulps).  The fixed-point
+lemma (Higham 2002, ch. 3, in its absolute form):
+
+  * a sum of two values is exact;
+  * a product u v is computed as the exact integer product shifted
+    right by F bits, and a quotient u / v as the exact quotient times
+    2^F floored; each component then errs by less than one ulp, so the
+    result errs by less than sqrt(2) < 2 ulps in modulus;
+  * if computed u, v lie within e_u, e_v of exact values, the computed
+    product lies within |u| e_v + e_u |v| + e_u e_v + 2 ulps of the
+    exact product.
+
+Bounds are built from integers only (moduli by isqrt, rounded up or
+down as the bound needs, divisions by ceiling), so a bound has no
+rounding error of its own at any F, and the final value X 2^-F is the
+exact rational Fraction(X, 2^F).  Every kernel takes F as an argument;
+nothing reads a process-wide precision.  Because the error of a
+product does not scale with the size of its operands, Horner's rule on
+integer coefficients errs by less than 2 sum_(i<deg) |x|^i ulps however
+large the coefficients are.
 
 A row is the unit of work.  The cells of row n share c = r_n + 2t r_{n-1}
 and d = r_n - r_{n-1}; only the numerator b_j = t^(j-1) r_{n-j}^2 depends
@@ -49,9 +72,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
-
-import mpmath
-from mpmath import mpc, mpf, workprec
 
 from .errors import (
     MAX_BITS,
@@ -112,14 +132,21 @@ class Integrand:
 class RootSet:
     """All complex roots of one squarefree polynomial.
 
+    Each approximation is a _Gaussian fixed-point pair (X, Y) standing
+    for (X + iY) 2^-precision_bits, and radius is in the same units.
     Each disk |x - approximations[i]| <= error_radius contains exactly
     one true root, and the disks are pairwise disjoint, so the
     approximations are a faithful combinatorial copy of the root set.
     """
 
-    approximations: tuple[mpc, ...]
-    error_radius: mpf
+    approximations: tuple[tuple[int, int], ...]
+    radius: int
     precision_bits: int
+
+    @property
+    def error_radius(self) -> Fraction:
+        """The disks' radius as an exact rational."""
+        return Fraction(self.radius, 1 << self.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -345,37 +372,102 @@ def _int_coeffs(p: Polynomial) -> list[int]:
     return [int(c) for c in p.coeffs]
 
 
-def _coeffs_mpf(p: Polynomial) -> list[mpf]:
-    # Integer coefficients below the working mantissa convert exactly.
-    return [mpf(c) for c in _int_coeffs(p)]
+# A Gaussian fixed-point value at F bits: (X, Y) for (X + iY) 2^-F.
+_Gauss = tuple[int, int]
 
 
-def _eval_with_bound(coeffs: Sequence, x) -> tuple[mpc, mpf]:
-    """Horner value and a bound on its rounding error at current prec."""
-    acc = mpc(0)
-    mag = mpf(0)
-    ax = abs(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    unit = mpf(2) ** (4 - mpmath.mp.prec)
-    return acc, mag * len(coeffs) * unit
+def _ceil_shift(a: int, F: int) -> int:
+    """ceil(a / 2^F)."""
+    return -(-a >> F)
 
 
-def _disk_variation_bound(coeffs: Sequence, x, rho: mpf) -> mpf:
-    """Bound on |q(y) - q(x)| over the disk |y - x| <= rho.
+def _abs_up(u: _Gauss) -> int:
+    """The least integer >= |X + iY|."""
+    n = u[0] * u[0] + u[1] * u[1]
+    s = math.isqrt(n)
+    return s if s * s == n else s + 1
+
+
+def _abs_down(u: _Gauss) -> int:
+    """The greatest integer <= |X + iY|."""
+    return math.isqrt(u[0] * u[0] + u[1] * u[1])
+
+
+def _mul(u: _Gauss, v: _Gauss, F: int) -> _Gauss:
+    """u v floored to F bits (error < sqrt 2 ulps).  Three integer
+    products: re = c(a + b) - b(c + d), im = c(a + b) + a(d - c)."""
+    a, b = u
+    c, d = v
+    k = c * (a + b)
+    return (k - b * (c + d)) >> F, (k + a * (d - c)) >> F
+
+
+def _div(u: _Gauss, v: _Gauss, F: int) -> _Gauss:
+    """u / v floored to F bits (error < sqrt 2 ulps); v != 0."""
+    a, b = u
+    c, d = v
+    n = c * c + d * d
+    return ((a * c + b * d) << F) // n, ((b * c - a * d) << F) // n
+
+
+def _product(
+    u: _Gauss, eu: int, v: _Gauss, ev: int, F: int
+) -> tuple[_Gauss, int]:
+    """(fl(u v), E): the product of two computed values with error
+    bounds eu and ev, and E >= its distance from the exact product,
+    |u| ev + eu |v| + eu ev plus the rounding."""
+    return _mul(u, v, F), _ceil_shift(
+        _abs_up(u) * ev + eu * _abs_up(v) + eu * ev, F) + 2
+
+
+def _fixed(z: complex, F: int) -> _Gauss:
+    """A double (or complex) floored to F bits."""
+    def part(v: float) -> int:
+        num, den = v.as_integer_ratio()
+        return (num << F) // den
+    z = complex(z)
+    return part(z.real), part(z.imag)
+
+
+def _horner(coeffs: Sequence[int], x: _Gauss, F: int) -> tuple[_Gauss, int]:
+    """(q(x), E): q with integer coefficients by Horner's rule at F
+    bits, and E >= |computed - q(x)| in ulps.
+
+    Each step multiplies by x (rounding < 2 ulps) and adds a coefficient
+    exactly, so E_k = ceil(E_(k-1) |x|) + 2, and E < 2 sum_(i<deg) |x|^i
+    whatever the size of the coefficients.
+    """
+    X, Y = x
+    z = _abs_up(x)
+    s, t = X + Y, Y - X
+    re, im, err = coeffs[-1] << F, 0, 0
+    for a in reversed(coeffs[:-1]):
+        k = X * (re + im)
+        re, im = ((k - im * s) >> F) + (a << F), (k + re * t) >> F
+        err = -(-err * z >> F) + 2
+    return (re, im), err
+
+
+def _disk_variation(coeffs: Sequence[int], z: int, rho: int, F: int) -> int:
+    """Bound on |q(y) - q(x)| over |y - x| <= rho, for |x| <= z (ulps).
 
     Mean value bound: rho * sup |q'| on the disk, with the sup bounded
-    by sum k|a_k| (|x| + rho)**(k-1).  Loose by at most a degree
-    factor, which is irrelevant against 2^-prec scales.
+    by sum k |a_k| (z + rho)^(k-1), each step rounded upward.
     """
-    reach = abs(x) + rho
-    total = mpf(0)
-    power = mpf(1)
-    for k in range(1, len(coeffs)):
-        total += k * abs(coeffs[k]) * power
-        power *= reach
-    return rho * total * (1 + mpf(2) ** (8 - mpmath.mp.prec) * len(coeffs))
+    reach = z + rho
+    total = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        total = _ceil_shift(total * reach, F) + (k * abs(coeffs[k]) << F)
+    return _ceil_shift(rho * total, F)
+
+
+def _value_on_disk(
+    coeffs: Sequence[int], x: _Gauss, rho: int, F: int
+) -> tuple[_Gauss, int]:
+    """q(x) by Horner, and a bound on its distance from q(y) for every
+    y with |y - x| <= rho (rounding plus variation over the disk)."""
+    v, e = _horner(coeffs, x, F)
+    return v, e + _disk_variation(coeffs, _abs_up(x), rho, F)
 
 
 _EPS = sys.float_info.epsilon
@@ -482,38 +574,46 @@ def _aberth_double(ints: Sequence[int]) -> tuple[list[complex], int]:
     return roots, sweeps
 
 
-def _aberth(coeffs: Sequence, initial: Sequence) -> list[mpc]:
+def _aberth(
+    coeffs: Sequence[int], roots: list[_Gauss], F: int
+) -> list[_Gauss]:
+    """Aberth sweeps at F bits until every step is below 2^(12-F)
+    (1 + |x|) or p(x) is at its evaluation noise floor."""
     deg = len(coeffs) - 1
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    roots = [mpc(x) for x in initial]
-    tol = mpf(2) ** (12 - mpmath.mp.prec)
-    for _ in range(60 + mpmath.mp.prec // 2):
-        moved = mpf(0)
+    one, two_f = 1 << F, 2 * F
+    for _ in range(60 + F // 2):
+        moved = False
         for i in range(deg):
             x = roots[i]
-            pv, pe = _eval_with_bound(coeffs, x)
-            if abs(pv) <= 2 * pe:
+            tol = (one + _abs_up(x)) << 12 >> F
+            pv, pe = _horner(coeffs, x, F)
+            if pv[0] * pv[0] + pv[1] * pv[1] <= 4 * pe * pe:
                 # At the evaluation noise floor; the value carries no
                 # directional information, so refinement stops here.
                 continue
-            dv, _ = _eval_with_bound(deriv, x)
-            if dv == 0:
-                roots[i] = x + tol * (1 + abs(x))
-                moved = mpf(1)
+            dv, _ = _horner(deriv, x, F)
+            if dv == (0, 0):
+                roots[i] = (x[0] + tol, x[1])
+                moved = True
                 continue
-            newton = pv / dv
-            repel = mpc(0)
+            newton = _div(pv, dv, F)
+            rr = ri = 0
             for k in range(deg):
                 if k != i:
-                    diff = x - roots[k]
-                    if diff == 0:
-                        diff = tol * (1 + abs(x))
-                    repel += 1 / diff
-            denom = 1 - newton * repel
-            delta = newton if denom == 0 else newton / denom
-            roots[i] = x - delta
-            moved = max(moved, abs(delta) / (1 + abs(x)))
-        if moved < tol:
+                    dx, dy = x[0] - roots[k][0], x[1] - roots[k][1]
+                    if not (dx or dy):
+                        dx = tol
+                    n2 = dx * dx + dy * dy
+                    rr += (dx << two_f) // n2
+                    ri += (-dy << two_f) // n2
+            nr, ni = _mul(newton, (rr, ri), F)
+            denom = (one - nr, -ni)
+            delta = newton if denom == (0, 0) else _div(newton, denom, F)
+            roots[i] = (x[0] - delta[0], x[1] - delta[1])
+            if delta[0] * delta[0] + delta[1] * delta[1] >= tol * tol:
+                moved = True
+        if not moved:
             break
     return roots
 
@@ -560,107 +660,120 @@ _ROOT_CACHE = _RootCache(256)
 def find_roots(
     p: Polynomial,
     precision_bits: int,
-    initial: Sequence | None = None,
+    initial: Sequence[complex] | None = None,
 ) -> RootSet:
     """All complex roots of squarefree p with a certified error radius.
 
-    Starts from `initial`, else from the most precise cached set for p,
-    else from a double-precision Aberth run (Newton-polygon starts,
-    stopped at the double noise floor), then refines by Aberth sweeps
-    at doubling precisions up to precision_bits.  Certification is a
-    posteriori and ignores where the approximations came from: the
-    disk of radius deg * |p(x)/p'(x)| around any point contains a root,
-    so taking the worst such radius and checking the disks are pairwise
-    disjoint pins exactly one root per disk.  A poor start can
-    therefore only cost sweeps or an escalation, never a wrong
-    certificate.  Failure to certify raises the precision-escalation
-    signal.
+    Starts from `initial` (complex numbers), else from the most precise
+    cached set for p, else from a double-precision Aberth run
+    (Newton-polygon starts, stopped at the double noise floor), then
+    refines by Aberth sweeps at doubling precisions up to
+    precision_bits, raised to _DOUBLE_BITS when lower; that is the
+    precision of the set returned.  Certification is a posteriori and
+    ignores where the approximations came from: the disk of radius
+    deg * |p(x)/p'(x)| around any point contains a root, so taking the
+    worst such radius (|p| bounded above and |p'| below, both with
+    their Horner error) and checking the disks are pairwise disjoint
+    pins exactly one root per disk.  A poor start can therefore only cost sweeps or an
+    escalation, never a wrong certificate.  Failure to certify raises
+    the precision-escalation signal.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
+    # Fewer bits than a double start carries would only round away what
+    # the start knows, and integers of a word or two cost no less.
+    precision_bits = max(precision_bits, _DOUBLE_BITS)
     cached, warm = _ROOT_CACHE.lookup(p, precision_bits)
     if cached is not None:
         return cached
-    known_bits = _DOUBLE_BITS
-    if initial is None or len(initial) != p.degree:
-        if warm is not None:
-            initial, known_bits = warm.approximations, warm.precision_bits
-        else:
-            initial = _aberth_double(_int_coeffs(p))[0]
+    ints = _int_coeffs(p)
+    if initial is not None and len(initial) == p.degree:
+        known_bits, start = _DOUBLE_BITS, initial
+    elif warm is not None:
+        known_bits, start = warm.precision_bits, None
+    else:
+        known_bits, start = _DOUBLE_BITS, _aberth_double(ints)[0]
     # Near simple roots an Aberth sweep triples the correct bits, so
     # refining through doubling precisions spends about two sweeps per
     # rung and only the last rung's at the full precision.
     rungs = [precision_bits]
     while rungs[-1] // 2 > known_bits:
         rungs.append(rungs[-1] // 2)
-    roots = initial
+    if start is None:
+        at, roots = known_bits, list(warm.approximations)
+    else:
+        at, roots = rungs[-1], [_fixed(z, rungs[-1]) for z in start]
     for bits in reversed(rungs):
-        with workprec(bits):
-            roots = _aberth(_coeffs_mpf(p), roots)
-    with workprec(precision_bits):
-        coeffs = _coeffs_mpf(p)
-        deriv = [k * c for k, c in enumerate(coeffs)][1:]
-        deg = p.degree
-        radii = []
-        for x in roots:
-            pv, pe = _eval_with_bound(coeffs, x)
-            dv, de = _eval_with_bound(deriv, x)
-            dlo = abs(dv) - de
-            if dlo <= 0:
+        up = bits - at
+        roots = _aberth(ints, [(x << up, y << up) for x, y in roots], bits)
+        at = bits
+    F = precision_bits
+    deriv = [k * a for k, a in enumerate(ints)][1:]
+    deg = p.degree
+    radius = 0
+    for x in roots:
+        pv, pe = _horner(ints, x, F)
+        dv, de = _horner(deriv, x, F)
+        dlo = _abs_down(dv) - de
+        if dlo <= 0:
+            raise PrecisionEscalation(
+                f"derivative bound collapsed at {precision_bits} bits"
+            )
+        radius = max(radius, -(-(deg * (_abs_up(pv) + pe) << F) // dlo))
+    reach = 4 * radius * radius
+    for i in range(deg):
+        X, Y = roots[i]
+        for k in range(i + 1, deg):
+            dx, dy = X - roots[k][0], Y - roots[k][1]
+            if dx * dx + dy * dy <= reach:
                 raise PrecisionEscalation(
-                    f"derivative bound collapsed at {precision_bits} bits"
+                    f"root disks overlap at {precision_bits} bits"
                 )
-            radii.append(deg * (abs(pv) + pe) / dlo)
-        error_radius = max(radii) * (1 + mpf(2) ** -16)
-        for i in range(deg):
-            for k in range(i + 1, deg):
-                if abs(roots[i] - roots[k]) <= 2 * error_radius:
-                    raise PrecisionEscalation(
-                        f"root disks overlap at {precision_bits} bits"
-                    )
-        out = RootSet(
-            approximations=tuple(roots),
-            error_radius=error_radius,
-            precision_bits=precision_bits,
-        )
+    out = RootSet(
+        approximations=tuple(roots), radius=radius, precision_bits=F
+    )
     return _ROOT_CACHE.store(p, out)
 
 
 def classify_roots(
     roots: RootSet, radius: Rational
-) -> tuple[tuple[mpc, ...], tuple[mpc, ...]]:
+) -> tuple[tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     """Partition into (inside, outside) of the circle |t| = radius.
 
     Valid for the true roots because each whole disk must clear the
-    contour; a disk touching it raises the escalation signal.
+    contour, which is decided exactly: |x| + rho < radius and
+    |x| - rho > radius compare squares of integers.  A disk touching
+    the contour raises the escalation signal.
     """
-    with workprec(roots.precision_bits):
-        r = mpf(radius.numerator) / radius.denominator
-        slack = roots.error_radius + mpf(2) ** (4 - roots.precision_bits)
-        inside = []
-        outside = []
-        for x in roots.approximations:
-            if abs(x) + slack < r:
-                inside.append(x)
-            elif abs(x) - slack > r:
-                outside.append(x)
-            else:
-                raise PrecisionEscalation(
-                    f"root disk touches the contour at {roots.precision_bits} bits"
-                )
+    den = radius.denominator
+    edge = radius.numerator << roots.precision_bits
+    rho = roots.radius * den
+    inner, outer = (edge - rho) ** 2, (edge + rho) ** 2
+    inside = []
+    outside = []
+    for x in roots.approximations:
+        m = (x[0] * x[0] + x[1] * x[1]) * den * den
+        if rho < edge and m < inner:
+            inside.append(x)
+        elif m > outer:
+            outside.append(x)
+        else:
+            raise PrecisionEscalation(
+                f"root disk touches the contour at {roots.precision_bits} bits"
+            )
     return tuple(inside), tuple(outside)
 
 
 def _poles_at(
     p: Polynomial, radius: Rational, bits: int
-) -> tuple[RootSet, tuple[mpc, ...], tuple[mpc, ...]]:
+) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     roots = find_roots(p, bits)
     return (roots, *classify_roots(roots, radius))
 
 
 def certified_poles(
     p: Polynomial, radius: Rational, start_bits: int = START_BITS
-) -> tuple[RootSet, tuple[mpc, ...], tuple[mpc, ...]]:
+) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     """(roots, inside, outside): the roots of squarefree p, found and
     classified against |t| = radius at the same rung of the ladder."""
     return _escalate(
@@ -670,92 +783,93 @@ def certified_poles(
     )
 
 
-def _unit() -> mpf:
-    """mu = 2^(2 - prec): bounds the error of one complex + or * at the
-    working precision, relative to |u| + |v| or |u||v| (mpmath rounds
-    each real part once, so mu holds with room)."""
-    return mpmath.ldexp(1, 2 - mpmath.mp.prec)
-
-
-def _value_on_disk(coeffs: Sequence, x, rho: mpf) -> tuple[mpc, mpf]:
-    """q(x) by Horner, and a bound on its distance from q(y) for every
-    y with |y - x| <= rho (rounding plus variation over the disk)."""
-    v, e = _eval_with_bound(coeffs, x)
-    return v, e + _disk_variation_bound(coeffs, x, rho)
-
-
-def _weight(cc: Sequence, dc: Sequence, x, rho: mpf) -> tuple[mpc, mpf]:
+def _weight(
+    cc: Sequence[int], dc: Sequence[int], x: _Gauss, rho: int, F: int
+) -> tuple[_Gauss, int]:
     """w = 1/(c(x) d'(x)) at an approximation x of a root a of d, with
-    |a - x| <= rho, and a bound e_w on |w - 1/(c(a) d'(a))|.
+    |a - x| <= rho, and a bound e_w on |w - 1/(c(a) d'(a))| (ulps).
 
     With |c(a) - c(x)| <= e_c, |d'(a) - d'(x)| <= e_d and the lower
     bounds c_low = |c(x)| - e_c, d_low = |d'(x)| - e_d, the exact
     difference of the reciprocals is at most
-    (|c| e_d + e_c |d'| + e_c e_d) / (c_low d_low |c| |d'|); the product
-    and the reciprocal add at most 3 mu |w| of rounding.
+    (|c| e_d + e_c |d'| + e_c e_d) / (c_low d_low |c| |d'|).  The
+    product c(x) d'(x) is exact and w its floored reciprocal, one
+    rounding of < 2 ulps.
     """
-    cv, ce = _value_on_disk(cc, x, rho)
-    dv, de = _value_on_disk(dc, x, rho)
-    cm, dm = abs(cv), abs(dv)
-    c_low = cm - ce
-    d_low = dm - de
+    cv, ce = _value_on_disk(cc, x, rho, F)
+    dv, de = _value_on_disk(dc, x, rho, F)
+    c_abs, d_abs = _abs_down(cv), _abs_down(dv)
+    c_low, d_low = c_abs - ce, d_abs - de
     if c_low <= 0 or d_low <= 0:
         raise PrecisionEscalation(
-            f"denominator lower bound collapsed at {mpmath.mp.prec} bits"
+            f"denominator lower bound collapsed at {F} bits"
         )
-    w = 1 / (cv * dv)
-    spread = (cm * de + ce * dm + ce * de) / (c_low * d_low * cm * dm)
-    return w, spread + 3 * _unit() * abs(w)
+    (a, b), (c, d) = cv, dv
+    pr, pi = a * c - b * d, a * d + b * c
+    n = pr * pr + pi * pi
+    three_f = 3 * F
+    w = ((pr << three_f) // n, (-pi << three_f) // n)
+    num = _abs_up(cv) * de + ce * _abs_up(dv) + ce * de
+    den = c_abs * d_abs * c_low * d_low
+    return w, -(-(num << three_f) // den) + 2
 
 
 def _weights(
     c: Polynomial, d: Polynomial, d_roots: RootSet
-) -> list[tuple[mpc, mpf]]:
-    """_weight at every approximation of d_roots, at the current precision."""
-    cc = _coeffs_mpf(c)
-    dc = _coeffs_mpf(d.derivative())
-    rho = d_roots.error_radius
-    return [_weight(cc, dc, x, rho) for x in d_roots.approximations]
+) -> list[tuple[_Gauss, int]]:
+    """_weight at every approximation of d_roots, at its precision."""
+    cc = _int_coeffs(c)
+    dc = _int_coeffs(d.derivative())
+    F = d_roots.precision_bits
+    return [_weight(cc, dc, x, d_roots.radius, F)
+            for x in d_roots.approximations]
 
 
-def _values_on_disks(b: Polynomial, d_roots: RootSet) -> list[tuple[mpc, mpf]]:
+def _values_on_disks(
+    b: Polynomial, d_roots: RootSet
+) -> list[tuple[_Gauss, int]]:
     """_value_on_disk of b at every approximation of d_roots."""
-    bc = _coeffs_mpf(b)
-    rho = d_roots.error_radius
-    return [_value_on_disk(bc, x, rho) for x in d_roots.approximations]
+    bc = _int_coeffs(b)
+    F = d_roots.precision_bits
+    return [_value_on_disk(bc, x, d_roots.radius, F)
+            for x in d_roots.approximations]
+
+
+# The certified error of a weighted sum is at least this many ulps, so a
+# cell whose delta is 2^(F - 8) or more cannot certify at F bits: the
+# engine lets such a cell wait, and fails fast when delta needs more
+# than MAX_BITS - 8 bits, without finding a root.
+_ERROR_FLOOR = 64
 
 
 def _weighted_sum(
-    values: Sequence[tuple[mpc, mpf]], weights: Sequence[tuple[mpc, mpf]]
-) -> tuple[mpc, mpf]:
-    """(sum of b(x) w(x) over the roots x, certified error bound).
+    values: Sequence[tuple[_Gauss, int]],
+    weights: Sequence[tuple[_Gauss, int]],
+    F: int,
+) -> tuple[_Gauss, int]:
+    """(sum of b(x) w(x) over the roots x, certified error bound), at F
+    bits.
 
     values and weights pair each approximation x of a root a with
     (b(x), e_b) and (w(x), e_w), their errors bounding the distance to
     b(a) and w(a).  Then |b(x) w(x) - b(a) w(a)| <= e_b (|w| + e_w) +
-    |b| e_w, the product rounds by at most mu |term|, and summing m
-    terms adds at most 2 (m - 1) mu sum |term| (Higham 2002, ch. 4).
-    The bound itself is a sum of non-negative terms, so its own
-    rounding is covered by the factor 1 + 2^-16 at 64 bits or more.
-    The true sum is real for every integrand in this package, so an
-    imaginary part beyond the bound raises the escalation signal.
+    |b| e_w, each product rounds by < 2 ulps and the sum is exact; the
+    bound adds _ERROR_FLOOR.  The true sum is real for every integrand
+    in this package, so an imaginary part beyond the bound raises the
+    escalation signal.
     """
-    total = mpc(0)
-    err = mpf(0)
-    mass = mpf(0)
+    re = im = spread = 0
     for (bv, be), (w, we) in zip(values, weights):
-        term = bv * w
-        err += be * (abs(w) + we) + abs(bv) * we
-        mass += abs(term)
-        total += term
-    err += 2 * (len(weights) + 1) * _unit() * mass
-    err = err * (1 + mpf(2) ** -16) + mpf(2) ** (6 - mpmath.mp.prec)
-    if abs(total.imag) > err:
+        term = _mul(bv, w, F)
+        re += term[0]
+        im += term[1]
+        spread += be * (_abs_up(w) + we) + _abs_up(bv) * we
+    err = _ceil_shift(spread, F) + 2 * len(weights) + _ERROR_FLOOR
+    if abs(im) > err:
         raise PrecisionEscalation(
-            f"imaginary residue beyond certified error at "
-            f"{mpmath.mp.prec} bits"
+            f"imaginary residue beyond certified error at {F} bits"
         )
-    return total, err
+    return (re, im), err
 
 
 def residue_sum(
@@ -763,131 +877,126 @@ def residue_sum(
     c: Polynomial,
     d: Polynomial,
     d_roots: RootSet,
-) -> tuple[mpc, mpf]:
+) -> tuple[tuple[Rational, Rational], Rational]:
     """Sum of b(x)/(c(x) d'(x)) over the roots of d, with a certified
     error bound covering both root uncertainty and rounding.
 
-    Returns (value, error_bound).  The true sum is real for every
-    integrand in this package, so an imaginary part above the bound is
-    impossible and triggers escalation.
+    Returns ((real, imaginary), error_bound), all exact rationals.  The
+    true sum is real for every integrand in this package, so an
+    imaginary part above the bound is impossible and triggers
+    escalation.
     """
-    with workprec(d_roots.precision_bits):
-        return _weighted_sum(
-            _values_on_disks(b, d_roots), _weights(c, d, d_roots)
-        )
+    F = d_roots.precision_bits
+    (re, im), err = _weighted_sum(
+        _values_on_disks(b, d_roots), _weights(c, d, d_roots), F
+    )
+    unit = 1 << F
+    return (Fraction(re, unit), Fraction(im, unit)), Fraction(err, unit)
 
 
-def _slp_error(ops: int, magnitude: mpf) -> mpf:
-    """((1 + mu)^ops - 1) * magnitude <= 2 ops mu magnitude, valid while
-    ops mu <= 1: the rounding lemma's bound (see integrate_row)."""
-    return 2 * ops * _unit() * magnitude
+def _r_at(
+    x: _Gauss, top: int, F: int
+) -> tuple[list[_Gauss], list[_Gauss], list[int], list[int]]:
+    """(r, r', E, E'): r_k(x) and r_k'(x) for k = 0..top at F bits, by
+    the forward recurrence r_{k+2} = (1 - 2x) r_{k+1} + x r_k (Clenshaw
+    1955) and its derivative r'_{k+2} = (1 - 2x) r'_{k+1} - 2 r_{k+1} +
+    x r'_k + r_k, with bounds E_k, E'_k (ulps) on their errors.
 
-
-def _r_at(x: mpc, top: int) -> tuple[list[mpc], list[mpc]]:
-    """r_k(x) and r_k'(x) for k = 0..top, by the forward recurrence
-    r_{k+2} = (1 - 2x) r_{k+1} + x r_k (Clenshaw 1955) and its
-    derivative r'_{k+2} = (1 - 2x) r'_{k+1} - 2 r_{k+1} + x r'_k + r_k.
-    Their rounding errors are at most _slp_error(3(k - 1), R_k(|x|))
-    and _slp_error(5(k - 1), R_k'(|x|)) (see integrate_row)."""
-    a = 1 - 2 * x
-    r = [mpc(0), mpc(1)]
-    dr = [mpc(0), mpc(0)]
+    1 - 2x is exact and each step rounds two products, so with
+    A >= |1 - 2x| and Z >= |x|: E_{k+2} = ceil(A E_{k+1} + Z E_k) + 4
+    and E'_{k+2} = ceil(A E'_{k+1} + Z E'_k) + 2 E_{k+1} + E_k + 4.
+    """
+    one = 1 << F
+    a = (one - 2 * x[0], -2 * x[1])
+    A, Z = _abs_up(a), _abs_up(x)
+    r = [(0, 0), (one, 0)]
+    dr = [(0, 0), (0, 0)]
+    er, edr = [0, 0], [0, 0]
     for _ in range(top - 1):
-        dr.append(a * dr[-1] - 2 * r[-1] + x * dr[-2] + r[-2])
-        r.append(a * r[-1] + x * r[-2])
-    return r, dr
+        u, v = _mul(a, dr[-1], F), _mul(x, dr[-2], F)
+        dr.append((u[0] + v[0] - 2 * r[-1][0] + r[-2][0],
+                   u[1] + v[1] - 2 * r[-1][1] + r[-2][1]))
+        u, v = _mul(a, r[-1], F), _mul(x, r[-2], F)
+        r.append((u[0] + v[0], u[1] + v[1]))
+        edr.append(_ceil_shift(A * edr[-1] + Z * edr[-2], F)
+                   + 2 * er[-1] + er[-2] + 4)
+        er.append(_ceil_shift(A * er[-1] + Z * er[-2], F) + 4)
+    return r, dr, er, edr
 
 
-def _majorant(z: mpf, top: int) -> tuple[list[mpf], list[mpf]]:
-    """R_k(z) and R_k'(z) for k = 0..top, where R_0 = 0, R_1 = 1 and
-    R_{k+2} = (1 + 2z) R_{k+1} + z R_k majorizes r_k coefficient by
-    coefficient (see integrate_row)."""
-    a = 1 + 2 * z
-    R = [mpf(0), mpf(1)]
-    dR = [mpf(0), mpf(0)]
+def _majorant(z: int, top: int, F: int) -> list[int]:
+    """R_k(z) (ulps, rounded upward) for k = 0..top, where R_0 = 0,
+    R_1 = 1 and R_{k+2} = (1 + 2z) R_{k+1} + z R_k majorizes r_k
+    coefficient by coefficient (see integrate_row)."""
+    a = (1 << F) + 2 * z
+    R = [0, 1 << F]
     for _ in range(top - 1):
-        dR.append(a * dR[-1] + 2 * R[-1] + z * dR[-2] + R[-2])
-        R.append(a * R[-1] + z * R[-2])
-    return R, dR
+        R.append(_ceil_shift(a * R[-1] + z * R[-2], F))
+    return R
 
 
 def _numerators_at(
-    x: mpc, rho: mpf, n: int, js: Sequence[int]
-) -> list[tuple[mpc, mpf]]:
+    x: _Gauss, rho: int, n: int, js: Sequence[int], F: int
+) -> list[tuple[_Gauss, int]]:
     """(b_j(x), e_j) for each j in js, where b_j = t^(j-1) r_{n-j}^2 and
-    e_j bounds |b_j(x) computed - b_j(y)| for every |y - x| <= rho < 1.
+    e_j bounds |b_j(x) computed - b_j(y)| for every |y - x| <= rho
+    (ulps at F bits, rho < 2^F).
 
     One pass of the r recurrence at x serves every j.  Beside it, the
-    majorant R and its derivative at |x| bound the rounding of b_j and
-    b_j', and R at |x| + 1 bounds the Taylor tail of b_j over the disk
-    (proof on integrate_row).
+    rounding bounds of r_k and r_k' carry through the products that
+    make b_j and b_j', and the majorant R at |x| + 1 bounds the Taylor
+    tail of b_j over the disk (proof on integrate_row).
     """
     top = n - min(js)
-    z = abs(x)
-    r, dr = _r_at(x, top)
-    R, dR = _majorant(z, top)
-    far, _ = _majorant(z + 1, top)
-    powers, z_powers, far_powers = [mpc(1)], [mpf(1)], [mpf(1)]
+    one = 1 << F
+    z = _abs_up(x)
+    r, dr, er, edr = _r_at(x, top, F)
+    far = _majorant(z + one, top, F)
+    powers, power_errs, far_powers = [(one, 0)], [0], [one]
     for _ in range(max(js) - 1):
-        powers.append(powers[-1] * x)
-        z_powers.append(z_powers[-1] * z)
-        far_powers.append(far_powers[-1] * (z + 1))
+        powers.append(_mul(powers[-1], x, F))
+        power_errs.append(_ceil_shift(power_errs[-1] * z, F) + 2)
+        far_powers.append(_ceil_shift(far_powers[-1] * (z + one), F))
     out = []
     for j in js:
         m = n - j
-        square = r[m] * r[m]
-        square_major = R[m] * R[m]
-        slope = 2 * powers[j - 1] * (r[m] * dr[m])
-        slope_major = 2 * z_powers[j - 1] * R[m] * dR[m]
+        power, e_power = powers[j - 1], power_errs[j - 1]
+        square, e_square = _product(r[m], er[m], r[m], er[m], F)
+        value, e_value = _product(power, e_power, square, e_square, F)
+        rdr, e_rdr = _product(r[m], er[m], dr[m], edr[m], F)
+        half, e_half = _product(power, e_power, rdr, e_rdr, F)
+        slope = (2 * half[0], 2 * half[1])
+        e_slope = 2 * e_half
         if j > 1:
-            slope += (j - 1) * powers[j - 2] * square
-            slope_major += (j - 1) * z_powers[j - 2] * square_major
-        rounding = _slp_error(max(j - 2, 0) + 6 * (m - 1) + 2,
-                              z_powers[j - 1] * square_major)
-        slope_bound = abs(slope) + _slp_error(j + 8 * m + 1, slope_major)
-        tail = far_powers[j - 1] * far[m] * far[m]
-        out.append((powers[j - 1] * square,
-                    rounding + rho * slope_bound + rho * rho * tail))
+            low, e_low = _product(powers[j - 2], power_errs[j - 2],
+                                  square, e_square, F)
+            slope = (slope[0] + (j - 1) * low[0], slope[1] + (j - 1) * low[1])
+            e_slope += (j - 1) * e_low
+        variation = _ceil_shift(rho * (_abs_up(slope) + e_slope), F)
+        tail = _ceil_shift(rho * rho * far_powers[j - 1] * far[m] * far[m],
+                           4 * F)
+        out.append((value, e_value + variation + tail))
     return out
 
-
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    # The mantissa may be a gmpy2 integer depending on the mpmath
-    # backend; force plain ints so Fraction arithmetic stays pure.
-    man = int(man)
-    exp = int(exp)
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ConsistencyError(f"non-finite numeric value {x}")
-    value = Fraction(man) * (
-        Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** -exp)
-    )
-    return -value if sign else value
-
-
-# Below this precision the bounds' own rounding is not covered by the
-# 1 + 2^-16 factor in _weighted_sum, so integration rungs start here.
-_MIN_INTEGRATION_BITS = 64
 
 # Numerator values of the cells `live` (indices into the engine's cell
 # list) at every approximation of d's roots: one list per cell, one
 # (value, error) pair per root.
-_Numerators = Callable[[RootSet, list[int]], list[list[tuple[mpc, mpf]]]]
+_Numerators = Callable[[RootSet, list[int]], list[list[tuple[_Gauss, int]]]]
 
 
 def _round_cell(
-    total: mpc, err: mpf, scale: Rational, delta: int, bits: int
+    total: _Gauss, err: int, scale: Rational, delta: int, F: int
 ) -> Rational:
     quarter = Fraction(1, 4)
-    if delta * abs(scale) * _mpf_to_fraction(err) >= quarter:
-        raise PrecisionEscalation(f"certified error too large at {bits} bits")
-    scaled = delta * scale * _mpf_to_fraction(total.real)
+    unit = 1 << F
+    if delta * abs(scale) * Fraction(err, unit) >= quarter:
+        raise PrecisionEscalation(f"certified error too large at {F} bits")
+    scaled = delta * scale * Fraction(total[0], unit)
     nearest = round(scaled)
     if abs(scaled - nearest) >= quarter:
         raise PrecisionEscalation(
-            f"scaled value not near an integer at {bits} bits"
+            f"scaled value not near an integer at {F} bits"
         )
     return Fraction(nearest, delta)
 
@@ -926,12 +1035,8 @@ def _integrate(
     done: dict[int, Rational] = {}
 
     def rung(bits: int) -> list[Rational]:
-        if bits < _MIN_INTEGRATION_BITS:
-            raise PrecisionEscalation(
-                f"integration needs at least {_MIN_INTEGRATION_BITS} bits"
-            )
-        # The certified error never drops below 2^(6-bits), so a cell
-        # with delta >= 2^(bits-8) cannot certify here: it waits.
+        # The certified error never drops below _ERROR_FLOOR ulps, so a
+        # cell with delta >= 2^(bits-8) cannot certify here: it waits.
         waiting = PrecisionEscalation(f"delta needs more than {bits} bits")
         live = [k for k, (_, delta) in enumerate(cells)
                 if k not in done and not delta >> (bits - 8)]
@@ -943,14 +1048,15 @@ def _integrate(
                 f"a pole of the inside factor sits outside |t|={radius}"
             )
         failure = waiting
-        with workprec(bits):
-            weights = _weights(c, d, d_roots)
-            for k, values in zip(live, numerators(d_roots, live)):
-                try:
-                    total, err = _weighted_sum(values, weights)
-                    done[k] = _round_cell(total, err, *cells[k], bits)
-                except PrecisionEscalation as exc:
-                    failure = exc
+        # The roots' precision, which is at least the rung's.
+        F = d_roots.precision_bits
+        weights = _weights(c, d, d_roots)
+        for k, values in zip(live, numerators(d_roots, live)):
+            try:
+                total, err = _weighted_sum(values, weights, F)
+                done[k] = _round_cell(total, err, *cells[k], F)
+            except PrecisionEscalation as exc:
+                failure = exc
         if len(done) < len(cells):
             raise failure
         return [done[k] for k in range(len(cells))]
@@ -987,9 +1093,9 @@ def integrate_row(
     gives r_0(x)..r_n(x) and so b_j(x) = x^(j-1) r_{n-j}(x)^2 for every
     j, and each cell is one weighted sum.
 
-    The bound on b_j.  Let x approximate a root a of d with
-    |a - x| <= rho, let z = |x|, and let mu bound the error of one
-    complex + or * (see _unit).  Write m = n - j.
+    The bound on b_j, in the absolute model of the module docstring.
+    Let x approximate a root a of d with |a - x| <= rho, let z >= |x|,
+    and write m = n - j.
 
     1. Majorant.  R_0 = 0, R_1 = 1, R_{k+2} = (1 + 2z) R_{k+1} + z R_k
        has non-negative coefficients, and |[t^i] r_k| <= [t^i] R_k for
@@ -999,28 +1105,17 @@ def integrate_row(
        the relation (|sum u_i v_(k-i)| <= sum U_i V_(k-i)), so
        B_j(z) = z^(j-1) R_m(z)^2 majorizes b_j, and every derivative
        of B_j majorizes the same derivative of b_j, coefficient by
-       coefficient; R_k' follows the differentiated recurrence.
-    2. Rounding: the straight-line-program lemma (Higham 2002, ch. 3).
-       Let a program of complex + and * run on exactly represented
-       inputs, each operation adding an error at most mu times the same
-       operation applied to the moduli of its operands.  Give each
-       input the count N = 0, u + v the count max(N_u, N_v) + 1 and
-       u * v the count N_u + N_v + 1.  Then each computed value lies
-       within ((1 + mu)^N - 1) V <= 2 N mu V (for N mu <= 1) of its
-       exact value, where V is the same program run on the moduli of
-       the inputs.  Induction: with relative errors eps_u, eps_v on the
-       operands, |u~ v~ - u v| <= ((1 + eps_u)(1 + eps_v) - 1) U V, and
-       the product's own rounding adds mu (1 + eps_u)(1 + eps_v) U V,
-       which gives (1 + mu)^(N_u + N_v + 1) - 1; a sum is the same with
-       U + V in place of U V.  The bound grows with N, so any upper
-       bound on the count will do.  Here 1 - 2x has N = 1 and modulus
-       at most 1 + 2z; r_k has N = 3(k - 1) and r_k', summed left to
-       right (doubling is exact), N = 5(k - 1); x^k by repeated
-       products has N = k - 1; b_j = x^(j-1) (r_m r_m) has
-       N = max(j - 2, 0) + 6(m - 1) + 2, and
-       b_j' = 2 x^(j-1) (r_m r_m') + (j - 1) x^(j-2) (r_m r_m) at most
-       j + 8m + 1.  Their absolute-value programs are R_k(z), R_k'(z),
-       B_j(z) and B_j'(z).
+       coefficient.
+    2. Rounding.  Every value is computed from exact inputs by sums,
+       which are exact, and products, which round by < 2 ulps.  A
+       product of computed u, v with errors e_u, e_v is within
+       |u| e_v + e_u |v| + e_u e_v + 2 ulps of the exact product
+       (_product), and _r_at carries E_k and E'_k through the
+       recurrence the same way.  So b_j(x) = x^(j-1) (r_m r_m) and
+       b_j'(x) = 2 x^(j-1) (r_m r_m') + (j - 1) x^(j-2) (r_m r_m) are
+       computed with error bounds that use the computed moduli alone;
+       every bound is an integer rounded upward, so no bound has a
+       rounding error of its own.
     3. Variation.  For |y - x| <= rho, Taylor's formula at x gives
        b_j(y) - b_j(x) = b_j'(x) (y - x) + sum over i >= 2 of
        b_j^(i)(x) (y - x)^i / i!, with |b_j^(i)(x)| <= B_j^(i)(z) by 1.
@@ -1029,21 +1124,18 @@ def integrate_row(
        one unit away, whose terms are all non-negative: at most
        rho^2 B_j(z + 1).
 
-    So |computed b_j(x) - b_j(a)| <= 2 N mu B_j(z)
-    + rho (|computed b_j'(x)| + 2 N' mu B_j'(z)) + rho^2 B_j(z + 1).
-    The majorants are sums and products of non-negative numbers, so
-    their own rounding, and that of z = |x|, is a relative error that
-    the factor 1 + 2^-16 of _weighted_sum covers at 64 bits or more for
-    n < 2^40.
+    So |computed b_j(x) - b_j(y)| <= e(b_j) + rho (|computed b_j'(x)|
+    + e(b_j')) + rho^2 B_j(z + 1), with e the rounding bounds of 2.
     """
     js, c, d, bounds = _row(n, js)
     cells = [(_sign(j), db.delta) for j, db in zip(js, bounds)]
 
     def numerators(
         d_roots: RootSet, live: list[int]
-    ) -> list[list[tuple[mpc, mpf]]]:
+    ) -> list[list[tuple[_Gauss, int]]]:
         cells = [js[k] for k in live]
-        per_root = [_numerators_at(x, d_roots.error_radius, n, cells)
+        F = d_roots.precision_bits
+        per_root = [_numerators_at(x, d_roots.radius, n, cells, F)
                     for x in d_roots.approximations]
         return [list(values) for values in zip(*per_root)]
 

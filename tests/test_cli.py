@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -454,10 +455,27 @@ def test_roots_json_round_trip_and_sorting(capsys):
     assert reals == sorted(reals)
 
 
-def test_roots_radius_covers_both_factors(capsys):
-    # At n = 9 the outside factor's disks are wider than the inside
-    # factor's; each block states its own radius and the header the
-    # larger one, so no printed root is claimed tighter than it is.
+def test_roots_radius_covers_both_factors(capsys, monkeypatch):
+    # Each block states its own radius and the header the larger one, so
+    # no printed root is claimed tighter than it is.  At n = 9 the inside
+    # factor's disks are the wider ones.
+    code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    inside, outside = (Decimal(f["error_radius"]) for f in obj["factors"])
+    assert Decimal(obj["error_radius"]) == inside > outside
+    # Widen the outside factor's disks 1000-fold (still disjoint, so
+    # still a certificate) for the case where they are the wider ones.
+    real = residue_engine.certified_poles
+    c = gf_denominator(9)
+
+    def widened(p, radius, bits):
+        rs, ins, outs = real(p, radius, bits)
+        if p == c:
+            rs = dataclasses.replace(rs, radius=1000 * rs.radius)
+        return rs, ins, outs
+
+    monkeypatch.setattr(residue_engine, "certified_poles", widened)
     code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
     assert code == 0
     obj = json.loads(out)
@@ -525,6 +543,8 @@ def test_tail_eps_parsing_keeps_the_digit_limit(capsys):
                           "--method", "simulate",
                           "--tail-eps", "1/1" + "0" * 5000)
     assert code == 2 and "Exceeds the limit" in err
+    # One short line, not the 5,000-digit argument.
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 # ------------------------------------------------------------ import diet
@@ -549,11 +569,14 @@ def _cli(*argv):
     ("import hadwalk\nhadwalk.p_exact(2, 5)\n", ()),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate"),
      ("hadwalk.simulator",)),
+    # The contour route computes in integers; only the roots display
+    # renders with mpmath.
     (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"),
-     ("mpmath", "hadwalk.residue_engine")),
+     ("hadwalk.residue_engine",)),
+    ("import hadwalk.residue_engine\n", ("hadwalk.residue_engine",)),
     (_cli("roots", "--n", "5"), ("mpmath", "hadwalk.residue_engine")),
 ], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
-        "roots"])
+        "engine", "roots"])
 def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
     probe = code + "import sys\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

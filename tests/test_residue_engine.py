@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mpc, mpf
 
 from hadwalk import residue_engine
 from hadwalk.errors import (
@@ -22,13 +23,15 @@ from hadwalk.residue_engine import (
     START_BITS,
     Integrand,
     _aberth_double,
-    _majorant,
+    _div,
+    _horner,
+    _mul,
     _numerators_at,
+    _product,
     _r_at,
     _RootCache,
-    _mpf_to_fraction,
-    _slp_error,
     _squarefree,
+    _value_on_disk,
     build_integrand,
     certified_poles,
     classify_roots,
@@ -56,6 +59,22 @@ def T(*coeffs):
 
 def one_plus_2t():
     return T(1, 2)
+
+
+def exact(x, bits):
+    """The Gaussian fixed-point pair x at `bits` bits as exact (re, im)."""
+    unit = 1 << bits
+    return F(x[0], unit), F(x[1], unit)
+
+
+def gap2(u, v):
+    """Squared distance between two exact (re, im) pairs."""
+    return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
+
+
+def near(rs, x, target, radius):
+    """Whether the approximation x of rs lies within radius of target."""
+    return gap2(exact(x, rs.precision_bits), target) <= radius ** 2
 
 
 # --------------------------------------------------------------- integrand
@@ -166,6 +185,86 @@ def test_squarefree_certificate_and_its_exact_fallback(monkeypatch):
     assert len(exact_calls) == 2
 
 
+# ------------------------------------------------------ fixed-point kernel
+
+
+def _dyadic_points(bits: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """Random Gaussian fixed-point points at `bits` bits: half inside the
+    unit disk, half outside it with modulus below 3."""
+    rng = random.Random(seed)
+    unit = 1 << bits
+    out = []
+    while len(out) < count:
+        inside = len(out) % 2 == 0
+        span = unit if inside else 3 * unit
+        x = (rng.randrange(-span, span), rng.randrange(-span, span))
+        m = x[0] * x[0] + x[1] * x[1]
+        lo, hi = (0, unit * unit) if inside else (unit * unit, 9 * unit * unit)
+        if lo <= m < hi and m != unit * unit:
+            out.append(x)
+    return out
+
+
+_KERNEL_POLYS = {
+    "d12": absorption_denominator(12),
+    "c9": gf_denominator(9),
+    "huge": T(-2, 0, 1) * T(-3, 1) * 10 ** 400,
+}
+
+
+@pytest.mark.parametrize("bits", [16, 128, 1024])
+def test_fixed_point_products_and_quotients(bits):
+    # Each floored product or quotient errs by less than sqrt(2) ulps, and
+    # _product's bound covers computed operands with their own errors.
+    ulp2 = F(1, 1 << bits) ** 2
+    rng = random.Random(bits)
+    points = _dyadic_points(bits, 40, bits)
+    for u, v in zip(points, points[1:]):
+        (a, b), (c, d) = exact(u, bits), exact(v, bits)
+        prod = (a * c - b * d, a * d + b * c)
+        assert gap2(exact(_mul(u, v, bits), bits), prod) < 2 * ulp2
+        n = c * c + d * d
+        quo = ((a * c + b * d) / n, (b * c - a * d) / n)
+        assert gap2(exact(_div(u, v, bits), bits), quo) < 2 * ulp2
+        eu, ev = rng.randrange(1, 2 ** 20), rng.randrange(1, 2 ** 20)
+        shifted_u = (u[0] + eu * 3 // 5, u[1] - eu * 4 // 5)
+        shifted_v = (v[0] - ev, v[1])
+        got, err = _product(shifted_u, eu, shifted_v, ev, bits)
+        assert gap2(exact(got, bits), prod) <= err * err * ulp2
+
+
+@pytest.mark.parametrize("bits", [16, 128, 1024])
+@pytest.mark.parametrize("name", list(_KERNEL_POLYS))
+def test_horner_value_within_its_bound(bits, name):
+    # The absolute bound holds inside and outside the unit disk, and for
+    # coefficients far beyond the double range.
+    poly = _KERNEL_POLYS[name]
+    ints = [int(a) for a in poly.coeffs]
+    ulp2 = F(1, 1 << bits) ** 2
+    for x in _dyadic_points(bits, 12, len(ints) + bits):
+        value, err = _horner(ints, x, bits)
+        want = _exact_at(poly, exact(x, bits))
+        assert gap2(exact(value, bits), want) <= err * err * ulp2, (name, x)
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_POLYS))
+def test_value_on_disk_covers_the_disk(name):
+    # Points y on the rim |y - x| = rho: q(y) lies within the stated
+    # error of the value computed at x.
+    poly = _KERNEL_POLYS[name]
+    ints = [int(a) for a in poly.coeffs]
+    bits = 128
+    rho = 1 << (bits - 30)  # 2^-30
+    ulp2 = F(1, 1 << bits) ** 2
+    for x in _dyadic_points(bits, 6, 7):
+        value, err = _value_on_disk(ints, x, rho, bits)
+        point = exact(x, bits)
+        for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
+            y = (point[0] + F(dre) / 2**30, point[1] + F(dim) / 2**30)
+            want = _exact_at(poly, y)
+            assert gap2(exact(value, bits), want) <= err * err * ulp2
+
+
 # ------------------------------------------------------------- root finding
 
 
@@ -173,16 +272,16 @@ def test_find_roots_frozen_small():
     rs = find_roots(T(0, -2), 128)  # -2t
     assert rs.precision_bits == 128
     assert len(rs.approximations) == 1
-    assert abs(rs.approximations[0]) <= rs.error_radius
-    assert rs.error_radius < mpf(10) ** -25
+    assert near(rs, rs.approximations[0], (0, 0), rs.error_radius)
+    assert rs.error_radius < F(1, 10 ** 25)
 
     rs = find_roots(T(0, -1, 4), 128)  # t(4t - 1)
-    got = sorted(rs.approximations, key=lambda x: x.real)
-    assert abs(got[0]) <= rs.error_radius
-    assert abs(got[1] - mpf(1) / 4) <= rs.error_radius
+    got = sorted(rs.approximations)
+    assert near(rs, got[0], (0, 0), rs.error_radius)
+    assert near(rs, got[1], (F(1, 4), 0), rs.error_radius)
 
     rs = find_roots(T(1, -1), 128)  # 1 - t
-    assert abs(rs.approximations[0] - 1) <= rs.error_radius
+    assert near(rs, rs.approximations[0], (1, 0), rs.error_radius)
 
 
 def test_find_roots_certificate_means_disjoint_disks():
@@ -190,8 +289,9 @@ def test_find_roots_certificate_means_disjoint_disks():
     assert len(rs.approximations) == 3
     for i in range(3):
         for k in range(i + 1, 3):
-            gap = abs(rs.approximations[i] - rs.approximations[k])
-            assert gap > 2 * rs.error_radius
+            gap = gap2(exact(rs.approximations[i], 128),
+                       exact(rs.approximations[k], 128))
+            assert gap > (2 * rs.error_radius) ** 2
 
 
 def test_find_roots_refinement_is_consistent():
@@ -199,12 +299,15 @@ def test_find_roots_refinement_is_consistent():
     coarse = find_roots(p, 128)
     fine = find_roots(p, 512)
     assert fine.error_radius < coarse.error_radius
-    key = lambda x: (round(float(x.real), 6), round(float(x.imag), 6))
+    def key(rs):
+        return lambda x: tuple(round(float(v), 6)
+                               for v in exact(x, rs.precision_bits))
+
     for a, b in zip(
-        sorted(coarse.approximations, key=key),
-        sorted(fine.approximations, key=key),
+        sorted(coarse.approximations, key=key(coarse)),
+        sorted(fine.approximations, key=key(fine)),
     ):
-        assert abs(a - b) <= 2 * coarse.error_radius
+        assert near(coarse, a, exact(b, 512), 2 * coarse.error_radius)
 
 
 def test_find_roots_cached_per_precision():
@@ -265,13 +368,17 @@ def test_root_cache_under_concurrent_callers(monkeypatch):
 def _one_true_root_per_disk(p: Polynomial, rs) -> None:
     """Each certified disk holds exactly one root of mpmath.polyroots
     computed at twice the certifying precision, and no root is missed."""
-    with mpmath.workprec(2 * rs.precision_bits):
+    bits = rs.precision_bits
+    with mpmath.workprec(2 * bits):
         true = mpmath.polyroots(
             [int(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=64
         )
+        radius = mpmath.mpf((rs.radius, -bits))
+        points = [mpmath.mpc(mpmath.mpf((x, -bits)), mpmath.mpf((y, -bits)))
+                  for x, y in rs.approximations]
         hits = [
-            [k for k, z in enumerate(true) if abs(z - x) <= rs.error_radius]
-            for x in rs.approximations
+            [k for k, z in enumerate(true) if abs(z - x) <= radius]
+            for x in points
         ]
     assert all(len(h) == 1 for h in hits)
     assert sorted(h[0] for h in hits) == list(range(len(true)))
@@ -281,11 +388,11 @@ def _bad_starts(p: Polynomial) -> dict[str, list]:
     deg = p.degree
     lead = abs(p.leading_coefficient)
     cauchy = 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
-    far = mpf(10) ** 6 * mpf(cauchy.numerator) / cauchy.denominator
+    far = 10 ** 6 * float(cauchy)
     return {
-        "all equal": [mpc("0.3", "0.1")] * deg,
-        "all zero": [mpc(0)] * deg,
-        "far outside": [far * mpmath.expjpi(mpf(2 * k + 1) / deg)
+        "all equal": [complex(0.3, 0.1)] * deg,
+        "all zero": [0j] * deg,
+        "far outside": [far * cmath.exp(1j * cmath.pi * (2 * k + 1) / deg)
                         for k in range(deg)],
     }
 
@@ -388,10 +495,10 @@ def test_residue_sum_frozen():
     # j=1, n=3: residues of (1-2t)^2 / ((1-t) t(4t-1)) at t=0 and t=1/4
     # are -1 and 1/3.
     ig = build_integrand(1, 3)
-    total, err = residue_sum(ig.b, ig.c, ig.d, find_roots(ig.d, 128))
-    assert err < mpf(10) ** -25
-    assert abs(_mpf_to_fraction(total.real) + F(2, 3)) <= _mpf_to_fraction(err)
-    assert abs(total.imag) <= err
+    (re, im), err = residue_sum(ig.b, ig.c, ig.d, find_roots(ig.d, 128))
+    assert err < F(1, 10 ** 25)
+    assert abs(re + F(2, 3)) <= err
+    assert abs(im) <= err
 
 
 def test_residue_closure_over_the_whole_plane():
@@ -406,7 +513,7 @@ def test_residue_closure_over_the_whole_plane():
             num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
             s1, e1 = residue_sum(num, lin, d, d_roots)
             s2, e2 = residue_sum(num, d, lin, lin_roots)
-            assert abs(s1 + s2) <= e1 + e2
+            assert gap2(s1, (-s2[0], -s2[1])) <= (e1 + e2) ** 2
 
 
 def test_residue_at_minus_half_recovers_the_evaluated_formula():
@@ -415,9 +522,9 @@ def test_residue_at_minus_half_recovers_the_evaluated_formula():
     lin_roots = find_roots(lin, 128)
     for j, n in [(1, 2), (1, 3), (2, 5), (4, 9), (3, 11)]:
         num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
-        total, err = residue_sum(num, absorption_denominator(n), lin, lin_roots)
-        gap = abs(_mpf_to_fraction(total.real) - p_exact(j, n))
-        assert gap <= _mpf_to_fraction(err)
+        (re, _), err = residue_sum(num, absorption_denominator(n), lin,
+                                   lin_roots)
+        assert abs(re - p_exact(j, n)) <= err
 
 
 # ------------------------------------------------------------- exact output
@@ -455,8 +562,8 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
 
 
 def test_integrate_exact_stable_under_start_precision():
-    # Rungs below 64 bits escalate (the bounds' own rounding is only
-    # covered from there), so a 16-bit start climbs to the same answer.
+    # Every bound is an exact integer at any precision, so a 16-bit start
+    # is sound and gives the same answer.
     for j, n in [(1, 2), (1, 5), (3, 8)]:
         ig = build_integrand(j, n)
         want = integrate_exact(ig)
@@ -504,38 +611,32 @@ def _exact_at(p: Polynomial, x: tuple[F, F]) -> tuple[F, F]:
     return re, im
 
 
-def _within(got: mpc, want: tuple[F, F], bound: mpf) -> bool:
-    dre = _mpf_to_fraction(got.real) - want[0]
-    dim = _mpf_to_fraction(got.imag) - want[1]
-    return dre * dre + dim * dim <= _mpf_to_fraction(bound) ** 2
+def _within(got, want: tuple[F, F], bound: int, bits: int = 128) -> bool:
+    # got and bound are in units of 2^-bits.
+    return gap2(exact(got, bits), want) <= F(bound, 1 << bits) ** 2
 
 
-def _points_near_roots(n: int) -> list[mpc]:
-    # Roots of d cut to 60-bit rationals: exact inputs with full-length
+def _points_near_roots(n: int) -> list[tuple[int, int]]:
+    # Roots of d cut to 60 fractional bits: exact inputs with full-length
     # products at 128 bits, so the recurrence really rounds.
-    out = []
-    for x in find_roots(absorption_denominator(n), 128).approximations:
-        with mpmath.workprec(60):
-            out.append(mpc(+x.real, +x.imag))
-    return out
+    cut = 128 - 60
+    roots = find_roots(absorption_denominator(n), 128)
+    return [(x >> cut << cut, y >> cut << cut) for x, y in roots.approximations]
 
 
 @pytest.mark.parametrize("n", [3, 8, 14])
 def test_recurrence_values_within_their_rounding_bounds(n):
     js = list(range(1, n))
-    with mpmath.workprec(128):
-        for x in _points_near_roots(n):
-            point = (_mpf_to_fraction(x.real), _mpf_to_fraction(x.imag))
-            r, dr = _r_at(x, n - 1)
-            R, dR = _majorant(abs(x), n - 1)
-            for k in range(1, n):
-                assert _within(r[k], _exact_at(r_poly(k), point),
-                               _slp_error(3 * (k - 1), R[k])), (n, k)
-                assert _within(dr[k], _exact_at(r_poly(k).derivative(), point),
-                               _slp_error(5 * (k - 1), dR[k])), (n, k)
-            for j, (value, err) in zip(js, _numerators_at(x, mpf(0), n, js)):
-                b = build_integrand(j, n).b
-                assert _within(value, _exact_at(b, point), err), (n, j)
+    for x in _points_near_roots(n):
+        point = exact(x, 128)
+        r, dr, er, edr = _r_at(x, n - 1, 128)
+        for k in range(1, n):
+            assert _within(r[k], _exact_at(r_poly(k), point), er[k]), (n, k)
+            assert _within(dr[k], _exact_at(r_poly(k).derivative(), point),
+                           edr[k]), (n, k)
+        for j, (value, err) in zip(js, _numerators_at(x, 0, n, js, 128)):
+            b = build_integrand(j, n).b
+            assert _within(value, _exact_at(b, point), err), (n, j)
 
 
 @pytest.mark.parametrize("n", [4, 9, 14])
@@ -544,15 +645,14 @@ def test_recurrence_values_cover_the_root_disk(n):
     # error of the value computed at x.
     js = list(range(1, n))
     bs = [build_integrand(j, n).b for j in js]
-    rho = mpf(2) ** -40
-    with mpmath.workprec(128):
-        for x in _points_near_roots(n):
-            values = _numerators_at(x, rho, n, js)
-            for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
-                y = (_mpf_to_fraction(x.real) + F(dre) / 2**40,
-                     _mpf_to_fraction(x.imag) + F(dim) / 2**40)
-                for j, b, (value, err) in zip(js, bs, values):
-                    assert _within(value, _exact_at(b, y), err), (n, j)
+    rho = 1 << (128 - 40)  # 2^-40
+    for x in _points_near_roots(n):
+        values = _numerators_at(x, rho, n, js, 128)
+        for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
+            point = exact(x, 128)
+            y = (point[0] + F(dre) / 2**40, point[1] + F(dim) / 2**40)
+            for j, b, (value, err) in zip(js, bs, values):
+                assert _within(value, _exact_at(b, y), err), (n, j)
 
 
 def test_integrate_row_equals_the_evaluated_formula():
@@ -569,22 +669,22 @@ def test_integrate_row_equals_the_evaluated_formula():
 def test_weights_once_per_root_and_rung(monkeypatch):
     # The weights depend on the row only: one per root of d at each rung
     # the ladder runs, however many cells the row asks for.
-    n = 13
+    n = 14
     d = absorption_denominator(n)
     for js in ([1], [3, 4, 5, 6], None):
         precisions = []
         real = residue_engine._weight
 
-        def spy(cc, dc, x, rho):
-            precisions.append(mpmath.mp.prec)
-            return real(cc, dc, x, rho)
+        def spy(cc, dc, x, rho, bits):
+            precisions.append(bits)
+            return real(cc, dc, x, rho, bits)
 
         monkeypatch.setattr(residue_engine, "_weight", spy)
         integrate_row(n, js)
         monkeypatch.undo()
         rungs = sorted(set(precisions))
         assert precisions == [bits for bits in rungs for _ in range(d.degree)]
-    # The full row of 13 runs two rungs: the count is per rung, not per
+    # The full row of 14 runs two rungs: the count is per rung, not per
     # cell.
     assert rungs == [128, 256]
 
@@ -595,20 +695,3 @@ def test_row_cells_equal_single_cell_integration():
     row = integrate_row(n, start_bits=256)
     for j in (1, 5, 8, 15):
         assert row[j - 1] == integrate_exact(build_integrand(j, n)), j
-
-
-# ----------------------------------------------------------------- plumbing
-
-
-def test_mpf_to_fraction_is_exact():
-    # Exactness of this conversion is what makes the final rounding a
-    # proof rather than a heuristic, so the private helper gets pinned.
-    assert _mpf_to_fraction(mpf("0.15625")) == F(5, 32)
-    assert _mpf_to_fraction(mpf(-3)) == F(-3)
-    assert _mpf_to_fraction(mpf(0)) == F(0)
-    with mpmath.workprec(64):
-        x = mpf(1) / 3
-    back = _mpf_to_fraction(x)
-    assert abs(back - F(1, 3)) < F(1, 2**62)
-    with pytest.raises(ConsistencyError):
-        _mpf_to_fraction(mpf("inf"))
