@@ -37,11 +37,13 @@ print(f"closed form:        {closed}")
 evaluated = p_exact(J, N)
 print(f"residue formula:    {evaluated}")
 
-# --- 3. Contour integral.  The same probability is an integral around
-# |t| = 1/2; its poles inside the contour are the roots of
-# r_n - r_{n-1}.  The engine sums residues in certified fixed point,
-# multiplies by an integer delta built from one resultant taken after
-# the substitution t = s/4, and rounds -- provably landing on the exact
+# --- 3. Contour integral.  The same probability is (-1)^j times an
+# integral of t^(j-1) r_{n-j}^2 / ((r_n + 2t r_{n-1})(r_n - r_{n-1}))
+# around |t| = 1/2; its poles inside the contour are the roots of
+# r_n - r_{n-1}.  At each pole the engine evaluates the numerator by the
+# r recurrence, sums the residues in certified fixed point, multiplies
+# by an integer delta built from one resultant taken after the
+# substitution t = s/4, and rounds -- provably landing on the exact
 # rational.
 ig = build_integrand(J, N)
 bound = denominator_bound(ig)

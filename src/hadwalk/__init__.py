@@ -44,13 +44,11 @@ _SOURCES = {
         "Integrand",
         "RootSet",
         "build_integrand",
-        "classify_roots",
         "denominator_bound",
         "denominator_bounds",
         "find_roots",
         "integrate_exact",
         "integrate_row",
-        "residue_sum",
     ),
     "simulator": (
         "AmplitudeState",

@@ -239,18 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_argv(argv: Sequence[str]) -> CommandConfig:
     ns = build_parser().parse_args(argv)
-    return CommandConfig(
-        subcommand=ns.subcommand,
-        n=getattr(ns, "n", None),
-        j=getattr(ns, "j", None),
-        n_max=getattr(ns, "n_max", 9),
-        method=getattr(ns, "method", "residue"),
-        format=getattr(ns, "format", "frac"),
-        precision_bits=getattr(ns, "precision_bits", START_BITS),
-        tail_eps=getattr(ns, "tail_eps", _DEFAULT_TAIL),
-        common_denominator=getattr(ns, "common_denominator", False),
-        suite=getattr(ns, "suite", "all"),
-    )
+    # Every dest is a field; an option a subcommand lacks keeps the
+    # field's default.
+    return CommandConfig(**vars(ns))
 
 
 # ----------------------------------------------------------------- renderers
@@ -520,7 +511,7 @@ def _root_entries(poly, role: str, bits: int):
 
     from .residue_engine import certified_poles
 
-    rs, inside, _ = certified_poles(poly, Fraction(1, 2), bits)
+    rs, inside, _ = certified_poles(poly, bits)
     # Fixed-point pairs (X, Y) at F bits stand for (X + iY) 2^-F.
     F = rs.precision_bits
     unit = 1 << F

@@ -1,8 +1,8 @@
 """Contour-integral pipeline: certified numeric residues rounded to an
 exact rational.
 
-The probability p_j^(n) equals a scale factor times the sum of residues
-of b/(c d) over the roots of d, all of which lie inside the contour
+The probability p_j^(n) equals (-1)^j times the sum of residues of
+b/(c d) over the roots of d, all of which lie inside the contour
 |t| = 1/2 while the roots of c stay outside.  The sum is approximated
 in _Gaussian fixed point with a fully propagated error bound,
 multiplied by an integer delta known to clear the denominator of the
@@ -39,8 +39,8 @@ on j.  So the roots of d, the classification of c, the row part of the
 denominator bound and, at each precision, the weights
 w(x) = 1/(c(x) d'(x)) are computed once per row; one pass of the r
 recurrence at a root gives b_j there for every j, and each cell is one
-weighted sum (`integrate_row`).  `integrate_exact` runs the same engine
-on a single cell, with its numerator evaluated by Horner's rule.
+weighted sum (`integrate_row`).  `integrate_exact` runs the same engine,
+numerators included, on a single cell.
 
 Everything numeric lives behind escalation: any failed bound raises an
 internal signal, the working precision doubles, and the computation
@@ -69,7 +69,7 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -114,18 +114,28 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
 
 @dataclass(frozen=True)
 class Integrand:
-    """The rational integrand scale * b / (c d) on the circle |t| = radius.
+    """The integrand (-1)^j b / (c d) of p_j^(n) on the circle |t| = 1/2,
+    with b = t^(j-1) r_{n-j}^2, c = r_n + 2t r_{n-1} and d = r_n - r_{n-1}.
 
-    b, c, d carry integer coefficients exactly as constructed from the
-    r family; no content is split off, since the denominator bound needs
-    only integer coefficients.
+    Constructed from (j, n) alone, 1 <= j < n; b, c and d are derived
+    once, at construction.  They carry integer coefficients exactly as
+    the r family gives them; no content is split off, since the
+    denominator bound needs only integer coefficients.
     """
 
-    b: Polynomial
-    c: Polynomial
-    d: Polynomial
-    scale: Rational
-    radius: Rational
+    j: int
+    n: int
+    b: Polynomial = field(init=False)
+    c: Polynomial = field(init=False)
+    d: Polynomial = field(init=False)
+
+    def __post_init__(self) -> None:
+        j, n = self.j, self.n
+        _validate(j, n, 1, n - 1)
+        b = Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", gf_denominator(n))
+        object.__setattr__(self, "d", absorption_denominator(n))
 
 
 @dataclass(frozen=True)
@@ -158,13 +168,12 @@ class DenominatorBound:
     of two, 2^e_b, 2^e_c and 2^e_d, that makes its coefficients
     integers; deg D = m.  Then
 
-        delta = m2 * 2^max(0, e) * |rho| * |lead|^(deg B + 1)
+        delta = 2^max(0, e) * |rho| * |lead|^(deg B + 1)
 
-    with m2 the denominator of the scale, e = e_b - e_c - e_d + 2,
-    rho = Res(C, D) and lead = lc(D).
+    with e = e_b - e_c - e_d + 2, rho = Res(C, D) and lead = lc(D).
 
     Proof, for c and d coprime (rho != 0) and d squarefree; the integral
-    is scale times the sum of b(a)/(c(a) d'(a)) over the roots a of d.
+    is (-1)^j times the sum of b(a)/(c(a) d'(a)) over the roots a of d.
 
     1. Each root a of d gives the root x = 4a of D, and D'(s) =
        2^e_d d'(s/4) / 4, so b(a)/(c(a) d'(a)) = 2^-e B(x)/(C(x) D'(x)).
@@ -179,9 +188,9 @@ class DenominatorBound:
        1/s at infinity (Euler-Jacobi): sum r(x)/D'(x) = r_(m-1)/lead.
 
     Together: the sum is 2^-e r_(m-1) / (rho lead^(k+1)), with r_(m-1)
-    an integer and k + 1 <= deg B + 1, so delta clears it; m2 clears
-    the scale.  No discriminant enters the bound, and only the scale,
-    e, rho and lead are needed, never U or r themselves.
+    an integer and k + 1 <= deg B + 1, so delta clears it, and so it
+    clears (-1)^j times the sum.  No discriminant enters the bound, and
+    only e, rho and lead are needed, never U or r themselves.
     """
 
     rho: int
@@ -200,11 +209,9 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
+# The contour |t| = 1/2: every root of d lies inside it, every root of c
+# outside.
 _CONTOUR = Fraction(1, 2)
-
-
-def _sign(j: int) -> Fraction:
-    return Fraction(-1) if j % 2 else Fraction(1)
 
 
 def build_integrand(j: int, n: int) -> Integrand:
@@ -217,14 +224,7 @@ def build_integrand(j: int, n: int) -> Integrand:
     is squarefree; denominator_bound checks both and raises
     DegenerateIntegrandError on a violation.
     """
-    _validate(j, n, 1, n - 1)
-    return Integrand(
-        b=Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2,
-        c=gf_denominator(n),
-        d=absorption_denominator(n),
-        scale=_sign(j),
-        radius=_CONTOUR,
-    )
+    return Integrand(j, n)
 
 
 def _quarter_scaled(p: Polynomial) -> tuple[Polynomial, int]:
@@ -311,24 +311,19 @@ def _row_bound(c: Polynomial, d: Polynomial) -> tuple[int, int, int]:
 
 
 def _cell_bound(
-    e_b: int, deg_b: int, scale: Rational, row: tuple[int, int, int]
+    e_b: int, deg_b: int, row: tuple[int, int, int]
 ) -> DenominatorBound:
     rho, lead, e_cd = row
     e = e_b - e_cd + 2
-    delta = (scale.denominator * 2 ** max(0, e) * abs(rho)
-             * abs(lead) ** (deg_b + 1))
+    delta = 2 ** max(0, e) * abs(rho) * abs(lead) ** (deg_b + 1)
     return DenominatorBound(rho=rho, lead=lead, e=e, delta=delta)
 
 
 def denominator_bound(ig: Integrand) -> DenominatorBound:
     """Exact integer multiplier that clears the integral's denominator:
     one resultant after t = s/4 (the proof is on DenominatorBound)."""
-    for name, p in (("b", ig.b), ("c", ig.c), ("d", ig.d)):
-        for coeff in p.coeffs:
-            if coeff.denominator != 1:
-                raise ConsistencyError(f"integrand part {name} not integral")
     B, e_b = _quarter_scaled(ig.b)
-    return _cell_bound(e_b, B.degree, ig.scale, _row_bound(ig.c, ig.d))
+    return _cell_bound(e_b, B.degree, _row_bound(ig.c, ig.d))
 
 
 def _row(
@@ -355,7 +350,7 @@ def _row(
     for j in js:
         R_m, e_m = _quarter_scaled(r_poly(n - j))
         bounds.append(_cell_bound(
-            2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree, _sign(j), row
+            2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree, row
         ))
     return js, c, d, bounds
 
@@ -736,17 +731,17 @@ def find_roots(
 
 
 def classify_roots(
-    roots: RootSet, radius: Rational
+    roots: RootSet,
 ) -> tuple[tuple[_Gauss, ...], tuple[_Gauss, ...]]:
-    """Partition into (inside, outside) of the circle |t| = radius.
+    """Partition into (inside, outside) of the contour |t| = 1/2.
 
     Valid for the true roots because each whole disk must clear the
-    contour, which is decided exactly: |x| + rho < radius and
-    |x| - rho > radius compare squares of integers.  A disk touching
-    the contour raises the escalation signal.
+    contour, which is decided exactly: |x| + rho < 1/2 and
+    |x| - rho > 1/2 compare squares of integers.  A disk touching the
+    contour raises the escalation signal.
     """
-    den = radius.denominator
-    edge = radius.numerator << roots.precision_bits
+    den = _CONTOUR.denominator
+    edge = _CONTOUR.numerator << roots.precision_bits
     rho = roots.radius * den
     inner, outer = (edge - rho) ** 2, (edge + rho) ** 2
     inside = []
@@ -765,19 +760,19 @@ def classify_roots(
 
 
 def _poles_at(
-    p: Polynomial, radius: Rational, bits: int
+    p: Polynomial, bits: int
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     roots = find_roots(p, bits)
-    return (roots, *classify_roots(roots, radius))
+    return (roots, *classify_roots(roots))
 
 
 def certified_poles(
-    p: Polynomial, radius: Rational, start_bits: int = START_BITS
+    p: Polynomial, start_bits: int = START_BITS
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     """(roots, inside, outside): the roots of squarefree p, found and
-    classified against |t| = radius at the same rung of the ladder."""
+    classified against |t| = 1/2 at the same rung of the ladder."""
     return _escalate(
-        lambda bits: _poles_at(p, radius, bits),
+        lambda bits: _poles_at(p, bits),
         f"the roots of a degree-{p.degree} polynomial",
         start_bits,
     )
@@ -825,16 +820,6 @@ def _weights(
             for x in d_roots.approximations]
 
 
-def _values_on_disks(
-    b: Polynomial, d_roots: RootSet
-) -> list[tuple[_Gauss, int]]:
-    """_value_on_disk of b at every approximation of d_roots."""
-    bc = _int_coeffs(b)
-    F = d_roots.precision_bits
-    return [_value_on_disk(bc, x, d_roots.radius, F)
-            for x in d_roots.approximations]
-
-
 # The certified error of a weighted sum is at least this many ulps, so a
 # cell whose delta is 2^(F - 8) or more cannot certify at F bits: the
 # engine lets such a cell wait, and fails fast when delta needs more
@@ -878,8 +863,11 @@ def residue_sum(
     d: Polynomial,
     d_roots: RootSet,
 ) -> tuple[tuple[Rational, Rational], Rational]:
-    """Sum of b(x)/(c(x) d'(x)) over the roots of d, with a certified
-    error bound covering both root uncertainty and rounding.
+    """Sum of b(x)/(c(x) d'(x)) over the roots of d, for integer
+    polynomials b, c and d, with a certified error bound covering both
+    root uncertainty and rounding.  b is evaluated by Horner's rule on
+    each root disk; the contour route itself takes its numerators from
+    the r recurrence instead (integrate_row).
 
     Returns ((real, imaginary), error_bound), all exact rationals.  The
     true sum is real for every integrand in this package, so an
@@ -887,9 +875,10 @@ def residue_sum(
     escalation.
     """
     F = d_roots.precision_bits
-    (re, im), err = _weighted_sum(
-        _values_on_disks(b, d_roots), _weights(c, d, d_roots), F
-    )
+    bc = _int_coeffs(b)
+    values = [_value_on_disk(bc, x, d_roots.radius, F)
+              for x in d_roots.approximations]
+    (re, im), err = _weighted_sum(values, _weights(c, d, d_roots), F)
     unit = 1 << F
     return (Fraction(re, unit), Fraction(im, unit)), Fraction(err, unit)
 
@@ -979,20 +968,14 @@ def _numerators_at(
     return out
 
 
-# Numerator values of the cells `live` (indices into the engine's cell
-# list) at every approximation of d's roots: one list per cell, one
-# (value, error) pair per root.
-_Numerators = Callable[[RootSet, list[int]], list[list[tuple[_Gauss, int]]]]
-
-
 def _round_cell(
-    total: _Gauss, err: int, scale: Rational, delta: int, F: int
+    total: _Gauss, err: int, sign: int, delta: int, F: int
 ) -> Rational:
     quarter = Fraction(1, 4)
     unit = 1 << F
-    if delta * abs(scale) * Fraction(err, unit) >= quarter:
+    if delta * Fraction(err, unit) >= quarter:
         raise PrecisionEscalation(f"certified error too large at {F} bits")
-    scaled = delta * scale * Fraction(total[0], unit)
+    scaled = delta * sign * Fraction(total[0], unit)
     nearest = round(scaled)
     if abs(scaled - nearest) >= quarter:
         raise PrecisionEscalation(
@@ -1002,22 +985,22 @@ def _round_cell(
 
 
 def _integrate(
+    n: int,
     c: Polynomial,
     d: Polynomial,
-    radius: Rational,
-    cells: Sequence[tuple[Rational, int]],
-    numerators: _Numerators,
+    cells: Sequence[tuple[int, int]],
     start_bits: int,
 ) -> list[Rational]:
-    """The contour route's one engine: the integrals scale * sum of
-    b/(c d') over the roots of d, one per cell (scale, delta), each
-    cell's b given by numerators.
+    """The contour route's one engine: p_j^(n) = (-1)^j times the sum of
+    b_j/(c d') over the roots of d, one per cell (j, delta) of row n,
+    with c and d the row's factors.
 
     Fails fast when some delta needs more than MAX_BITS, then certifies
-    once that every c-root disk lies outside |t| = radius.  Each rung
-    finds d's roots and the weights once; every pending cell whose delta
-    the rung allows is one weighted sum of its numerators, and is done
-    once delta * |scale| * error < 1/4 and the scaled sum lies within
+    once that every c-root disk lies outside |t| = 1/2.  Each rung finds
+    d's roots and the weights once; at each root one pass of the r
+    recurrence gives b_j for every pending cell whose delta the rung
+    allows (_numerators_at), and each such cell is one weighted sum.  A
+    cell is done once delta * error < 1/4 and the scaled sum lies within
     1/4 of an integer: that integer over delta is then exact.
     """
     if not cells:
@@ -1028,9 +1011,9 @@ def _integrate(
         raise _exhausted(what, f"delta needs more than {MAX_BITS} bits")
     # c is only classified, never integrated over (the weights read its
     # coefficients at the roots of d), so one certified rung suffices.
-    if c.degree >= 1 and certified_poles(c, radius, start_bits)[1]:
+    if c.degree >= 1 and certified_poles(c, start_bits)[1]:
         raise ConsistencyError(
-            f"a pole of the outside factor sits inside |t|={radius}"
+            f"a pole of the outside factor sits inside |t|={_CONTOUR}"
         )
     done: dict[int, Rational] = {}
 
@@ -1042,19 +1025,23 @@ def _integrate(
                 if k not in done and not delta >> (bits - 8)]
         if not live:
             raise waiting
-        d_roots, _, outside = _poles_at(d, radius, bits)
+        d_roots, _, outside = _poles_at(d, bits)
         if outside:
             raise ConsistencyError(
-                f"a pole of the inside factor sits outside |t|={radius}"
+                f"a pole of the inside factor sits outside |t|={_CONTOUR}"
             )
         failure = waiting
         # The roots' precision, which is at least the rung's.
         F = d_roots.precision_bits
         weights = _weights(c, d, d_roots)
-        for k, values in zip(live, numerators(d_roots, live)):
+        js = [cells[k][0] for k in live]
+        per_root = [_numerators_at(x, d_roots.radius, n, js, F)
+                    for x in d_roots.approximations]
+        for k, values in zip(live, zip(*per_root)):
+            j, delta = cells[k]
             try:
                 total, err = _weighted_sum(values, weights, F)
-                done[k] = _round_cell(total, err, *cells[k], F)
+                done[k] = _round_cell(total, err, (-1) ** j, delta, F)
             except PrecisionEscalation as exc:
                 failure = exc
         if len(done) < len(cells):
@@ -1067,18 +1054,11 @@ def _integrate(
 def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
     """Exact value of the contour integral, via certified rounding.
 
-    One cell through the engine of integrate_row, with b evaluated by
-    Horner's rule at each root of d.  The returned rational is exact,
-    not approximate.
+    The one cell (ig.j, ig.n) through the engine of integrate_row.  The
+    returned rational is exact, not approximate.
     """
-    return _integrate(
-        ig.c,
-        ig.d,
-        ig.radius,
-        [(ig.scale, denominator_bound(ig).delta)],
-        lambda d_roots, live: [_values_on_disks(ig.b, d_roots)],
-        start_bits,
-    )[0]
+    cell = (ig.j, denominator_bound(ig).delta)
+    return _integrate(ig.n, ig.c, ig.d, [cell], start_bits)[0]
 
 
 def integrate_row(
@@ -1128,15 +1108,5 @@ def integrate_row(
     + e(b_j')) + rho^2 B_j(z + 1), with e the rounding bounds of 2.
     """
     js, c, d, bounds = _row(n, js)
-    cells = [(_sign(j), db.delta) for j, db in zip(js, bounds)]
-
-    def numerators(
-        d_roots: RootSet, live: list[int]
-    ) -> list[list[tuple[_Gauss, int]]]:
-        cells = [js[k] for k in live]
-        F = d_roots.precision_bits
-        per_root = [_numerators_at(x, d_roots.radius, n, cells, F)
-                    for x in d_roots.approximations]
-        return [list(values) for values in zip(*per_root)]
-
-    return _integrate(c, d, _CONTOUR, cells, numerators, start_bits)
+    cells = [(j, db.delta) for j, db in zip(js, bounds)]
+    return _integrate(n, c, d, cells, start_bits)

@@ -261,15 +261,14 @@ def check_pole_classification(n_max: int, tail_eps: Rational) -> CheckResult:
     """Certified disks put every root of r_n - r_{n-1} strictly inside
     |t| = 1/2 and every root of r_n + 2t r_{n-1} strictly outside."""
     name = "pole-classification"
-    half = F(1, 2)
     for n in range(2, n_max + 1):
         try:
-            _, inside, outside = certified_poles(absorption_denominator(n), half)
+            _, inside, outside = certified_poles(absorption_denominator(n))
             if len(inside) != n - 1 or outside:
                 return _fail(name, f"inside factor misplaced root at n={n}")
             c = gf_denominator(n)
             if c.degree >= 1:
-                _, inside, outside = certified_poles(c, half)
+                _, inside, outside = certified_poles(c)
                 if inside or len(outside) != n - 2:
                     return _fail(name, f"outside factor misplaced root at n={n}")
         except PrecisionError as exc:

@@ -469,8 +469,8 @@ def test_roots_radius_covers_both_factors(capsys, monkeypatch):
     real = residue_engine.certified_poles
     c = gf_denominator(9)
 
-    def widened(p, radius, bits):
-        rs, ins, outs = real(p, radius, bits)
+    def widened(p, bits):
+        rs, ins, outs = real(p, bits)
         if p == c:
             rs = dataclasses.replace(rs, radius=1000 * rs.radius)
         return rs, ins, outs
@@ -598,3 +598,37 @@ def test_package_names_resolve_on_first_access():
     assert hadwalk.integrate_row is residue_engine.integrate_row
     with pytest.raises(AttributeError):
         hadwalk.no_such_name
+
+
+def test_benchmark_trace_wraps_every_name_it_reads(tmp_path):
+    # perfbench/trace_entry.py wraps hadwalk functions by name, so a
+    # renamed or dropped one would break the traced benchmark run.  The
+    # traced CLI must print what the untraced one prints.
+    trace_entry = _SRC.parent / "perfbench" / "trace_entry.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(_SRC), os.environ.get("PYTHONPATH", "")) if p))
+
+    def python(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, timeout=300, env=env)
+
+    spans = []
+    for argv in (["prob", "--n", "6", "--j", "3", "--method", "numeric"],
+                 ["verify", "--suite", "methods", "--n-max", "4"]):
+        out = tmp_path / "spans.json"
+        traced = python(str(trace_entry), str(out), *argv)
+        plain = python("-m", "hadwalk.cli", *argv)
+        assert traced.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout
+        spans += json.loads(out.read_text())
+    assert {
+        "residue_engine.build_integrand",
+        "residue_engine.integrate_exact",
+        "residue_engine.find_roots.d",
+        "residue_engine.find_roots.c",
+        "residue_engine.denominator_bound",
+        "verification.method-agreement",
+    } <= {span[0] for span in spans}
+    delta_bits = [span[4] for span in spans
+                  if span[0] == "residue_engine.denominator_bound"]
+    assert delta_bits and None not in delta_bits

@@ -13,7 +13,6 @@ import pytest
 
 from hadwalk import residue_engine
 from hadwalk.errors import (
-    ConsistencyError,
     DegenerateIntegrandError,
     PrecisionError,
     PrecisionEscalation,
@@ -21,7 +20,6 @@ from hadwalk.errors import (
 from hadwalk.exactq import Polynomial
 from hadwalk.residue_engine import (
     START_BITS,
-    Integrand,
     _aberth_double,
     _div,
     _horner,
@@ -30,6 +28,7 @@ from hadwalk.residue_engine import (
     _product,
     _r_at,
     _RootCache,
+    _row_bound,
     _squarefree,
     _value_on_disk,
     build_integrand,
@@ -50,7 +49,6 @@ from hadwalk.walk_core import (
 )
 
 F = Fraction
-HALF = F(1, 2)
 
 
 def T(*coeffs):
@@ -86,8 +84,7 @@ def test_build_integrand_frozen_smallest():
     assert ig.b == T(1)
     assert ig.c == T(1)
     assert ig.d == T(0, -2)
-    assert ig.scale == F(-1)
-    assert ig.radius == HALF
+    assert (ig.j, ig.n) == (1, 2)
 
 
 def test_build_integrand_structure():
@@ -95,7 +92,6 @@ def test_build_integrand_structure():
     assert ig.b == T(0, 1) * r_poly(3) ** 2
     assert ig.c == gf_denominator(5)
     assert ig.d == absorption_denominator(5)
-    assert ig.scale == F(1)  # (-1)^j with j even
 
 
 def test_build_integrand_validation():
@@ -139,21 +135,13 @@ def test_row_bounds_equal_the_cell_bounds():
         assert denominator_bounds(n) == want, n
 
 
-def test_denominator_bound_rejects_fractional_coefficients():
-    ig = Integrand(b=T(F(1, 2)), c=T(1), d=T(0, 1), scale=F(1), radius=HALF)
-    with pytest.raises(ConsistencyError):
-        denominator_bound(ig)
-
-
 def test_denominator_bound_degenerate_pole_configurations():
     # Double root of d: discriminant vanishes.
-    ig = Integrand(b=T(1), c=T(1), d=T(1, -2, 1), scale=F(1), radius=HALF)
     with pytest.raises(DegenerateIntegrandError):
-        denominator_bound(ig)
+        _row_bound(T(1), T(1, -2, 1))
     # Shared root of c and d: resultant vanishes.
-    ig = Integrand(b=T(1), c=T(-1, 1), d=T(-1, 0, 1), scale=F(1), radius=HALF)
     with pytest.raises(DegenerateIntegrandError):
-        denominator_bound(ig)
+        _row_bound(T(-1, 1), T(-1, 0, 1))
 
 
 def test_squarefree_certificate_and_its_exact_fallback(monkeypatch):
@@ -446,46 +434,46 @@ def test_find_roots_validation():
 
 def test_classify_frozen():
     rs = find_roots(T(0, -1, 4), 128)
-    inside, outside = classify_roots(rs, HALF)
+    inside, outside = classify_roots(rs)
     assert len(inside) == 2 and not outside
 
     rs = find_roots(T(1, -1), 128)
-    inside, outside = classify_roots(rs, HALF)
+    inside, outside = classify_roots(rs)
     assert not inside and len(outside) == 1
 
 
 def test_classify_every_row_splits_cleanly():
     for n in range(2, 13):
         inside, outside = classify_roots(
-            find_roots(absorption_denominator(n), 128), HALF
+            find_roots(absorption_denominator(n), 128)
         )
         assert len(inside) == n - 1 and not outside
         if gf_denominator(n).degree >= 1:
             inside, outside = classify_roots(
-                find_roots(gf_denominator(n), 128), HALF
+                find_roots(gf_denominator(n), 128)
             )
             assert not inside and len(outside) == n - 2
 
 
 def test_certified_poles_escalates_transparently():
     # Degree-1 input certifies at the first rung.
-    rs, inside, outside = certified_poles(T(1, -1), HALF)
+    rs, inside, outside = certified_poles(T(1, -1))
     assert rs.precision_bits == 128
     assert not inside and len(outside) == 1
     with pytest.raises(ValueError):
-        certified_poles(T(5), HALF)
+        certified_poles(T(5))
 
 
 def test_certified_poles_reports_exhaustion():
     # Roots exactly on the contour never classify, at any precision.
     with pytest.raises(PrecisionError, match="degree-2 polynomial"):
-        certified_poles(T(-1, 0, 4), HALF, 4096)
+        certified_poles(T(-1, 0, 4), 4096)
 
 
 def test_classify_root_on_contour_escalates():
     rs = find_roots(T(-1, 0, 4), 128)  # roots exactly at +-1/2
     with pytest.raises(PrecisionEscalation):
-        classify_roots(rs, HALF)
+        classify_roots(rs)
 
 
 # -------------------------------------------------------------- residue sum
@@ -543,9 +531,11 @@ def test_integrate_exact_frozen():
 
 
 def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
-    # d needs a 1024-bit rung here; c is classified once, at the first
-    # rung that certifies it, and never refined along the ladder.
-    ig = build_integrand(15, 30)
+    # c is classified once, at the first rung that certifies it, and
+    # never refined along the ladder; d climbs to the rung the cell
+    # needs.  (15, 30) needs 1024 bits.  (1, 13) and (2, 20) certify at
+    # the rung integrate_row(n, [j]) uses, since a single cell takes its
+    # numerator from the same recurrence.
     calls: list[tuple[Polynomial, int]] = []
     real = residue_engine.find_roots
 
@@ -554,11 +544,14 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
         return real(p, precision_bits, initial)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
-    assert integrate_exact(ig) == p_exact(15, 30)
-    c_bits = [bits for p, bits in calls if p == ig.c]
-    assert c_bits == [certified_poles(ig.c, HALF)[0].precision_bits]
-    assert c_bits == [START_BITS]
-    assert max(bits for p, bits in calls if p == ig.d) == 1024
+    for j, n, d_bits in [(15, 30, 1024), (1, 13, 128), (2, 20, 256)]:
+        ig = build_integrand(j, n)
+        calls.clear()
+        assert integrate_exact(ig) == p_exact(j, n)
+        c_bits = [bits for p, bits in calls if p == ig.c]
+        assert c_bits == [certified_poles(ig.c)[0].precision_bits]
+        assert c_bits == [START_BITS]
+        assert max(bits for p, bits in calls if p == ig.d) == d_bits, (j, n)
 
 
 def test_integrate_exact_stable_under_start_precision():
