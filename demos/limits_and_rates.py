@@ -11,21 +11,25 @@ rho = 3 - 2 sqrt2 = 0.1715..., and because all arithmetic here is
 exact, the error really is sandwiched, not just estimated.
 """
 
+import decimal
 from fractions import Fraction
-
-import mpmath
 
 from hadwalk import QuadExt, p_exact
 
 SQRT2_OVER_2 = QuadExt(0, Fraction(1, 2))
 RHO = QuadExt(3, -2)  # 3 - 2 sqrt2
 
+# float(x) cancels catastrophically once the gap is below ~1e-16; 60
+# digits leave dozens to spare at the smallest gap printed (~1e-22).
+CTX = decimal.Context(prec=60)
+SQRT2 = CTX.sqrt(2)
 
-def approx(x: QuadExt) -> mpmath.mpf:
-    # float(x) cancels catastrophically once the gap is below ~1e-16
-    with mpmath.workprec(200):
-        return mpmath.mpf(x.a.numerator) / x.a.denominator + \
-            mpmath.sqrt(2) * x.b.numerator / x.b.denominator
+
+def approx(x: QuadExt) -> decimal.Decimal:
+    def dec(q: Fraction) -> decimal.Decimal:
+        return CTX.divide(q.numerator, q.denominator)
+
+    return CTX.add(dec(x.a), CTX.multiply(SQRT2, dec(x.b)))
 
 
 print("n     p_1^(n)                   gap to sqrt2/2   gap / rho^(n-1)")
@@ -33,8 +37,8 @@ for n in (2, 3, 5, 8, 12, 17, 23, 30):
     p = p_exact(1, n)
     gap = SQRT2_OVER_2 - p  # exact element of Q(sqrt 2), always > 0
     ratio = gap / RHO ** (n - 1)
-    print(f"{n:<4}  {str(p):<24}  {mpmath.nstr(approx(gap), 4):<15}  "
-          f"{mpmath.nstr(approx(ratio), 7)}")
+    print(f"{n:<4}  {str(p):<24}  {approx(gap):<15.4g}  "
+          f"{approx(ratio):.7g}")
 
 # The last column settles between 0.7071 and 1.4142: the gap is
 # provably between (sqrt2/2) rho^(n-1) and sqrt2 rho^(n-1).  Checked

@@ -20,8 +20,7 @@ the certified contour layer and never reaches a returned probability.
 import importlib
 
 # Each public name and the submodule that defines it.  A name is imported
-# on first access (PEP 562), so ``import hadwalk`` loads no pipeline, and
-# mpmath only with the verification suite or the roots display.
+# on first access (PEP 562), so ``import hadwalk`` loads no pipeline.
 _SOURCES = {
     "errors": (
         "ConsistencyError",

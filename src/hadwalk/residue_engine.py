@@ -117,23 +117,22 @@ class Integrand:
     """The integrand (-1)^j b / (c d) of p_j^(n) on the circle |t| = 1/2,
     with b = t^(j-1) r_{n-j}^2, c = r_n + 2t r_{n-1} and d = r_n - r_{n-1}.
 
-    Constructed from (j, n) alone, 1 <= j < n; b, c and d are derived
-    once, at construction.  They carry integer coefficients exactly as
-    the r family gives them; no content is split off, since the
-    denominator bound needs only integer coefficients.
+    Constructed from (j, n) alone, 1 <= j < n; c and d are derived once,
+    at construction, with integer coefficients exactly as the r family
+    gives them, since the denominator bound needs only integer
+    coefficients.  b is never multiplied out: the engine evaluates it at
+    the roots of d by the r recurrence, and the bound reads its scaling
+    off r_{n-j} (_numerator_scaling).
     """
 
     j: int
     n: int
-    b: Polynomial = field(init=False)
     c: Polynomial = field(init=False)
     d: Polynomial = field(init=False)
 
     def __post_init__(self) -> None:
         j, n = self.j, self.n
         _validate(j, n, 1, n - 1)
-        b = Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", gf_denominator(n))
         object.__setattr__(self, "d", absorption_denominator(n))
 
@@ -310,9 +309,22 @@ def _row_bound(c: Polynomial, d: Polynomial) -> tuple[int, int, int]:
     return rho, int(D.leading_coefficient), e_c + e_d
 
 
-def _cell_bound(
-    e_b: int, deg_b: int, row: tuple[int, int, int]
-) -> DenominatorBound:
+def _numerator_scaling(j: int, n: int) -> tuple[int, int]:
+    """(e_b, deg B) for b_j = t^(j-1) r_m^2, m = n - j, without building
+    b_j.
+
+    With (R_m, e_m) the quarter-scaled r_m, 2^e b_j(s/4) =
+    2^(e - 2(j-1) - 2 e_m) s^(j-1) R_m(s)^2.  As e_m is least, R_m has an
+    odd coefficient, and so has R_m^2, since F_2[s] has no zero divisors.
+    So e_b = 2(j-1) + 2 e_m and deg B = j - 1 + 2 deg r_m, as
+    _quarter_scaled(b_j) would give.
+    """
+    R_m, e_m = _quarter_scaled(r_poly(n - j))
+    return 2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree
+
+
+def _cell_bound(j: int, n: int, row: tuple[int, int, int]) -> DenominatorBound:
+    e_b, deg_b = _numerator_scaling(j, n)
     rho, lead, e_cd = row
     e = e_b - e_cd + 2
     delta = 2 ** max(0, e) * abs(rho) * abs(lead) ** (deg_b + 1)
@@ -322,22 +334,14 @@ def _cell_bound(
 def denominator_bound(ig: Integrand) -> DenominatorBound:
     """Exact integer multiplier that clears the integral's denominator:
     one resultant after t = s/4 (the proof is on DenominatorBound)."""
-    B, e_b = _quarter_scaled(ig.b)
-    return _cell_bound(e_b, B.degree, _row_bound(ig.c, ig.d))
+    return _cell_bound(ig.j, ig.n, _row_bound(ig.c, ig.d))
 
 
 def _row(
     n: int, js: Sequence[int] | None
 ) -> tuple[list[int], Polynomial, Polynomial, list[DenominatorBound]]:
     """(js, c, d, bounds) for the cells (j, n), j in js (default
-    1..n-1), with the row part of the bounds computed once.
-
-    No b_j is built.  With m = n - j and (R_m, e_m) the quarter-scaled
-    r_m, 2^e b_j(s/4) = 2^(e - 2(j-1) - 2 e_m) s^(j-1) R_m(s)^2.  As e_m
-    is least, R_m has an odd coefficient, and so has R_m^2, since
-    F_2[s] has no zero divisors.  So e_b = 2(j-1) + 2 e_m and
-    deg B = j - 1 + 2 deg r_m, as _quarter_scaled(b_j) would give.
-    """
+    1..n-1), with the row part of the bounds computed once."""
     _validate(1, n, 1, n - 1)
     js = list(range(1, n) if js is None else js)
     for j in js:
@@ -346,13 +350,7 @@ def _row(
     if not js:
         return js, c, d, []
     row = _row_bound(c, d)
-    bounds = []
-    for j in js:
-        R_m, e_m = _quarter_scaled(r_poly(n - j))
-        bounds.append(_cell_bound(
-            2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree, row
-        ))
-    return js, c, d, bounds
+    return js, c, d, [_cell_bound(j, n, row) for j in js]
 
 
 def denominator_bounds(n: int) -> list[DenominatorBound]:

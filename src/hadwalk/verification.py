@@ -15,12 +15,12 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
-
+from .cli import significant
 from .errors import PrecisionError
 from .exactq import QuadExt, Rational, poly_discriminant
 from .residue_engine import certified_poles, denominator_bounds, integrate_row
@@ -228,12 +228,13 @@ def check_simulator_bracketing(n_max: int, tail_eps: Rational) -> CheckResult:
 # ------------------------------------------------------------------ limits
 
 
+# sqrt 2 to 200 bits: float() would cancel catastrophically for tiny
+# a + b sqrt2 gaps.
+_SQRT2_200 = Fraction(math.isqrt(2 << 400), 1 << 200)
+
+
 def _approx(q: QuadExt) -> str:
-    # float() would cancel catastrophically for tiny a + b sqrt2 gaps.
-    with mpmath.workprec(200):
-        a = mpmath.mpf(q.a.numerator) / q.a.denominator
-        b = mpmath.mpf(q.b.numerator) / q.b.denominator
-        return mpmath.nstr(a + b * mpmath.sqrt(2), 4)
+    return significant(q.a + q.b * _SQRT2_200, 4)
 
 
 def check_first_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:

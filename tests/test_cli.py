@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -17,10 +18,12 @@ import pytest
 from hadwalk import cli, residue_engine, simulator, verification
 from hadwalk.cli import (
     CommandConfig,
+    _floor_log10,
     canonical_json,
     decimal_expansion,
     parse_argv,
     run,
+    significant,
 )
 from hadwalk.errors import StepBudgetExceeded
 from hadwalk.exactq import Polynomial
@@ -54,6 +57,45 @@ def test_decimal_expansion_frozen():
     assert decimal_expansion(F(1, 2 ** 34)) == "5.82076609134674072265625000000E-11"
 
 
+def _nstr(x: Fraction, k: int) -> str:
+    # The oracle: mpmath's layout of x, exact for a dyadic x, which is
+    # an mpf at a precision of its numerator's length.
+    with mpmath.workprec(max(53, x.numerator.bit_length() + 8)):
+        return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, k)
+
+
+def test_significant_matches_mpmath_nstr():
+    cases = [
+        (F(1, 8), 2), (F(-1, 8), 2), (F(99999, 10000), 4), (F(0), 3),
+        (F(1), 1), (F(10), 1), (F(100), 3), (F(10 ** 25), 20),
+        (F(1, 2 ** 20), 5), (F(-3, 2 ** 70), 1), (F(12345), 4),
+    ]
+    rng = random.Random(5)
+    for _ in range(3000):
+        bits = rng.randint(16, 1024)
+        num = rng.getrandbits(rng.randint(1, bits + 40)) or 1
+        cases.append((F(rng.choice((1, -1)) * num, 1 << bits),
+                      rng.randint(1, 20)))
+    for x, k in cases:
+        assert significant(x, k) == _nstr(x, k), (x, k)
+    # A tie rounds up, and a carry adds a digit.
+    assert significant(F(1, 8), 2) == "0.13"
+    assert significant(F(99999, 10000), 4) == "10.0"
+    assert significant(F(0), 3) == "0.0"
+
+
+def test_floor_log10_is_exact():
+    rng = random.Random(6)
+    xs = [F(10) ** e for e in range(-30, 31)]
+    xs += [F(10) ** e + d for e in (-8, 0, 8)
+           for d in (F(1, 2 ** 90), -F(1, 2 ** 90))]
+    xs += [F(rng.getrandbits(200) or 1, 1 << rng.randint(1, 400))
+           for _ in range(500)]
+    for x in xs:
+        e = _floor_log10(x)
+        assert F(10) ** e <= x < F(10) ** (e + 1), x
+
+
 def test_canonical_json_round_trips():
     s = canonical_json({"b": 1, "a": {"y": "2", "x": [3, "4"]}})
     assert s == '{"a":{"x":[3,"4"],"y":"2"},"b":1}'
@@ -83,6 +125,19 @@ def test_parse_argv_builds_config():
                       "--format", "json", "--precision-bits", "256"])
     assert cfg == CommandConfig(subcommand="prob", n=6, j=2, method="numeric",
                                 format="json", precision_bits=256)
+
+
+@pytest.mark.parametrize("argv,required,fmt", [
+    (["prob", "--n", "6", "--j", "2"], {"n": 6, "j": 2}, "frac"),
+    (["table"], {}, "frac"),
+    (["gf", "--n", "6", "--j", "2"], {"n": 6, "j": 2}, "text"),
+    (["verify"], {}, "text"),
+    (["roots", "--n", "6"], {"n": 6}, "text"),
+])
+def test_absent_options_keep_the_config_defaults(argv, required, fmt):
+    # Only --format has a default on the command line, since it differs
+    # by subcommand; every other default is CommandConfig's.
+    assert parse_argv(argv) == CommandConfig(argv[0], **required, format=fmt)
 
 
 # -------------------------------------------------------------------- prob
@@ -561,6 +616,13 @@ def _cli(*argv):
             f"    assert cli.run({list(argv)!r}) == 0\n")
 
 
+def _python_c(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(_SRC), os.environ.get("PYTHONPATH", "")) if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
 @pytest.mark.parametrize("code,loaded", [
     (_cli("prob", "--n", "5", "--j", "2"), ()),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "closed"), ()),
@@ -569,23 +631,31 @@ def _cli(*argv):
     ("import hadwalk\nhadwalk.p_exact(2, 5)\n", ()),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate"),
      ("hadwalk.simulator",)),
-    # The contour route computes in integers; only the roots display
-    # renders with mpmath.
     (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"),
      ("hadwalk.residue_engine",)),
     ("import hadwalk.residue_engine\n", ("hadwalk.residue_engine",)),
-    (_cli("roots", "--n", "5"), ("mpmath", "hadwalk.residue_engine")),
+    (_cli("roots", "--n", "5"), ("hadwalk.residue_engine",)),
+    (_cli("verify", "--suite", "limits"),
+     ("hadwalk.residue_engine", "hadwalk.simulator", "hadwalk.verification")),
 ], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
-        "engine", "roots"])
+        "engine", "roots", "verify"])
 def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
-    probe = code + "import sys\nprint(' '.join(sorted(sys.modules)))\n"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(_SRC), os.environ.get("PYTHONPATH", "")) if p))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120, env=env)
+    proc = _python_c(
+        code + "import sys\nprint(' '.join(sorted(sys.modules)))\n")
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.split())
     assert {m for m in _PIPELINES if m in modules} == set(loaded)
+
+
+def test_every_subcommand_runs_without_mpmath():
+    # mpmath is a test-only oracle; with its import blocked before
+    # hadwalk loads, every subcommand still runs.
+    blocked = "import sys\nsys.modules['mpmath'] = None\nimport hadwalk\n"
+    for argv in (("prob", "--n", "5", "--j", "2", "--method", "all"),
+                 ("table",), ("gf", "--n", "5", "--j", "2"),
+                 ("verify", "--n-max", "6"), ("roots", "--n", "6")):
+        proc = _python_c(blocked + _cli(*argv))
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_package_names_resolve_on_first_access():

@@ -24,8 +24,10 @@ from hadwalk.residue_engine import (
     _div,
     _horner,
     _mul,
+    _numerator_scaling,
     _numerators_at,
     _product,
+    _quarter_scaled,
     _r_at,
     _RootCache,
     _row_bound,
@@ -59,6 +61,11 @@ def one_plus_2t():
     return T(1, 2)
 
 
+def numerator(j, n):
+    """b_j = t^(j-1) r_{n-j}^2 of the integrand, multiplied out."""
+    return Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
+
+
 def exact(x, bits):
     """The Gaussian fixed-point pair x at `bits` bits as exact (re, im)."""
     unit = 1 << bits
@@ -81,7 +88,7 @@ def near(rs, x, target, radius):
 def test_build_integrand_frozen_smallest():
     # j=1, n=2: b = r_1^2 = 1, c = D_2 = 1, d = r_2 - r_1 = -2t.
     ig = build_integrand(1, 2)
-    assert ig.b == T(1)
+    assert numerator(1, 2) == T(1)
     assert ig.c == T(1)
     assert ig.d == T(0, -2)
     assert (ig.j, ig.n) == (1, 2)
@@ -89,7 +96,6 @@ def test_build_integrand_frozen_smallest():
 
 def test_build_integrand_structure():
     ig = build_integrand(2, 5)
-    assert ig.b == T(0, 1) * r_poly(3) ** 2
     assert ig.c == gf_denominator(5)
     assert ig.d == absorption_denominator(5)
 
@@ -128,9 +134,12 @@ def test_denominator_bound_clears_the_true_denominator():
 
 
 def test_row_bounds_equal_the_cell_bounds():
-    # denominator_bounds never builds b_j, yet must give the bound read
-    # off each cell's integrand.
+    # No bound builds b_j, yet each must read the scaling off r_{n-j}
+    # that the quarter-scaled b_j itself has.
     for n in range(2, 17):
+        for j in range(1, n):
+            B, e_b = _quarter_scaled(numerator(j, n))
+            assert _numerator_scaling(j, n) == (e_b, B.degree), (j, n)
         want = [denominator_bound(build_integrand(j, n)) for j in range(1, n)]
         assert denominator_bounds(n) == want, n
 
@@ -483,7 +492,8 @@ def test_residue_sum_frozen():
     # j=1, n=3: residues of (1-2t)^2 / ((1-t) t(4t-1)) at t=0 and t=1/4
     # are -1 and 1/3.
     ig = build_integrand(1, 3)
-    (re, im), err = residue_sum(ig.b, ig.c, ig.d, find_roots(ig.d, 128))
+    (re, im), err = residue_sum(numerator(1, 3), ig.c, ig.d,
+                                find_roots(ig.d, 128))
     assert err < F(1, 10 ** 25)
     assert abs(re + F(2, 3)) <= err
     assert abs(im) <= err
@@ -628,8 +638,8 @@ def test_recurrence_values_within_their_rounding_bounds(n):
             assert _within(dr[k], _exact_at(r_poly(k).derivative(), point),
                            edr[k]), (n, k)
         for j, (value, err) in zip(js, _numerators_at(x, 0, n, js, 128)):
-            b = build_integrand(j, n).b
-            assert _within(value, _exact_at(b, point), err), (n, j)
+            assert _within(value, _exact_at(numerator(j, n), point), err), \
+                (n, j)
 
 
 @pytest.mark.parametrize("n", [4, 9, 14])
@@ -637,7 +647,7 @@ def test_recurrence_values_cover_the_root_disk(n):
     # Points y on the rim |y - x| = rho: b_j(y) lies within the stated
     # error of the value computed at x.
     js = list(range(1, n))
-    bs = [build_integrand(j, n).b for j in js]
+    bs = [numerator(j, n) for j in js]
     rho = 1 << (128 - 40)  # 2^-40
     for x in _points_near_roots(n):
         values = _numerators_at(x, rho, n, js, 128)
