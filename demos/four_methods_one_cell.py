@@ -9,7 +9,7 @@ no code path for the final value:
 1. closed form in Q(sqrt 2),
 2. the residue formula evaluated at t = -1/2,
 3. a certified numeric contour integral rounded to an exact rational,
-4. exact step-by-step amplitude simulation with certified bounds.
+4. step-by-step amplitude simulation with certified bounds.
 """
 
 from fractions import Fraction
@@ -56,9 +56,10 @@ print(f"poles inside:       {len(roots.approximations)} roots of {ig.d}, "
 contour = integrate_exact(ig)
 print(f"contour integral:   {contour}")
 
-# --- 4. Simulation.  Integer amplitudes scaled by (1/sqrt2)^step; mass
-# absorbed at the barriers accumulates as exact dyadic rationals, so
-# after enough steps the truth is bracketed to any requested tail.
+# --- 4. Simulation.  Fixed-point integer amplitudes, rounded once per
+# pair of steps; the mass absorbed at the barriers accumulates as exact
+# dyadic rationals, lowered by the proven rounding error, so after enough
+# steps the truth is bracketed to any requested tail.
 report = simulate(J, N, Fraction(1, 10 ** 12))
 print(f"simulation:         p_left >= {report.p_left_lower} "
       f"after {report.steps_run} steps")

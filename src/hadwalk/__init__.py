@@ -8,13 +8,17 @@ absorbing barriers at 0 and n:
   * ``p_exact``        -- the residue formula evaluated at t = -1/2;
   * ``integrate_exact``-- certified numeric contour integration rounded
                           to a provably exact rational;
-  * ``simulate``       -- step-by-step amplitude evolution in exact
-                          dyadic arithmetic, yielding certified bounds.
+  * ``simulate``       -- step-by-step amplitude evolution in fixed
+                          point with a proven error bound, yielding
+                          certified lower bounds and a residual.
 
 Everything downstream of the integer walk rules is exact rational or
-Q(sqrt 2) arithmetic; approximate arithmetic (a double-precision start,
-then Gaussian fixed point with integer error bounds) appears only inside
-the certified contour layer and never reaches a returned probability.
+Q(sqrt 2) arithmetic, except in two certified layers.  The contour layer
+computes in a double-precision start, then Gaussian fixed point, and the
+simulator in real fixed point; both carry integer error bounds, and
+neither lets an approximation reach a returned value: the contour value
+is rounded to a provably exact rational, and the simulator's bounds are
+exact rationals widened by its error bound.
 """
 
 import importlib
@@ -35,7 +39,6 @@ _SOURCES = {
         "RationalFunction",
         "SQRT2",
         "poly_discriminant",
-        "poly_gcd",
         "poly_resultant",
     ),
     "residue_engine": (

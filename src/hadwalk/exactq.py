@@ -4,6 +4,16 @@ Rationals, univariate polynomials over Q, elements of the real quadratic
 field Q(sqrt 2), and rational functions kept in a canonical reduced form.
 Everything in this module is exact: no floats enter or leave, and every
 operation either returns an exact value or raises.
+
+A polynomial stores each integral coefficient as an ``int`` and only a
+non-integral one as a (reduced) ``Fraction``.  The polynomials of the
+walk have integer coefficients, so their products and sums are plain
+integer arithmetic.  Every division of coefficients goes through
+``_div``, which stays in ``int`` when the quotient is exact and builds a
+``Fraction`` otherwise, so ``int / int`` never yields a float.  The gcd
+of two polynomials is the primitive polynomial remainder sequence over
+Z (Brown 1971): pseudo-remainders, each divided by its content, so no
+rational coefficient appears on the way.
 """
 
 from __future__ import annotations
@@ -28,11 +38,41 @@ def _as_fraction(x: ScalarLike) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
+def _coefficient(x: ScalarLike) -> ScalarLike:
+    """x as a stored coefficient: an int if integral, else a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+
+
+def _primitive_ints(
+    coeffs: tuple[ScalarLike, ...]
+) -> tuple[list[int], int, int]:
+    """(ints, g, L) with coeffs * L / g = ints, coprime integers: L is
+    the lcm of the denominators and g the gcd of the cleared numerators
+    (positive, as coeffs has a nonzero entry)."""
+    denom_lcm = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [a // g for a in ints], g, denom_lcm
+
+
+def _div(a: ScalarLike, b: ScalarLike) -> ScalarLike:
+    """Exact a / b: an int when b divides a in the integers."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return _coefficient(Fraction(a) / b)
+
+
 class Polynomial:
     """Immutable univariate polynomial with rational coefficients.
 
     Coefficients are stored low degree first with trailing zeros trimmed,
-    so equal polynomials always compare equal structurally.  The zero
+    each as an int when integral and as a Fraction otherwise, so equal
+    polynomials always compare equal structurally.  The zero
     polynomial has empty coefficient tuple and degree -1.  ``var`` is a
     purely symbolic tag ("t", "z", ...); arithmetic requires matching
     tags so that expressions in different variables cannot be mixed by
@@ -42,8 +82,8 @@ class Polynomial:
     __slots__ = ("_coeffs", "_var")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = (), var: str = "t") -> None:
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
         self._var = var
@@ -73,7 +113,7 @@ class Polynomial:
         return cls([0] * k + [c], var=var)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[ScalarLike, ...]:
         """Coefficients low degree first, no trailing zeros."""
         return self._coeffs
 
@@ -91,14 +131,14 @@ class Polynomial:
         return not self._coeffs
 
     @property
-    def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+    def leading_coefficient(self) -> ScalarLike:
+        return self._coeffs[-1] if self._coeffs else 0
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> ScalarLike:
         """Coefficient of var**k; zero beyond the degree."""
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return Fraction(0)
+        return 0
 
     def _coerce(self, other: object) -> Polynomial | None:
         if isinstance(other, Polynomial):
@@ -157,7 +197,7 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Polynomial.zero(self._var)
-        out = [Fraction(0)] * (len(self._coeffs) + len(o._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a:
                 for j, b in enumerate(o._coeffs):
@@ -212,10 +252,8 @@ class Polynomial:
         """
         if self.is_zero:
             return Fraction(0)
-        denom_lcm = lcm(*(c.denominator for c in self._coeffs))
-        numer_gcd = gcd(*(abs(c.numerator * denom_lcm // c.denominator)
-                          for c in self._coeffs))
-        return Fraction(numer_gcd, denom_lcm)
+        _, g, denom_lcm = _primitive_ints(self._coeffs)
+        return Fraction(g, denom_lcm)
 
     def primitive_part(self) -> Polynomial:
         """self divided by its content; integer coefficients, gcd 1.
@@ -224,14 +262,13 @@ class Polynomial:
         """
         if self.is_zero:
             return self
-        c = self.content()
-        return Polynomial([a / c for a in self._coeffs], var=self._var)
+        return Polynomial(_primitive_ints(self._coeffs)[0], var=self._var)
 
     def monic(self) -> Polynomial:
         if self.is_zero:
             return self
         lc = self.leading_coefficient
-        return Polynomial([a / lc for a in self._coeffs], var=self._var)
+        return Polynomial([_div(a, lc) for a in self._coeffs], var=self._var)
 
     def __repr__(self) -> str:
         return f"Polynomial({self._coeffs!r}, var={self._var!r})"
@@ -278,7 +315,9 @@ def poly_eval(p: Polynomial, x):
 def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Euclidean division: p = quot * q + rem with deg rem < deg q.
 
-    Exact over Q.  Raises ZeroDivisionError if q is zero.
+    Exact over Q, and in int whenever the leading coefficient of q
+    divides the term being eliminated.  Raises ZeroDivisionError if q is
+    zero.
     """
     if q.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
@@ -288,10 +327,10 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
         return Polynomial.zero(p.var), p
     rem = list(p.coeffs)
     qn = q.degree
-    inv_lc = 1 / q.leading_coefficient
-    quot = [Fraction(0)] * (len(rem) - qn)
+    lc = q.leading_coefficient
+    quot = [0] * (len(rem) - qn)
     for k in range(len(rem) - qn - 1, -1, -1):
-        c = rem[k + qn] * inv_lc
+        c = _div(rem[k + qn], lc)
         quot[k] = c
         if c:
             for i, b in enumerate(q.coeffs):
@@ -299,12 +338,57 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(quot, var=p.var), Polynomial(rem[:qn], var=p.var)
 
 
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b, integer
+    coefficient lists low degree first with len(a) >= len(b) >= 2.
+
+    Each elimination scales the running remainder by lc(b)/g and
+    subtracts (c/g) t^k b, g = gcd(c, lc(b)), so it stays integral and
+    is a nonzero rational multiple of a mod b throughout.
+    """
+    rem = list(a)
+    qn = len(b) - 1
+    lc = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if c:
+            g = gcd(c, lc)
+            scale, c = lc // g, c // g
+            if scale != 1:
+                rem = [scale * x for x in rem]
+            for i in range(qn):
+                rem[k + i] -= c * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    if not rem:
+        return rem
+    g = gcd(*rem)
+    return [x // g for x in rem]
+
+
+def _primitive_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """gcd(p, q) as a primitive integer polynomial with positive leading
+    coefficient, by the primitive remainder sequence over Z; a rational
+    input enters through its primitive part.  Zero only if both inputs
+    are zero."""
+    if p.var != q.var:
+        raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
+    a = list(p.primitive_part().coeffs)
+    b = list(q.primitive_part().coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive_remainder(a, b)
+    if b:  # a nonzero constant: p and q are coprime
+        a = [1]
+    if a and a[-1] < 0:
+        a = [-x for x in a]
+    return Polynomial(a, var=p.var)
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor; zero only if both inputs are zero."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return _primitive_gcd(p, q).monic()
 
 
 def poly_resultant(p: Polynomial, q: Polynomial) -> Fraction:
@@ -324,9 +408,9 @@ def poly_resultant(p: Polynomial, q: Polynomial) -> Fraction:
     if p.is_zero or q.is_zero:
         return Fraction(0)
     if q.degree == 0:
-        return q.leading_coefficient ** p.degree
+        return Fraction(q.leading_coefficient) ** p.degree
     if p.degree == 0:
-        return p.leading_coefficient ** q.degree
+        return Fraction(p.leading_coefficient) ** q.degree
     sign = -1 if (p.degree * q.degree) % 2 else 1
     if p.degree < q.degree:
         return sign * poly_resultant(q, p)
@@ -347,7 +431,8 @@ def poly_discriminant(p: Polynomial) -> Fraction:
     if m < 1:
         raise ValueError("discriminant requires degree >= 1")
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * poly_resultant(p, p.derivative()) / p.leading_coefficient
+    res = poly_resultant(p, p.derivative())
+    return sign * res / Fraction(p.leading_coefficient)
 
 
 class QuadExt:
@@ -555,22 +640,21 @@ class RationalFunction:
             object.__setattr__(self, "_num", Polynomial.zero(var))
             object.__setattr__(self, "_den", Polynomial.one(var))
             return
-        g = poly_gcd(num, den)
+        # Dividing by the primitive gcd keeps integer parts integral
+        # (Gauss's lemma), so the divisions below stay in int.
+        g = _primitive_gcd(num, den)
         if g.degree > 0:
             num = num // g
             den = den // g
         # Joint rescale: one rational multiplier clears all coefficient
         # denominators and the shared integer content at once, so the
         # pair (not each part separately) is primitive.
-        denom_lcm = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        ints = [c.numerator * (denom_lcm // c.denominator)
-                for c in num.coeffs + den.coeffs]
-        g_int = gcd(*(abs(i) for i in ints))
-        scale = Fraction(denom_lcm, g_int)
+        ints, _, _ = _primitive_ints(num.coeffs + den.coeffs)
         if den.leading_coefficient < 0:
-            scale = -scale
-        object.__setattr__(self, "_num", num * scale)
-        object.__setattr__(self, "_den", den * scale)
+            ints = [-i for i in ints]
+        split = len(num.coeffs)
+        object.__setattr__(self, "_num", Polynomial(ints[:split], var=var))
+        object.__setattr__(self, "_den", Polynomial(ints[split:], var=var))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalFunction is immutable")
@@ -664,10 +748,12 @@ class RationalFunction:
 
     def evaluate(self, x):
         """Exact value at x; raises ZeroDivisionError at a pole."""
-        den = poly_eval(self._den, x)
-        return poly_eval(self._num, x) / den
+        num = poly_eval(self._num, x)
+        if isinstance(num, int):
+            num = Fraction(num)
+        return num / poly_eval(self._den, x)
 
-    def series_coefficients(self, m_max: int) -> list[Fraction]:
+    def series_coefficients(self, m_max: int) -> list[ScalarLike]:
         """Taylor coefficients c_0 .. c_m_max of the expansion at 0.
 
         Requires den(0) != 0.  Computed by exact long division:
@@ -678,12 +764,12 @@ class RationalFunction:
         d0 = self._den[0]
         if d0 == 0:
             raise ZeroDivisionError("series expansion at a pole of the function")
-        out: list[Fraction] = []
+        out: list[ScalarLike] = []
         for m in range(m_max + 1):
             s = self._num[m]
             for k in range(1, min(m, self._den.degree) + 1):
                 s -= self._den[k] * out[m - k]
-            out.append(s / d0)
+            out.append(_div(s, d0))
         return out
 
     def __repr__(self) -> str:

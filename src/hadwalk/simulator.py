@@ -1,26 +1,73 @@
-"""Brute-force oracles: exact amplitude evolution and signed path counts.
+"""Brute-force oracles: exact amplitude evolution, a certified
+fixed-point simulator, and signed path counts.
 
 The state update follows the coined-walk rules: from (s, R) the particle
 moves to (s+1, R) and to (s-1, L), each with amplitude factor +1/sqrt2;
 from (s, L) it moves to (s+1, R) with +1/sqrt2 and to (s-1, L) with
 -1/sqrt2.  Amplitude arriving at a barrier is measured there and then,
 so each absorbed path contributes its squared amplitude exactly once, at
-its arrival step.
+its arrival step.  Both steppers below apply this rule without the
+1/sqrt2 factor (`_move`), as integer sums and differences.
 
-All amplitudes are integers under a global (1/sqrt2)^step scale, so every
-probability mass is an integer numerator over 2^step: the walk state holds
-only integers and no ``Fraction`` is built inside the step loop.  Each
-step doubles the absorbed numerators and adds the squared barrier hits,
-and conservation is the integer identity
-``left_num + right_num + sum(a^2) == 2^step``.  This keeps the evolution
-exact and makes the simulator a true oracle for the series coefficients
-of the generating functions.
+Exact stepper (`step`).  All amplitudes are integers under a global
+(1/sqrt2)^step scale, so every probability mass is an integer numerator
+over 2^step: the walk state holds only integers and no ``Fraction`` is
+built inside the step loop.  Each step doubles the absorbed numerators
+and adds the squared barrier hits, and conservation is the integer
+identity ``left_num + right_num + sum(a^2) == 2^step``.  This keeps the
+evolution exact and makes the stepper a true oracle for the series
+coefficients of the generating functions.  Its numerators grow by half a
+bit a step, so step k costs O(n k) bit operations.
+
+Fixed-point simulator (`simulate`).  A bracket needs no exact state, so
+`simulate` keeps the interior amplitudes as ints A at F fractional bits,
+standing for A 2^-F.  A pair of steps applies `_move` twice and then
+shifts every amplitude right by one bit, which is the exact (1/sqrt2)^2
+scale followed by a floor; nothing else is rounded.  The bracket is
+certified by the absolute-error lemma of residue_engine (Higham 2002,
+ch. 3), here with e counted in half-ulps (units of 2^-(F+1)):
+
+  * the interior map of one step, the unitary move followed by dropping
+    the two barrier slots, is a contraction, so an error already in the
+    state never grows;
+  * the floor of v/2 errs by 0 or 1/2 ulp in each of the 2(n-1)
+    interior slots, so one shift moves the state by at most
+    c = ceil(sqrt(2(n-1))) half-ulps in the 2-norm, and after r shifts
+    the computed state lies within e = r c of the exact one;
+  * a barrier hit is the barrier slot after one or two unitary moves of
+    the state, a linear functional of norm 1, so the computed hit h~
+    lies within e of the exact hit h, and for any integer x >= |h~|,
+    h^2 >= h~^2 - e (2x + e) (when |h~| < e the right side is negative);
+  * each hit therefore adds max(0, h~^2 - e (2x + e)) to a lower bound on
+    the mass absorbed on its side.  With lower bounds L and R, the exact
+    p_left is at most the absorbed left mass plus the interior mass,
+    which is 1 minus the absorbed right mass, so at most 1 - R; hence
+    residual = 1 - L - R brackets both sides, and it is never below the
+    exact interior mass, so `simulate` never stops before the exact
+    stepper would.
+
+Masses are integers in units of 2^-(2F+2), one half-ulp squared: the
+interior is 4 sum(A^2) at a pair boundary and 2 sum(U^2) after the
+first step of a pair.  Each shift changes the interior mass by an exact
+integer, sum(V^2) - 4 sum((V >> 1)^2), and ``drift`` adds these changes
+up, so ``left + right + interior + drift == 2^(2F+2)`` holds in integers
+after every step and is checked there, as the exact stepper checks its
+identity: it fails if a move loses or creates mass.  The widening
+w = e (2x + e) is added up apart from the hits, so the identity involves
+computed masses only.
+
+F is chosen once from (n, tail_eps, max_steps).  Within max_steps every
+hit has e <= e_max = max_steps c and x <= 2^(F+1) + e_max + 1 half-ulps,
+so with e_max < 2^F each of the 2 max_steps hits widens the bracket by
+less than e_max 2^(F+3) units, in all by less than
+4 max_steps e_max 2^-F, and F makes that at most tail_eps / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from operator import add, mul, sub
 from typing import Mapping
 
@@ -107,27 +154,35 @@ def check_conservation(state: AmplitudeState) -> None:
         )
 
 
-def step(state: AmplitudeState, n: int) -> AmplitudeState:
-    """One unitary step plus barrier measurement; exact.
+def _move(right, left) -> tuple[list[int], list[int], int, int]:
+    """One step without the 1/sqrt2 factor on the interior slots
+    (sites 1..n-1): (right', left', left_hit, right_hit).
 
     right'[s+1] = R[s] + L[s] and left'[s-1] = R[s] - L[s] for the
     interior sites s; right'[n] and left'[0] are the barrier hits, which
     are measured and leave the barrier slots at 0.  Nothing reaches
     (0, R) or (n, L), since a barrier is only entered moving towards it.
     """
-    if n != state.n:
-        raise ValueError(f"state is for n={state.n}, not n={n}")
-    right, left = state.right[1:n], state.left[1:n]
     up = list(map(add, right, left))
     down = list(map(sub, right, left))
     right_hit = up.pop()
-    left_hit = down[0]
-    down[0] = 0
+    up.insert(0, 0)
+    left_hit = down.pop(0)
+    down.append(0)
+    return up, down, left_hit, right_hit
+
+
+def step(state: AmplitudeState, n: int) -> AmplitudeState:
+    """One unitary step plus barrier measurement; exact."""
+    if n != state.n:
+        raise ValueError(f"state is for n={state.n}, not n={n}")
+    right, left, left_hit, right_hit = _move(state.right[1:n],
+                                             state.left[1:n])
     out = AmplitudeState(
         n=n,
         step=state.step + 1,
-        right=(0, 0, *up, 0),
-        left=(*down, 0, 0),
+        right=(0, *right, 0),
+        left=(0, *left, 0),
         left_num=2 * state.left_num + left_hit * left_hit,
         right_num=2 * state.right_num + right_hit * right_hit,
     )
@@ -157,46 +212,112 @@ class SimulationReport:
             raise ConsistencyError(f"report mass {total} != 1")
 
 
+# Step budget of `simulate`.  A step costs O(n) operations on ints of
+# about F bits, some 17 us at n = 46 on a 2-vCPU machine (Python 3.11),
+# and a cell needs about n^3 steps: the centre cell of row 46 certifies
+# at 1e-10 in 95,673 steps (1.6 s), and those of rows 47 and 48 exit
+# at the budget after 1.7 s.
+MAX_STEPS = 100_000
+
+
 def simulate(
     j: int,
     n: int,
     tail_eps: Rational,
-    max_steps: int = 10_000,
+    max_steps: int = MAX_STEPS,
 ) -> SimulationReport:
-    """Run the walk until interior mass drops below tail_eps.
+    """Run the walk until the certified residual drops below tail_eps.
 
     tail_eps is a hard bound, not a heuristic: the returned report
-    brackets the true probabilities.  If max_steps is reached first,
-    StepBudgetExceeded carries the partial report.
+    brackets the true probabilities (proof in the module docstring).  If
+    max_steps is reached first, StepBudgetExceeded carries the partial
+    report, which brackets them too.
     """
     tail_eps = Fraction(tail_eps)
     if tail_eps <= 0:
         raise ValueError(f"tail_eps must be > 0, got {tail_eps}")
+    _validate(j, n, 1, n - 1)
+    e_max = max_steps * _round_error(n)
+    scaled = 8 * max_steps * e_max * tail_eps.denominator
+    frac_bits = max(scaled.bit_length() - tail_eps.numerator.bit_length() + 1,
+                    e_max.bit_length() + 1)
+    return _simulate(j, n, tail_eps, max_steps, frac_bits)
+
+
+def _round_error(n: int) -> int:
+    """ceil(sqrt(2(n-1))): half-ulps one shift adds to the state error."""
+    return isqrt(2 * (n - 1) - 1) + 1
+
+
+def _widening(mass: int, e: int) -> int:
+    """min(mass, e (2x + e)) with x = ceil(sqrt(mass)) >= |h~|."""
+    if not mass:
+        return 0
+    return min(mass, e * (2 * (isqrt(mass - 1) + 1) + e))
+
+
+def _simulate(
+    j: int, n: int, tail_eps: Fraction, max_steps: int, frac_bits: int
+) -> SimulationReport:
+    """simulate() at a given number of fractional bits."""
     eps_num, eps_den = tail_eps.numerator, tail_eps.denominator
-    state = initial_state(j, n)
+    total = 1 << (2 * frac_bits + 2)
+    c = _round_error(n)
+    right = [0] * (n - 1)
+    right[j - 1] = 1 << frac_bits
+    left = [0] * (n - 1)
+    limit = eps_num * total
+    # Computed absorbed masses, their widening, and the floors' drift.
+    left_mass = right_mass = left_wide = right_wide = drift = 0
+    steps = 0
     while True:
-        # step() has checked conservation, so the unabsorbed numerator
-        # is the interior mass; compare it with tail_eps in integers.
-        total = 1 << state.step
-        rest = total - state.left_num - state.right_num
-        if rest * eps_den < eps_num * total:
-            return _report(state, rest)
-        if state.step >= max_steps:
-            report = _report(state, rest)
+        lower_left = left_mass - left_wide
+        lower_right = right_mass - right_wide
+        rest = total - lower_left - lower_right
+        if rest * eps_den < limit:
+            return _report(lower_left, lower_right, rest, total, steps)
+        if steps >= max_steps:
+            report = _report(lower_left, lower_right, rest, total, steps)
             raise StepBudgetExceeded(
                 f"residual {float(report.residual):.3e} still above "
-                f"tail_eps after {state.step} steps",
+                f"tail_eps after {steps} steps",
                 report,
             )
-        state = step(state, n)
+        right, left, left_hit, right_hit = _move(right, left)
+        steps += 1
+        if steps & 1:
+            hit_left, hit_right = 2 * left_hit**2, 2 * right_hit**2
+            interior = 2 * (sum(map(mul, right, right))
+                            + sum(map(mul, left, left)))
+        else:
+            hit_left, hit_right = left_hit**2, right_hit**2
+            unrounded = sum(map(mul, right, right)) + sum(map(mul, left, left))
+            right = [v >> 1 for v in right]
+            left = [v >> 1 for v in left]
+            interior = 4 * (sum(map(mul, right, right))
+                            + sum(map(mul, left, left)))
+            drift += unrounded - interior
+        left_mass += hit_left
+        right_mass += hit_right
+        # Error of the state the hits came from: c per shift before them.
+        e = (steps - 1) // 2 * c
+        if e:
+            left_wide += _widening(hit_left, e)
+            right_wide += _widening(hit_right, e)
+        if left_mass + right_mass + interior + drift != total:
+            raise ConsistencyError(
+                f"fixed-point mass identity broken at step {steps} "
+                f"(j={j}, n={n}, F={frac_bits})"
+            )
 
 
-def _report(state: AmplitudeState, rest: int) -> SimulationReport:
+def _report(lower_left: int, lower_right: int, rest: int, total: int,
+            steps: int) -> SimulationReport:
     return SimulationReport(
-        p_left_lower=state.absorbed_left,
-        p_right_lower=state.absorbed_right,
-        residual=Fraction(rest, 1 << state.step),
-        steps_run=state.step,
+        p_left_lower=Fraction(lower_left, total),
+        p_right_lower=Fraction(lower_right, total),
+        residual=Fraction(rest, total),
+        steps_run=steps,
     )
 
 

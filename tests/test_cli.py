@@ -235,6 +235,20 @@ def test_prob_simulate_reports_certified_bounds(capsys):
     assert obj["steps"] >= 1
 
 
+def test_prob_simulate_certifies_row_22_within_the_default_budget(capsys):
+    # The centre of row 22 needs 10,289 steps at the default tail, past
+    # the exact stepper's old 10,000-step budget.
+    code, out, err = invoke(capsys, "prob", "--n", "22", "--j", "11",
+                            "--method", "simulate", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    lo = F(int(obj["p"]["num"]), int(obj["p"]["den"]))
+    res = F(int(obj["residual"]["num"]), int(obj["residual"]["den"]))
+    assert lo <= p_exact(11, 22) <= lo + res
+    assert res < F(1, 10 ** 10)
+    assert obj["steps"] == 10_289
+
+
 def test_prob_all_agreement(capsys):
     code, out, err = invoke(capsys, "prob", "--n", "5", "--j", "2",
                             "--method", "all")

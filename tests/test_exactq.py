@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -337,3 +338,92 @@ def test_series_consistent_with_product(num, den):
     for m in range(11):
         conv = sum(r.den[k] * cs[m - k] for k in range(0, m + 1))
         assert conv == r.num[m]
+
+
+# ------------------------------------------------- integer coefficients
+
+
+int_poly_st = st.lists(st.integers(-9, 9), max_size=5).map(Polynomial)
+mixed_poly_st = st.one_of(poly_st, int_poly_st)
+
+
+def _stored_exactly(values) -> bool:
+    # An integral coefficient is an int, anything else a reduced Fraction
+    # with denominator > 1; never a float, never a Fraction n/1.
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in values
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_poly_st, mixed_poly_st,
+       mixed_poly_st.filter(lambda p: not p.is_zero))
+def test_coefficients_are_ints_or_proper_fractions(p, q, d):
+    quot, rem = poly_divmod(p, d)
+    results = [p + q, p - q, p * q, quot, rem, p.compose(q), p.derivative(),
+               p.monic(), p.primitive_part()]
+    for r in results:
+        assert _stored_exactly(r.coeffs), r
+    if d[0] != 0:
+        assert _stored_exactly(RationalFunction(p, d).series_coefficients(6))
+
+
+def test_floats_rejected_and_int_division_exact():
+    with pytest.raises(TypeError):
+        P(1, 0.5)
+    assert P(1, 2).monic().coeffs == (F(1, 2), 1)
+    assert poly_divmod(P(1, 0, 3), P(0, 2)) == (P(0, F(3, 2)), P(1))
+    assert RationalFunction(Z(1), Z(3)).evaluate(2) == F(1, 3)
+    assert type(RationalFunction(Z(1), Z(3)).evaluate(2)) is Fraction
+    assert type(poly_discriminant(P(1, 0, 3))) is Fraction
+
+
+def _ref_divmod(a: list, b: list) -> tuple[list, list]:
+    # Schoolbook long division over Q on trimmed Fraction lists.
+    a = list(a)
+    quot = [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quot[shift] = c
+        for i, x in enumerate(b):
+            a[shift + i] -= c * x
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def _ref_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _fractions(p: Polynomial) -> list:
+    return [F(c) for c in p.coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_poly_st, int_poly_st.filter(lambda p: not p.is_zero),
+       int_poly_st.filter(lambda p: not p.is_zero))
+def test_gcd_and_canonical_form_match_euclid_over_q(a, b, h):
+    num, den = a * h, b * h
+    g = _ref_gcd(_fractions(num), _fractions(den))
+    assert poly_gcd(num, den) == Polynomial(g)
+    # Reference canonical form: divide out the gcd, then scale the pair to
+    # coprime integers with a positive denominator leading coefficient.
+    top = _ref_divmod(_fractions(num), g)[0] if num else []
+    bottom = _ref_divmod(_fractions(den), g)[0]
+    scale = lcm(*(c.denominator for c in top + bottom))
+    ints = [int(c * scale) for c in top + bottom]
+    scale = F(scale, gcd(*ints))
+    if bottom[-1] < 0:
+        scale = -scale
+    r = RationalFunction(num, den)
+    if num.is_zero:
+        assert (r.num, r.den) == (Polynomial.zero(), Polynomial.one())
+    else:
+        assert r.num == Polynomial([c * scale for c in top])
+        assert r.den == Polynomial([c * scale for c in bottom])
+    assert _stored_exactly(r.num.coeffs + r.den.coeffs)

@@ -1,4 +1,5 @@
-"""Tests for the exact amplitude simulator and the path enumeration oracle."""
+"""Tests for the exact stepper, the fixed-point simulator and the path
+enumeration oracle."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hadwalk.errors import ConsistencyError, StepBudgetExceeded
 from hadwalk.simulator import (
     AmplitudeState,
     SignedPathTally,
+    _simulate,
     check_conservation,
     enumerate_paths,
     enumerate_paths_right,
@@ -167,6 +169,50 @@ def test_simulate_certifies_row_20():
     p = p_exact(10, 20)
     assert rep.p_left_lower <= p <= rep.p_left_lower + rep.residual
     assert rep.residual < eps
+
+
+def _brackets(rep, p):
+    return (rep.p_left_lower <= p <= rep.p_left_lower + rep.residual
+            and rep.p_right_lower <= 1 - p <= rep.p_right_lower + rep.residual)
+
+
+def test_simulate_brackets_every_cell_to_n16_and_centres_to_n30():
+    eps = F(1, 10**10)
+    cells = [(j, n) for n in range(2, 17) for j in range(1, n)]
+    cells += [(n // 2, n) for n in range(17, 31)]
+    for j, n in cells:
+        rep = simulate(j, n, eps)
+        assert _brackets(rep, p_exact(j, n)), (j, n)
+        assert rep.residual < eps, (j, n)
+
+
+def test_simulate_stops_where_the_exact_stepper_does():
+    # The residual is never below the exact interior mass, so the run
+    # cannot stop early, and at the default precision it does not stop
+    # late either: the step counts match the exact stepper's.
+    for j, n, steps in [(3, 10, 907), (7, 14, 2597), (11, 22, 10289)]:
+        assert simulate(j, n, F(1, 10**10)).steps_run == steps
+    eps = F(1, 10**10)
+    for n in range(2, 8):
+        for j in range(1, n):
+            s = initial_state(j, n)
+            while interior_mass(s) >= eps:
+                s = step(s, n)
+            assert simulate(j, n, eps).steps_run == s.step, (j, n)
+
+
+def test_coarse_precision_keeps_the_bracket():
+    # At 10 fractional bits the rounding error is large, and the widening
+    # it earns keeps the residual above the tail, so nearly every run
+    # ends at the budget; final or partial, each report must bracket.
+    for n in range(2, 13):
+        for j in range(1, n):
+            try:
+                rep = _simulate(j, n, F(1, 1000), 1000, 10)
+            except StepBudgetExceeded as exc:
+                rep = exc.report
+            assert _brackets(rep, p_exact(j, n)), (j, n)
+            assert rep.p_left_lower >= 0 and rep.p_right_lower >= 0
 
 
 def test_simulate_budget_error_carries_partial_report():
