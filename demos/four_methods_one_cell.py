@@ -42,14 +42,13 @@ print(f"residue formula:    {evaluated}")
 # around |t| = 1/2; its poles inside the contour are the roots of
 # r_n - r_{n-1}.  At each pole the engine evaluates the numerator by the
 # r recurrence, sums the residues in certified fixed point, multiplies
-# by an integer delta built from one resultant taken after the
-# substitution t = s/4, and rounds -- provably landing on the exact
-# rational.
+# by an integer delta = 2^(n-j-1) |2^(n-1) (r_n - r_{n-1})(-1/2)|, read
+# off the coefficients of r_n - r_{n-1}, and rounds -- provably landing
+# on the exact rational.
 ig = build_integrand(J, N)
 bound = denominator_bound(ig)
 print(f"denominator bound:  delta = {bound.delta} "
-      f"(resultant {bound.rho} after t = s/4, lc {bound.lead}, "
-      f"2-adic exponent {bound.e})")
+      f"(2^{bound.power} times |2^{N - 1} d(-1/2)| = {abs(bound.N)})")
 roots = find_roots(ig.d, 128)
 print(f"poles inside:       {len(roots.approximations)} roots of {ig.d}, "
       f"each pinned within {float(roots.error_radius):.1e}")

@@ -48,7 +48,9 @@ reruns (warm-started) until it certifies or hits the ceiling.  A cell
 waits for a rung that its delta allows and is done at the first rung
 where it certifies; the ladder climbs while any cell is pending.  A
 delta that no rung up to MAX_BITS could clear fails at once, before any
-root is found.
+root is found, and a row above MAX_ROW before any polynomial is built.
+The bound itself is read off d's coefficients, 2^(n-j-1) times
+2^(n-1) d(-1/2), about 2.8n bits at most (proof on DenominatorBound).
 
 Roots are found the way MPSolve finds them (Bini 1996; Bini and Robol
 2014): cheap starting points first, a certificate afterwards.  A cold
@@ -82,7 +84,7 @@ from .errors import (
     PrecisionEscalation,
 )
 from .exactq import Polynomial, Rational, poly_resultant
-from .walk_core import _validate, absorption_denominator, gf_denominator, r_poly
+from .walk_core import _validate, absorption_denominator, gf_denominator
 
 _T = TypeVar("_T")
 
@@ -112,17 +114,30 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
     raise _exhausted(what, reason)
 
 
+# The largest row the contour route runs.  Root finding, not delta, sets
+# it: a cell of row 150 takes 13-17 s cold.  Rows above it fail before
+# any polynomial is built.
+MAX_ROW = 150
+
+
+def _factors(n: int) -> tuple[Polynomial, Polynomial]:
+    """(c, d) of row n, once n is known to lie within MAX_ROW."""
+    if n > MAX_ROW:
+        raise PrecisionError(
+            f"the contour route runs rows up to n = {MAX_ROW}, got n = {n}"
+        )
+    return gf_denominator(n), absorption_denominator(n)
+
+
 @dataclass(frozen=True)
 class Integrand:
     """The integrand (-1)^j b / (c d) of p_j^(n) on the circle |t| = 1/2,
     with b = t^(j-1) r_{n-j}^2, c = r_n + 2t r_{n-1} and d = r_n - r_{n-1}.
 
-    Constructed from (j, n) alone, 1 <= j < n; c and d are derived once,
-    at construction, with integer coefficients exactly as the r family
-    gives them, since the denominator bound needs only integer
-    coefficients.  b is never multiplied out: the engine evaluates it at
-    the roots of d by the r recurrence, and the bound reads its scaling
-    off r_{n-j} (_numerator_scaling).
+    Constructed from (j, n) alone, 1 <= j < n <= MAX_ROW; c and d are
+    derived once, at construction, with integer coefficients exactly as
+    the r family gives them.  b is never multiplied out: the engine
+    evaluates it at the roots of d by the r recurrence.
     """
 
     j: int
@@ -131,10 +146,10 @@ class Integrand:
     d: Polynomial = field(init=False)
 
     def __post_init__(self) -> None:
-        j, n = self.j, self.n
-        _validate(j, n, 1, n - 1)
-        object.__setattr__(self, "c", gf_denominator(n))
-        object.__setattr__(self, "d", absorption_denominator(n))
+        _validate(self.j, self.n, 1, self.n - 1)
+        c, d = _factors(self.n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -160,52 +175,59 @@ class RootSet:
 
 @dataclass(frozen=True)
 class DenominatorBound:
-    """Integer delta with delta * (integral value) guaranteed integral.
+    """Integer delta = 2^power |N| with delta * (integral value)
+    guaranteed integral, for the cell (j, n): N = 2^(n-1) d(-1/2), the
+    row's part, and power = m - 1 with m = n - j.
 
-    The bound is built after the substitution t = s/4.  B, C and D are
-    b, c and d evaluated at t = s/4, each multiplied by the least power
-    of two, 2^e_b, 2^e_c and 2^e_d, that makes its coefficients
-    integers; deg D = m.  Then
+    Write S for the sum of b(a)/(c(a) d'(a)) over the roots a of d, so
+    the integral is (-1)^j S.  Hypotheses, checked by _row_bound: d is
+    squarefree, N != 0, and for n >= 3 d_0 = 0 and d_1 = -1, so that
+    d = t e with e(0) = -1.  Proof, for n >= 3:
 
-        delta = 2^max(0, e) * |rho| * |lead|^(deg B + 1)
+    1. Casoratian.  Let q_0 = 1, q_1 = 0 and q_{k+2} = (1 - 2t) q_{k+1}
+       + t q_k.  W_k = r_k q_{k-1} - r_{k-1} q_k has W_1 = 1 and
+       W_{k+1} = -t W_k, so W_n = (-t)^(n-1).  At a root a of d,
+       r_n(a) = r_{n-1}(a) = R, so c(a) = (1 + 2a) R and
+       R Q(a) = (-a)^(n-1) with Q = q_{n-1} - q_n.  For a != 0 this
+       gives R != 0, and N != 0 gives 1 + 2a != 0; with c(0) = 1, c and
+       d share no root, and 1/c(a) = Q(a) / ((1 + 2a)(-a)^(n-1)).
+    2. Residues.  Phi = b Q / ((1 + 2t)(-t)^(n-1) d) has a simple pole
+       at each nonzero root a of d, with residue b(a)/(c(a) d'(a)); its
+       other poles are 0, -1/2 and infinity.  The residues of a
+       rational function sum to zero, so S = b(0)/(c(0) d'(0)) -
+       Res_0 Phi - Res_(-1/2) Phi - Res_inf Phi.  The first term is -1
+       for j = 1 and 0 otherwise (r_k(0) = 1 for k >= 1).
+    3. At 0.  Phi = +-b Q / (t^n (1 + 2t) e), and (1 + 2t) e has
+       constant term -1, so its inverse is a power series over Z and
+       Res_0 Phi is an integer.
+    4. At -1/2.  The pole is simple since N != 0, and
+       Res_(-1/2) Phi = b(-1/2) Q(-1/2) 2^(2n-3) / N.  An integer
+       polynomial of degree k takes a value in 2^-k Z at -1/2, and
+       deg r_m = m - 1, deg Q = n - 1, so b(-1/2) Q(-1/2) lies in
+       2^-(j-1+2(m-1)+(n-1)) Z and the residue in Z / (2^(m-1) N).
+    5. At infinity.  Put t = s/4.  R_k(s) = 2^(k-1) r_k(s/4) and
+       Y_k(s) = 2^k q_k(s/4) obey X_{k+2} = (2 - s) X_{k+1} + s X_k
+       from integer starts, so they lie in Z[s], and lc R_k =
+       (-1)^(k-1).  Counting the powers of two, Phi(s/4) = 4 Psi(s)
+       with Psi = s^(j-1) R_m^2 (2 Y_{n-1} - Y_n) / ((2 + s)(-s)^(n-1)
+       D) and D = R_n - 2 R_{n-1} = 2^(n-1) d(s/4).  2 + s, -s and D
+       have leading coefficients +-1, so Psi expands at infinity in
+       powers of 1/s with integer coefficients, and Res_inf Phi =
+       Res_inf Psi (dt = ds/4) is an integer.
 
-    with e = e_b - e_c - e_d + 2, rho = Res(C, D) and lead = lc(D).
-
-    Proof, for c and d coprime (rho != 0) and d squarefree; the integral
-    is (-1)^j times the sum of b(a)/(c(a) d'(a)) over the roots a of d.
-
-    1. Each root a of d gives the root x = 4a of D, and D'(s) =
-       2^e_d d'(s/4) / 4, so b(a)/(c(a) d'(a)) = 2^-e B(x)/(C(x) D'(x)).
-    2. The adjugate of the Sylvester matrix gives U, V in Z[s] with
-       deg U < m and U C + V D = rho (for constant C, U = C^(m-1) and
-       V = 0).  At a root of D this reads 1/C(x) = U(x)/rho.
-    3. Let h = B U in Z[s].  Pseudo-division gives Q, r in Z[s] with
-       lead^k h = Q D + r, deg r < m and k = max(0, deg h - m + 1);
-       since deg U < m, k <= deg B.  So h(x) = r(x)/lead^k at the roots.
-    4. D is squarefree, so partial fractions give r/D = sum over the
-       roots x of r(x)/(D'(x)(s - x)).  Comparing the coefficients of
-       1/s at infinity (Euler-Jacobi): sum r(x)/D'(x) = r_(m-1)/lead.
-
-    Together: the sum is 2^-e r_(m-1) / (rho lead^(k+1)), with r_(m-1)
-    an integer and k + 1 <= deg B + 1, so delta clears it, and so it
-    clears (-1)^j times the sum.  No discriminant enters the bound, and
-    only e, rho and lead are needed, never U or r themselves.
+    So S lies in Z / (2^(m-1) N), and delta clears (-1)^j S.  For n = 2,
+    d = -2t has the one root 0, S = b(0)/(c(0) d'(0)) = -1/2 and
+    delta = |N| = 2.  Neither N nor the proof uses the residue route:
+    N is read off d's coefficients, so the agreement of the two routes
+    stays a check.
     """
 
-    rho: int
-    lead: int
-    e: int
-    delta: int
+    N: int
+    power: int
 
-    def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ConsistencyError(f"denominator bound {self.delta} < 1")
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ConsistencyError(f"{what} is not an integer: {x}")
-    return int(x)
+    @property
+    def delta(self) -> int:
+        return abs(self.N) << self.power
 
 
 # The contour |t| = 1/2: every root of d lies inside it, every root of c
@@ -224,24 +246,6 @@ def build_integrand(j: int, n: int) -> Integrand:
     DegenerateIntegrandError on a violation.
     """
     return Integrand(j, n)
-
-
-def _quarter_scaled(p: Polynomial) -> tuple[Polynomial, int]:
-    """(2^e p(s/4), e) for the least e that leaves integer coefficients.
-
-    The coefficient a_k becomes a_k 2^(e - 2k), an integer exactly when
-    e >= 2k - v_2(a_k).
-    """
-    ints = [int(a) for a in p.coeffs]
-    e = max(
-        (2 * k - ((a & -a).bit_length() - 1) for k, a in enumerate(ints) if a),
-        default=0,
-    )
-    scaled = [
-        a << (e - 2 * k) if e >= 2 * k else a >> (2 * k - e)
-        for k, a in enumerate(ints)
-    ]
-    return Polynomial(scaled, var=p.var), e
 
 
 # 2^61 - 1, then two spare primes, for the squarefree certificate.
@@ -294,47 +298,29 @@ def _squarefree(ints: Sequence[int]) -> bool:
     return poly_resultant(Polynomial(ints), Polynomial(deriv)) != 0
 
 
-def _row_bound(c: Polynomial, d: Polynomial) -> tuple[int, int, int]:
-    """(rho, lead, e_c + e_d): the part of the bound that a row's cells
-    share.  Raises DegenerateIntegrandError unless c and d are coprime
-    and d is squarefree, the hypotheses of the proof on DenominatorBound.
+def _row_bound(d: Polynomial) -> int:
+    """N = 2^(n-1) d(-1/2) for d of degree n - 1: the part of the bound
+    that a row's cells share.  Checks the hypotheses of the proof on
+    DenominatorBound: ConsistencyError unless d_0 = 0 and d_1 = -1
+    (n >= 3), DegenerateIntegrandError when N = 0 or d has a repeated
+    root.
     """
-    C, e_c = _quarter_scaled(c)
-    D, e_d = _quarter_scaled(d)
-    rho = _as_int(poly_resultant(C, D), "resultant(C, D)")
-    if rho == 0:
-        raise DegenerateIntegrandError("c and d share a root")
-    if not _squarefree([int(a) for a in d.coeffs]):
+    ints = _int_coeffs(d)
+    if len(ints) > 2 and ints[:2] != [0, -1]:
+        raise ConsistencyError(f"d does not start -t: {ints[:2]}")
+    top = len(ints) - 1
+    N = sum((-a if i % 2 else a) << (top - i) for i, a in enumerate(ints))
+    if N == 0:
+        raise DegenerateIntegrandError("d vanishes at t = -1/2")
+    if not _squarefree(ints):
         raise DegenerateIntegrandError("d has a repeated root")
-    return rho, int(D.leading_coefficient), e_c + e_d
-
-
-def _numerator_scaling(j: int, n: int) -> tuple[int, int]:
-    """(e_b, deg B) for b_j = t^(j-1) r_m^2, m = n - j, without building
-    b_j.
-
-    With (R_m, e_m) the quarter-scaled r_m, 2^e b_j(s/4) =
-    2^(e - 2(j-1) - 2 e_m) s^(j-1) R_m(s)^2.  As e_m is least, R_m has an
-    odd coefficient, and so has R_m^2, since F_2[s] has no zero divisors.
-    So e_b = 2(j-1) + 2 e_m and deg B = j - 1 + 2 deg r_m, as
-    _quarter_scaled(b_j) would give.
-    """
-    R_m, e_m = _quarter_scaled(r_poly(n - j))
-    return 2 * (j - 1) + 2 * e_m, j - 1 + 2 * R_m.degree
-
-
-def _cell_bound(j: int, n: int, row: tuple[int, int, int]) -> DenominatorBound:
-    e_b, deg_b = _numerator_scaling(j, n)
-    rho, lead, e_cd = row
-    e = e_b - e_cd + 2
-    delta = 2 ** max(0, e) * abs(rho) * abs(lead) ** (deg_b + 1)
-    return DenominatorBound(rho=rho, lead=lead, e=e, delta=delta)
+    return N
 
 
 def denominator_bound(ig: Integrand) -> DenominatorBound:
-    """Exact integer multiplier that clears the integral's denominator:
-    one resultant after t = s/4 (the proof is on DenominatorBound)."""
-    return _cell_bound(ig.j, ig.n, _row_bound(ig.c, ig.d))
+    """Exact integer multiplier that clears the integral's denominator,
+    2^(n-j-1) |2^(n-1) d(-1/2)| (the proof is on DenominatorBound)."""
+    return DenominatorBound(N=_row_bound(ig.d), power=ig.n - ig.j - 1)
 
 
 def _row(
@@ -346,11 +332,9 @@ def _row(
     js = list(range(1, n) if js is None else js)
     for j in js:
         _validate(j, n, 1, n - 1)
-    c, d = gf_denominator(n), absorption_denominator(n)
-    if not js:
-        return js, c, d, []
-    row = _row_bound(c, d)
-    return js, c, d, [_cell_bound(j, n, row) for j in js]
+    c, d = _factors(n)
+    N = _row_bound(d)
+    return js, c, d, [DenominatorBound(N=N, power=n - j - 1) for j in js]
 
 
 def denominator_bounds(n: int) -> list[DenominatorBound]:

@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -324,15 +325,34 @@ def test_prob_step_budget_maps_to_precision_exit(capsys, monkeypatch):
 
 
 def test_prob_numeric_exhaustion_is_one_short_line(capsys, monkeypatch):
-    # Under a 512-bit ceiling the 810-bit denominator bound of n = 40
+    # Under a 64-bit ceiling the 88-bit denominator bound of (20, 40)
     # cannot certify; the error names delta's size, not its digits.
-    monkeypatch.setattr(residue_engine, "MAX_BITS", 512)
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 64)
     code, out, err = invoke(capsys, "prob", "--n", "40", "--j", "20",
                             "--method", "numeric")
     assert (code, out) == (3, "")
     assert err.startswith("error: precision:") and err.count("\n") == 1
-    assert "810-bit delta" in err
+    assert "88-bit delta" in err
     assert len(err) < 200
+
+
+def test_prob_numeric_above_the_row_ceiling_fails_before_any_work(
+    capsys, monkeypatch
+):
+    # Rows above MAX_ROW exit 3 on one line before a polynomial is built
+    # or a root is found.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started above the row ceiling")
+
+    monkeypatch.setattr(residue_engine, "gf_denominator", refuse)
+    monkeypatch.setattr(residue_engine, "find_roots", refuse)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "prob", "--n", "151", "--j", "75",
+                            "--method", "numeric")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: precision: the contour route runs rows up to "
+                   "n = 150, got n = 151\n")
 
 
 # ------------------------------------------------------------------- table

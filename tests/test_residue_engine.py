@@ -13,21 +13,21 @@ import pytest
 
 from hadwalk import residue_engine
 from hadwalk.errors import (
+    ConsistencyError,
     DegenerateIntegrandError,
     PrecisionError,
     PrecisionEscalation,
 )
 from hadwalk.exactq import Polynomial
 from hadwalk.residue_engine import (
+    MAX_ROW,
     START_BITS,
     _aberth_double,
     _div,
     _horner,
     _mul,
-    _numerator_scaling,
     _numerators_at,
     _product,
-    _quarter_scaled,
     _r_at,
     _RootCache,
     _row_bound,
@@ -107,50 +107,127 @@ def test_build_integrand_validation():
         build_integrand(0, 4)
     with pytest.raises(ValueError):
         build_integrand(4, 4)
+    for build in (lambda: build_integrand(75, MAX_ROW + 1),
+                  lambda: integrate_row(MAX_ROW + 1)):
+        with pytest.raises(PrecisionError, match=f"up to n = {MAX_ROW}"):
+            build()
 
 
 # -------------------------------------------------------- denominator bound
 
 
 def test_denominator_bound_frozen():
-    # j=1, n=2: b = 1, c = 1, d = -2t.  At t = s/4: B = 1, C = 1 and
-    # d(s/4) = -s/2, so D = -s with e_d = 1; e = 0 - 0 - 1 + 2 = 1.
-    # rho = Res(1, -s) = 1, lc(D) = -1: delta = 2^1 * 1 * 1 = 2.
+    # j=1, n=2: d = -2t, so N = 2 d(-1/2) = 2 and m = 1: delta = 2.
     db = denominator_bound(build_integrand(1, 2))
-    assert (db.rho, db.lead, db.e, db.delta) == (1, -1, 1, 2)
+    assert (db.N, db.power, db.delta) == (2, 0, 2)
 
-    # j=1, n=3: c = 1 - t, d = 4t^2 - t, b = (1 - 2t)^2.  At t = s/4,
-    # times 4 each: C = 4 - s, D = s^2 - s, B = s^2 - 4s + 4, so
-    # e = 2 - 2 - 2 + 2 = 0.  rho = Res(C, D) = (-1)^2 D(4) = 12 and
-    # lc(D) = 1: delta = 12, a multiple of the true denominator 3.
+    # n=3: d = r_3 - r_2 = 4t^2 - t, so N = 4 d(-1/2) = 6.  j=1 has
+    # m = 2 and delta = 12, a multiple of the true denominator 3; j=2
+    # has m = 1 and delta = 6.
     db = denominator_bound(build_integrand(1, 3))
-    assert (db.rho, db.lead, db.e, db.delta) == (12, 1, 0, 12)
+    assert (db.N, db.power, db.delta) == (6, 1, 12)
+    db = denominator_bound(build_integrand(2, 3))
+    assert (db.N, db.power, db.delta) == (6, 0, 6)
 
 
 def test_denominator_bound_clears_the_true_denominator():
-    for n in [*range(2, 31), 40, 60]:
+    for n in [*range(2, 61), 80, 100, 126, 127, MAX_ROW]:
         for j, db in enumerate(denominator_bounds(n), start=1):
             assert (db.delta * p_exact(j, n)).denominator == 1, (j, n)
 
 
 def test_row_bounds_equal_the_cell_bounds():
-    # No bound builds b_j, yet each must read the scaling off r_{n-j}
-    # that the quarter-scaled b_j itself has.
     for n in range(2, 17):
-        for j in range(1, n):
-            B, e_b = _quarter_scaled(numerator(j, n))
-            assert _numerator_scaling(j, n) == (e_b, B.degree), (j, n)
         want = [denominator_bound(build_integrand(j, n)) for j in range(1, n)]
         assert denominator_bounds(n) == want, n
 
 
+def _casoratian_partner(top):
+    """q_0..q_top: the r recurrence from q_0 = 1, q_1 = 0."""
+    q = [T(1), T(0)]
+    for _ in range(top - 1):
+        q.append(T(1, -2) * q[-1] + T(0, 1) * q[-2])
+    return q
+
+
+def test_casoratian_of_the_r_recurrence():
+    # Step 1 of the proof on DenominatorBound: r_k q_{k-1} - r_{k-1} q_k
+    # = (-t)^(k-1).
+    q = _casoratian_partner(40)
+    for k in range(1, 41):
+        want = Polynomial.monomial(k - 1, var="t") * (-1) ** (k - 1)
+        assert r_poly(k) * q[k - 1] - r_poly(k - 1) * q[k] == want, k
+
+
+def test_d_starts_with_minus_t():
+    # The hypothesis d_0 = 0, d_1 = -1 holds on every row the route runs.
+    for n in range(3, MAX_ROW + 1):
+        d = absorption_denominator(n)
+        assert (d.coeffs[0], d.coeffs[1]) == (0, -1), n
+
+
+def test_quarter_scaled_r_has_integer_coefficients_and_unit_lead():
+    # Step 5 of the proof: 2^(k-1) r_k(s/4) lies in Z[s] and has leading
+    # coefficient (-1)^(k-1).
+    for k in range(1, 61):
+        scaled = [F(a * 2 ** (k - 1), 4**i)
+                  for i, a in enumerate(r_poly(k).coeffs)]
+        assert all(a.denominator == 1 for a in scaled), k
+        assert scaled[-1] == (-1) ** (k - 1), k
+
+
+def _series_coefficient(num, den, k):
+    """Coefficient k of the power series num/den, den[0] != 0."""
+    out = []
+    for i in range(k + 1):
+        acc = F(num[i]) if i < len(num) else F(0)
+        for step in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[step] * out[i - step]
+        out.append(acc / den[0])
+    return out[k]
+
+
+def test_the_bound_residues_at_zero_half_and_infinity():
+    # Steps 2-5 of the proof, computed exactly: with
+    # Phi = b Q / ((1 + 2t)(-t)^(n-1) d), the residues at 0 and at
+    # infinity are integers, delta clears the one at -1/2, and together
+    # with b(0)/(c(0) d'(0)) they give p = (-1)^j S.
+    q = _casoratian_partner(14)
+    half = F(-1, 2)
+    for n in range(3, 15):
+        d = absorption_denominator(n)
+        Q = q[n - 1] - q[n]
+        sign = (-1) ** (n - 1)
+        # Phi = num / (t^n low) = num / full.
+        low = one_plus_2t() * T(*d.coeffs[1:]) * sign
+        full = Polynomial.monomial(n, var="t") * low
+        for j in range(1, n):
+            delta = denominator_bound(build_integrand(j, n)).delta
+            num = numerator(j, n) * Q
+            res_0 = _series_coefficient(num.coeffs, low.coeffs, n - 1)
+            res_half = num(half) / (
+                2 * (-half) ** (n - 1) * d(half))
+            k = 1 - full.degree + num.degree
+            res_inf = -_series_coefficient(
+                num.coeffs[::-1], full.coeffs[::-1], k) if k >= 0 else 0
+            assert res_0.denominator == 1, (j, n)
+            assert F(res_inf).denominator == 1, (j, n)
+            assert (res_half * delta).denominator == 1, (j, n)
+            at_zero = -1 if j == 1 else 0
+            s_sum = at_zero - res_0 - res_half - res_inf
+            assert (-1) ** j * s_sum == p_exact(j, n), (j, n)
+
+
 def test_denominator_bound_degenerate_pole_configurations():
-    # Double root of d: discriminant vanishes.
-    with pytest.raises(DegenerateIntegrandError):
-        _row_bound(T(1), T(1, -2, 1))
-    # Shared root of c and d: resultant vanishes.
-    with pytest.raises(DegenerateIntegrandError):
-        _row_bound(T(-1, 1), T(-1, 0, 1))
+    # Double root of d at t = 1.
+    with pytest.raises(DegenerateIntegrandError, match="repeated root"):
+        _row_bound(T(0, -1, 2, -1))
+    # d(-1/2) = 0: -1/2 is the one root that c and d could share.
+    with pytest.raises(DegenerateIntegrandError, match="-1/2"):
+        _row_bound(T(0, -1, -2))
+    # Every d of the family starts -t; anything else is a bug.
+    with pytest.raises(ConsistencyError):
+        _row_bound(T(0, 1, 1))
 
 
 def test_squarefree_certificate_and_its_exact_fallback(monkeypatch):
@@ -543,9 +620,9 @@ def test_integrate_exact_frozen():
 def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
     # c is classified once, at the first rung that certifies it, and
     # never refined along the ladder; d climbs to the rung the cell
-    # needs.  (15, 30) needs 1024 bits.  (1, 13) and (2, 20) certify at
-    # the rung integrate_row(n, [j]) uses, since a single cell takes its
-    # numerator from the same recurrence.
+    # needs.  (1, 30) needs 256 bits.  (15, 30), (1, 13) and (2, 20)
+    # certify at the rung integrate_row(n, [j]) uses, since a single cell
+    # takes its numerator from the same recurrence.
     calls: list[tuple[Polynomial, int]] = []
     real = residue_engine.find_roots
 
@@ -554,7 +631,8 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
         return real(p, precision_bits, initial)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
-    for j, n, d_bits in [(15, 30, 1024), (1, 13, 128), (2, 20, 256)]:
+    for j, n, d_bits in [(15, 30, 128), (1, 30, 256), (1, 13, 128),
+                         (2, 20, 128)]:
         ig = build_integrand(j, n)
         calls.clear()
         assert integrate_exact(ig) == p_exact(j, n)
@@ -576,10 +654,10 @@ def test_integrate_exact_stable_under_start_precision():
 
 
 def test_integrate_exact_reports_exhaustion(monkeypatch):
-    # delta (810 bits at n = 40) needs more bits than a 512-bit ceiling
-    # allows, so the route fails before it finds a single root.  The
-    # message gives delta's size, never delta itself.
-    monkeypatch.setattr(residue_engine, "MAX_BITS", 512)
+    # delta (88 bits at (20, 40), 107 at (1, 40)) needs more bits than a
+    # 64-bit ceiling allows, so the route fails before it finds a single
+    # root.  The message gives delta's size, never delta itself.
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 64)
     calls = []
     real = residue_engine.find_roots
 
@@ -588,18 +666,18 @@ def test_integrate_exact_reports_exhaustion(monkeypatch):
         return real(p, precision_bits, initial)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
-    for run in (lambda: integrate_exact(build_integrand(20, 40)),
-                lambda: integrate_row(40, [1, 20])):
-        with pytest.raises(PrecisionError, match="810-bit delta") as info:
+    for run, bits in ((lambda: integrate_exact(build_integrand(20, 40)), 88),
+                      (lambda: integrate_row(40, [1, 20]), 107)):
+        with pytest.raises(PrecisionError, match=f"{bits}-bit delta") as info:
             run()
-        assert "delta needs more than 512 bits" in str(info.value)
+        assert "delta needs more than 64 bits" in str(info.value)
         assert len(str(info.value)) < 200
     assert calls == []
 
 
 def test_integrate_exact_certifies_at_n_50():
-    # delta has 1,262 bits at (25, 50), far inside MAX_BITS, so the
-    # route certifies there.
+    # delta has 110 bits at (25, 50), far inside MAX_BITS, so the route
+    # certifies there.
     assert integrate_exact(build_integrand(25, 50)) == p_exact(25, 50)
 
 
@@ -672,7 +750,7 @@ def test_integrate_row_equals_the_evaluated_formula():
 def test_weights_once_per_root_and_rung(monkeypatch):
     # The weights depend on the row only: one per root of d at each rung
     # the ladder runs, however many cells the row asks for.
-    n = 14
+    n = 30
     d = absorption_denominator(n)
     for js in ([1], [3, 4, 5, 6], None):
         precisions = []
@@ -687,7 +765,7 @@ def test_weights_once_per_root_and_rung(monkeypatch):
         monkeypatch.undo()
         rungs = sorted(set(precisions))
         assert precisions == [bits for bits in rungs for _ in range(d.degree)]
-    # The full row of 14 runs two rungs: the count is per rung, not per
+    # The full row of 30 runs two rungs: the count is per rung, not per
     # cell.
     assert rungs == [128, 256]
 
