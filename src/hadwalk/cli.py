@@ -43,9 +43,7 @@ from .walk_core import (
     AbsorptionResult,
     _validate,
     absorption,
-    absorption_denominator,
     gf,
-    gf_denominator,
     row_common_denominator,
     row_table,
 )
@@ -560,9 +558,12 @@ def _root_entries(poly, role: str, bits: int):
 
 
 def _run_roots(cfg: CommandConfig) -> int:
+    # _factors enforces the contour route's row ceiling before any
+    # polynomial is built.
+    from .residue_engine import _factors
+
     n = cfg.n
-    d = absorption_denominator(n)
-    c = gf_denominator(n)
+    c, d = _factors(n)
     inside_block, radius = _root_entries(d, "inside-factor", cfg.precision_bits)
     blocks = [inside_block]
     if c.degree >= 1:

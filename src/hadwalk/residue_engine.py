@@ -44,7 +44,8 @@ numerators included, on a single cell.
 
 Everything numeric lives behind escalation: any failed bound raises an
 internal signal, the working precision doubles, and the computation
-reruns (warm-started) until it certifies or hits the ceiling.  A cell
+reruns until it certifies or hits the ceiling, root finding starting
+from the set of roots that the previous rung certified.  A cell
 waits for a rung that its delta allows and is done at the first rung
 where it certifies; the ladder climbs while any cell is pending.  A
 delta that no rung up to MAX_BITS could clear fails at once, before any
@@ -59,18 +60,19 @@ stopped at the double noise floor; Aberth sweeps at doubling precision
 then refine it up to the rung's precision.  The certificate (disks of
 radius deg |p/p'|, pairwise disjoint) is computed at that precision
 from the final approximations alone, so the starting points decide how
-long a run takes, never whether its answer is right.  The outside
-factor c is classified once, before the ladder, since the residue sum
-only evaluates c at the roots of d.
+long a run takes, never whether its answer is right.  find_roots is
+memoised, so a ladder that runs again for the same polynomial gets its
+certified sets back without a sweep.  The outside factor c is
+classified once, before the ladder, since the residue sum only
+evaluates c at the roots of d.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -228,11 +230,6 @@ class DenominatorBound:
     @property
     def delta(self) -> int:
         return abs(self.N) << self.power
-
-
-# The contour |t| = 1/2: every root of d lies inside it, every root of c
-# outside.
-_CONTOUR = Fraction(1, 2)
 
 
 def build_integrand(j: int, n: int) -> Integrand:
@@ -595,91 +592,53 @@ def _aberth(
     return roots
 
 
-class _RootCache:
-    """Certified root sets keyed by polynomial, then by precision.
-
-    At most `size` polynomials are kept, the least recently used going
-    first; every read and write happens under a lock.  A stored RootSet
-    is never replaced, so repeated calls return the same object.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._sets: OrderedDict[Polynomial, dict[int, RootSet]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def lookup(
-        self, p: Polynomial, bits: int
-    ) -> tuple[RootSet | None, RootSet | None]:
-        """(the set at exactly bits, the most precise set below bits);
-        either may be None."""
-        with self._lock:
-            by_bits = self._sets.get(p)
-            if by_bits is None:
-                return None, None
-            self._sets.move_to_end(p)
-            lower = [b for b in by_bits if b < bits]
-            warm = by_bits[max(lower)] if lower else None
-            return by_bits.get(bits), warm
-
-    def store(self, p: Polynomial, rs: RootSet) -> RootSet:
-        with self._lock:
-            by_bits = self._sets.setdefault(p, {})
-            self._sets.move_to_end(p)
-            while len(self._sets) > self._size:
-                self._sets.popitem(last=False)
-            return by_bits.setdefault(rs.precision_bits, rs)
-
-
-_ROOT_CACHE = _RootCache(256)
-
-
+@functools.lru_cache(maxsize=256)
 def find_roots(
-    p: Polynomial,
-    precision_bits: int,
-    initial: Sequence[complex] | None = None,
+    p: Polynomial, precision_bits: int, warm: RootSet | None = None
 ) -> RootSet:
     """All complex roots of squarefree p with a certified error radius.
 
-    Starts from `initial` (complex numbers), else from the most precise
-    cached set for p, else from a double-precision Aberth run
-    (Newton-polygon starts, stopped at the double noise floor), then
-    refines by Aberth sweeps at doubling precisions up to
-    precision_bits, raised to _DOUBLE_BITS when lower; that is the
-    precision of the set returned.  Certification is a posteriori and
-    ignores where the approximations came from: the disk of radius
+    precision_bits is raised to _DOUBLE_BITS when lower; that is the
+    precision of the set returned.  The start is `warm`, a set certified
+    for p at a lower rung, which the two ladders (certified_poles and
+    the rung of _integrate) carry from one rung to the next and which is
+    returned unchanged once it has the precision; without one, it is a
+    double-precision Aberth run (_aberth_double, Newton-polygon starts,
+    stopped at the double noise floor).  Aberth sweeps at doubling
+    precisions then refine up to precision_bits.  Results are memoised
+    (functools.lru_cache, 256 entries) on the arguments as given, so the
+    ladders always pass three positional arguments and a repeated ladder
+    gets back the same sets.  Certification is a posteriori and ignores
+    where the approximations came from: the disk of radius
     deg * |p(x)/p'(x)| around any point contains a root, so taking the
-    worst such radius (|p| bounded above and |p'| below, both with
-    their Horner error) and checking the disks are pairwise disjoint
-    pins exactly one root per disk.  A poor start can therefore only cost sweeps or an
-    escalation, never a wrong certificate.  Failure to certify raises
-    the precision-escalation signal.
+    worst such radius (|p| bounded above and |p'| below, both with their
+    Horner error) and checking the disks are pairwise disjoint pins
+    exactly one root per disk.  A poor start can therefore only cost
+    sweeps or an escalation, never a wrong certificate.  Failure to
+    certify raises the precision-escalation signal.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
+    if warm is not None and len(warm.approximations) != p.degree:
+        raise ValueError("a warm start needs one point per root")
     # Fewer bits than a double start carries would only round away what
     # the start knows, and integers of a word or two cost no less.
     precision_bits = max(precision_bits, _DOUBLE_BITS)
-    cached, warm = _ROOT_CACHE.lookup(p, precision_bits)
-    if cached is not None:
-        return cached
+    if warm is not None and warm.precision_bits >= precision_bits:
+        return warm
     ints = _int_coeffs(p)
-    if initial is not None and len(initial) == p.degree:
-        known_bits, start = _DOUBLE_BITS, initial
-    elif warm is not None:
-        known_bits, start = warm.precision_bits, None
-    else:
-        known_bits, start = _DOUBLE_BITS, _aberth_double(ints)[0]
+    known_bits = _DOUBLE_BITS if warm is None else warm.precision_bits
     # Near simple roots an Aberth sweep triples the correct bits, so
     # refining through doubling precisions spends about two sweeps per
     # rung and only the last rung's at the full precision.
     rungs = [precision_bits]
     while rungs[-1] // 2 > known_bits:
         rungs.append(rungs[-1] // 2)
-    if start is None:
-        at, roots = known_bits, list(warm.approximations)
+    if warm is None:
+        at = rungs[-1]
+        roots = [_fixed(z, at) for z in _aberth_double(ints)[0]]
     else:
-        at, roots = rungs[-1], [_fixed(z, rungs[-1]) for z in start]
+        at, roots = known_bits, list(warm.approximations)
     for bits in reversed(rungs):
         up = bits - at
         roots = _aberth(ints, [(x << up, y << up) for x, y in roots], bits)
@@ -706,10 +665,9 @@ def find_roots(
                 raise PrecisionEscalation(
                     f"root disks overlap at {precision_bits} bits"
                 )
-    out = RootSet(
+    return RootSet(
         approximations=tuple(roots), radius=radius, precision_bits=F
     )
-    return _ROOT_CACHE.store(p, out)
 
 
 def classify_roots(
@@ -722,15 +680,14 @@ def classify_roots(
     |x| - rho > 1/2 compare squares of integers.  A disk touching the
     contour raises the escalation signal.
     """
-    den = _CONTOUR.denominator
-    edge = _CONTOUR.numerator << roots.precision_bits
-    rho = roots.radius * den
-    inner, outer = (edge - rho) ** 2, (edge + rho) ** 2
+    half = 1 << (roots.precision_bits - 1)
+    rho = roots.radius
+    inner, outer = (half - rho) ** 2, (half + rho) ** 2
     inside = []
     outside = []
     for x in roots.approximations:
-        m = (x[0] * x[0] + x[1] * x[1]) * den * den
-        if rho < edge and m < inner:
+        m = x[0] * x[0] + x[1] * x[1]
+        if rho < half and m < inner:
             inside.append(x)
         elif m > outer:
             outside.append(x)
@@ -741,22 +698,21 @@ def classify_roots(
     return tuple(inside), tuple(outside)
 
 
-def _poles_at(
-    p: Polynomial, bits: int
-) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
-    roots = find_roots(p, bits)
-    return (roots, *classify_roots(roots))
-
-
 def certified_poles(
     p: Polynomial, start_bits: int = START_BITS
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     """(roots, inside, outside): the roots of squarefree p, found and
-    classified against |t| = 1/2 at the same rung of the ladder."""
+    classified against |t| = 1/2 at the same rung of the ladder, each
+    rung warm-started from the last set it certified."""
+    warm = None
+
+    def rung(bits: int):
+        nonlocal warm
+        warm = find_roots(p, bits, warm)
+        return (warm, *classify_roots(warm))
+
     return _escalate(
-        lambda bits: _poles_at(p, bits),
-        f"the roots of a degree-{p.degree} polynomial",
-        start_bits,
+        rung, f"the roots of a degree-{p.degree} polynomial", start_bits
     )
 
 
@@ -995,11 +951,14 @@ def _integrate(
     # coefficients at the roots of d), so one certified rung suffices.
     if c.degree >= 1 and certified_poles(c, start_bits)[1]:
         raise ConsistencyError(
-            f"a pole of the outside factor sits inside |t|={_CONTOUR}"
+            "a pole of the outside factor sits inside |t|=1/2"
         )
     done: dict[int, Rational] = {}
+    # The last certified set of d's roots, the next rung's warm start.
+    d_roots: RootSet | None = None
 
     def rung(bits: int) -> list[Rational]:
+        nonlocal d_roots
         # The certified error never drops below _ERROR_FLOOR ulps, so a
         # cell with delta >= 2^(bits-8) cannot certify here: it waits.
         waiting = PrecisionEscalation(f"delta needs more than {bits} bits")
@@ -1007,10 +966,10 @@ def _integrate(
                 if k not in done and not delta >> (bits - 8)]
         if not live:
             raise waiting
-        d_roots, _, outside = _poles_at(d, bits)
-        if outside:
+        d_roots = find_roots(d, bits, d_roots)
+        if classify_roots(d_roots)[1]:
             raise ConsistencyError(
-                f"a pole of the inside factor sits outside |t|={_CONTOUR}"
+                "a pole of the inside factor sits outside |t|=1/2"
             )
         failure = waiting
         # The roots' precision, which is at least the rung's.

@@ -355,6 +355,24 @@ def test_prob_numeric_above_the_row_ceiling_fails_before_any_work(
                    "n = 150, got n = 151\n")
 
 
+def test_roots_above_the_row_ceiling_fails_before_any_work(
+    capsys, monkeypatch
+):
+    # roots runs the contour route's root finder, so it shares its row
+    # ceiling and fails as prob does, before a polynomial is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started above the row ceiling")
+
+    monkeypatch.setattr(residue_engine, "gf_denominator", refuse)
+    monkeypatch.setattr(residue_engine, "find_roots", refuse)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "roots", "--n", "151")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: precision: the contour route runs rows up to "
+                   "n = 150, got n = 151\n")
+
+
 # ------------------------------------------------------------------- table
 
 
@@ -716,15 +734,28 @@ def test_benchmark_trace_wraps_every_name_it_reads(tmp_path):
         return subprocess.run([sys.executable, *args], capture_output=True,
                               text=True, timeout=300, env=env)
 
-    spans = []
-    for argv in (["prob", "--n", "6", "--j", "3", "--method", "numeric"],
-                 ["verify", "--suite", "methods", "--n-max", "4"]):
+    runs = {}
+    for argv in ("prob --n 6 --j 3 --method numeric",
+                 "verify --suite methods --n-max 4",
+                 "roots --n 6",
+                 "verify --suite all --n-max 4"):
         out = tmp_path / "spans.json"
-        traced = python(str(trace_entry), str(out), *argv)
-        plain = python("-m", "hadwalk.cli", *argv)
+        traced = python(str(trace_entry), str(out), *argv.split())
+        plain = python("-m", "hadwalk.cli", *argv.split())
         assert traced.returncode == 0, traced.stderr
         assert traced.stdout == plain.stdout
-        spans += json.loads(out.read_text())
+        runs[argv] = json.loads(out.read_text())
+    # The factor roles reach the harness through the row's polynomials.
+    assert {"residue_engine.find_roots.d", "residue_engine.find_roots.c"} <= {
+        span[0] for span in runs["roots --n 6"]}
+    # verify asks again for the root sets of both factors that it has
+    # certified: the memo must return the same objects, which the
+    # harness counts as hits.
+    assert {"residue_engine.find_roots.d", "residue_engine.find_roots.c"} == {
+        span[0] for span in runs["verify --suite all --n-max 4"]
+        if span[0].startswith("residue_engine.find_roots.")
+        and span[4] and span[4][1]}
+    spans = [span for run in runs.values() for span in run]
     assert {
         "residue_engine.build_integrand",
         "residue_engine.integrate_exact",

@@ -29,7 +29,6 @@ from hadwalk.residue_engine import (
     _numerators_at,
     _product,
     _r_at,
-    _RootCache,
     _row_bound,
     _squarefree,
     _value_on_disk,
@@ -389,28 +388,46 @@ def test_find_roots_cached_per_precision():
     assert find_roots(p, 128) is find_roots(p, 128)
 
 
-def test_root_cache_is_bounded_and_keeps_the_warm_start():
-    cache = _RootCache(2)
-    p, q, r = T(1, -1), T(0, -2), T(1, 2)
-    p128, p256 = find_roots(p, 128), find_roots(p, 256)
-    assert cache.store(p, p128) is p128
-    assert cache.store(p, p256) is p256
-    assert cache.lookup(p, 256) == (p256, p128)
-    assert cache.lookup(p, 512) == (None, p256)
-    cache.store(q, find_roots(q, 128))
-    cache.lookup(p, 128)  # p is now the most recently used
-    cache.store(r, find_roots(r, 128))
-    assert cache.lookup(q, 128) == (None, None)
-    assert cache.lookup(p, 128)[0] is p128
-    # A stored set is never replaced: the first one stays the answer.
-    assert cache.store(p, find_roots(T(-1, 1), 128)) is p128
+def test_ladder_runs_one_cold_start_per_factor(monkeypatch):
+    # (1, 30) climbs from 128 to 256 bits on d; the 256-bit rung refines
+    # the 128-bit set instead of starting cold, and c is classified at
+    # one rung, so the double-precision run happens once per factor.
+    degrees = []
+    real = residue_engine._aberth_double
+
+    def spy(ints):
+        degrees.append(len(ints) - 1)
+        return real(ints)
+
+    monkeypatch.setattr(residue_engine, "_aberth_double", spy)
+    find_roots.cache_clear()
+    ig = build_integrand(1, 30)
+    assert integrate_exact(ig) == p_exact(1, 30)
+    assert sorted(degrees) == sorted([ig.c.degree, ig.d.degree])
+    # A second run of the same ladder is served from the memo.
+    hits = find_roots.cache_info().hits
+    assert integrate_exact(ig) == p_exact(1, 30)
+    assert len(degrees) == 2
+    assert find_roots.cache_info().hits > hits
 
 
-def test_root_cache_under_concurrent_callers(monkeypatch):
-    # More threads than cores, with a short switch interval: every
-    # caller gets the one stored object for each (p, bits), which a
-    # lost update between two storing threads would break.
-    monkeypatch.setattr(residue_engine, "_ROOT_CACHE", _RootCache(8))
+def test_find_roots_warm_start_at_the_precision_is_returned():
+    p = absorption_denominator(6)
+    rs = find_roots(p, 128)
+    assert find_roots(p, 128, rs) is rs
+    assert find_roots(p, 16, rs) is rs
+    fine = find_roots(p, 256, rs)
+    assert fine.precision_bits == 256
+    assert fine.error_radius < rs.error_radius
+    with pytest.raises(ValueError):
+        find_roots(absorption_denominator(7), 256, rs)
+
+
+def test_find_roots_under_concurrent_callers():
+    # More threads than cores, with a short switch interval: callers
+    # racing on a key may each compute it, but every set they get back
+    # for one (p, bits) is the same, and the memo stays bounded.
+    find_roots.cache_clear()
     polys = [absorption_denominator(n) for n in (3, 4, 5, 6)]
     seen: dict[tuple[int, int], list] = {}
     lock = threading.Lock()
@@ -436,7 +453,8 @@ def test_root_cache_under_concurrent_callers(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert sorted(len(v) for v in seen.values()) == [6 * 3] * 8
     for got in seen.values():
-        assert all(rs is got[0] for rs in got)
+        assert all(rs == got[0] for rs in got)
+    assert find_roots.cache_info().currsize <= 256
 
 
 def _one_true_root_per_disk(p: Polynomial, rs) -> None:
@@ -480,12 +498,16 @@ def test_find_roots_is_sound_from_bad_starts(monkeypatch, p):
     # A start can cost sweeps or force an escalation, but whatever
     # certifies is right.
     for name, start in _bad_starts(p).items():
-        monkeypatch.setattr(residue_engine, "_ROOT_CACHE", _RootCache(4))
+        monkeypatch.setattr(residue_engine, "_aberth_double",
+                            lambda ints, start=start: (list(start), 0))
+        find_roots.cache_clear()
         try:
-            rs = find_roots(p, 128, initial=start)
+            rs = find_roots(p, 128)
         except PrecisionEscalation:
             continue
         _one_true_root_per_disk(p, rs)
+    # Later callers get sets from the usual start.
+    find_roots.cache_clear()
 
 
 def test_find_roots_coefficients_beyond_the_double_range():
@@ -626,9 +648,9 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
     calls: list[tuple[Polynomial, int]] = []
     real = residue_engine.find_roots
 
-    def spy(p, precision_bits, initial=None):
+    def spy(p, precision_bits, warm=None):
         calls.append((p, precision_bits))
-        return real(p, precision_bits, initial)
+        return real(p, precision_bits, warm)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
     for j, n, d_bits in [(15, 30, 128), (1, 30, 256), (1, 13, 128),
@@ -661,9 +683,9 @@ def test_integrate_exact_reports_exhaustion(monkeypatch):
     calls = []
     real = residue_engine.find_roots
 
-    def spy(p, precision_bits, initial=None):
+    def spy(p, precision_bits, warm=None):
         calls.append(precision_bits)
-        return real(p, precision_bits, initial)
+        return real(p, precision_bits, warm)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
     for run, bits in ((lambda: integrate_exact(build_integrand(20, 40)), 88),
