@@ -28,7 +28,6 @@ import importlib
 _SOURCES = {
     "errors": (
         "ConsistencyError",
-        "DegenerateIntegrandError",
         "PrecisionError",
         "StepBudgetExceeded",
     ),

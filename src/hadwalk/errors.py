@@ -1,4 +1,10 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package.
+
+Each public exception has one CLI exit code, on a single
+"error: <category>: <reason>" line: ConsistencyError exits 1,
+PrecisionError and StepBudgetExceeded exit 3.  PrecisionEscalation is
+internal and never leaves the package.
+"""
 
 from __future__ import annotations
 
@@ -31,12 +37,6 @@ class PrecisionEscalation(Exception):
     double the precision; past the ceiling it becomes
     :class:`PrecisionError`, so no pipeline lets it escape.
     """
-
-
-class DegenerateIntegrandError(Exception):
-    """The integrand violates the distinct-pole assumptions (shared
-    roots between the factors, or a repeated root in the inside
-    factor); the denominator bound is meaningless in that case."""
 
 
 class StepBudgetExceeded(Exception):

@@ -60,7 +60,11 @@ stopped at the double noise floor; Aberth sweeps at doubling precision
 then refine it up to the rung's precision.  The certificate (disks of
 radius deg |p/p'|, pairwise disjoint) is computed at that precision
 from the final approximations alone, so the starting points decide how
-long a run takes, never whether its answer is right.  find_roots is
+long a run takes, never whether its answer is right.  The certificate
+also proves the polynomial squarefree (deg p disjoint disks that each
+hold a root are deg p distinct roots), the one hypothesis of the
+denominator bound not read off d's coefficients, and the ladder rounds
+a cell only at a rung where d's roots are certified.  find_roots is
 memoised, so a ladder that runs again for the same polynomial gets its
 certified sets back without a sweep.  The outside factor c is
 classified once, before the ladder, since the residue sum only
@@ -81,11 +85,10 @@ from .errors import (
     MAX_BITS,
     START_BITS,
     ConsistencyError,
-    DegenerateIntegrandError,
     PrecisionError,
     PrecisionEscalation,
 )
-from .exactq import Polynomial, Rational, poly_resultant
+from .exactq import Polynomial, Rational
 from .walk_core import _validate, absorption_denominator, gf_denominator
 
 _T = TypeVar("_T")
@@ -156,12 +159,14 @@ class Integrand:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots of one squarefree polynomial.
+    """All complex roots of one polynomial p, which the set proves
+    squarefree.
 
     Each approximation is a _Gaussian fixed-point pair (X, Y) standing
     for (X + iY) 2^-precision_bits, and radius is in the same units.
-    Each disk |x - approximations[i]| <= error_radius contains exactly
-    one true root, and the disks are pairwise disjoint, so the
+    Each disk |x - approximations[i]| <= error_radius contains a root of
+    p, and the deg p disks are pairwise disjoint, so p has deg p
+    distinct roots, one in each disk: the roots are simple, and the
     approximations are a faithful combinatorial copy of the root set.
     """
 
@@ -182,9 +187,21 @@ class DenominatorBound:
     row's part, and power = m - 1 with m = n - j.
 
     Write S for the sum of b(a)/(c(a) d'(a)) over the roots a of d, so
-    the integral is (-1)^j S.  Hypotheses, checked by _row_bound: d is
-    squarefree, N != 0, and for n >= 3 d_0 = 0 and d_1 = -1, so that
-    d = t e with e(0) = -1.  Proof, for n >= 3:
+    the integral is (-1)^j S.  Hypotheses:
+
+    * d_0 = 0 and d_1 = -1 for n >= 3, so that d = t e with e(0) = -1,
+      and N != 0: checked by _row_bound.
+    * d is squarefree: certified, not assumed.  The route rounds a cell
+      only at a rung where find_roots has certified d's roots, and
+      deg d pairwise disjoint disks that each hold a root are deg d
+      distinct roots.
+    * N != 0 is also proven.  At t = -1/2 the r recurrence is
+      r_{k+2} = 2 r_{k+1} - r_k / 2, with characteristic roots A/2 and
+      B/2 (A, B = 2 +- sqrt2), so r_k(-1/2) = ((A/2)^k - (B/2)^k)/sqrt2;
+      as A/2 - 1 = 1/sqrt2 = 1 - B/2, N = (A^(n-1) + B^(n-1))/2, the
+      rational part of (2 + sqrt2)^(n-1), an integer >= 2.
+
+    Proof, for n >= 3:
 
     1. Casoratian.  Let q_0 = 1, q_1 = 0 and q_{k+2} = (1 - 2t) q_{k+1}
        + t q_k.  W_k = r_k q_{k-1} - r_{k-1} q_k has W_1 = 1 and
@@ -238,69 +255,20 @@ def build_integrand(j: int, n: int) -> Integrand:
         p_j^(n) = ((-1)^j / 2 pi i) * integral over |t| = 1/2 of
                   t^(j-1) r_{n-j}^2 / ((r_n + 2t r_{n-1})(r_n - r_{n-1})) dt.
 
-    The two denominator factors never share a root and the inside factor
-    is squarefree; denominator_bound checks both and raises
-    DegenerateIntegrandError on a violation.
+    The two denominator factors never share a root (step 1 of the proof
+    on DenominatorBound, from N != 0), and the inside factor is
+    squarefree: the root certificate of d proves it on every rung that
+    rounds a cell.
     """
     return Integrand(j, n)
 
 
-# 2^61 - 1, then two spare primes, for the squarefree certificate.
-_SQUAREFREE_PRIMES = (2**61 - 1, 2**31 - 1, 998_244_353)
-
-
-def _trim_mod(v: Sequence[int], p: int) -> list[int]:
-    out = [a % p for a in v]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], p: int) -> int:
-    """Degree of gcd(a mod p, b mod p) over F_p, for prime p and
-    coefficient lists from the constant term up (-1 if both vanish)."""
-    a, b = _trim_mod(a, p), _trim_mod(b, p)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, coeff in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * coeff) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _squarefree(ints: Sequence[int]) -> bool:
-    """Whether the integer polynomial d = sum ints[k] t^k is squarefree.
-
-    Modular certificate: let p be a prime above deg d that does not
-    divide lc d.  Reduction mod p then keeps the degrees of d and d'
-    (the leading coefficient of d' is deg d * lc d), so the Sylvester
-    determinant reduces to Res(d mod p, d' mod p), which is nonzero
-    exactly when gcd(d mod p, d' mod p) = 1.  A unit gcd therefore
-    proves Res(d, d') != 0, that is disc(d) != 0.  Only when every prime
-    fails, because it divides disc(d) or d has a repeated root, is
-    Res(d, d') computed exactly.
-    """
-    if len(ints) <= 2:
-        return True
-    deriv = [k * a for k, a in enumerate(ints)][1:]
-    for p in _SQUAREFREE_PRIMES:
-        usable = ints[-1] % p and len(ints) <= p
-        if usable and _gcd_degree_mod(ints, deriv, p) == 0:
-            return True
-    return poly_resultant(Polynomial(ints), Polynomial(deriv)) != 0
-
-
 def _row_bound(d: Polynomial) -> int:
     """N = 2^(n-1) d(-1/2) for d of degree n - 1: the part of the bound
-    that a row's cells share.  Checks the hypotheses of the proof on
-    DenominatorBound: ConsistencyError unless d_0 = 0 and d_1 = -1
-    (n >= 3), DegenerateIntegrandError when N = 0 or d has a repeated
-    root.
+    that a row's cells share.  Checks the coefficient hypotheses of the
+    proof on DenominatorBound, d_0 = 0 and d_1 = -1 (n >= 3) and N != 0,
+    and raises ConsistencyError on a violation: each contradicts the
+    r family (N = (A^(n-1) + B^(n-1))/2 >= 2).
     """
     ints = _int_coeffs(d)
     if len(ints) > 2 and ints[:2] != [0, -1]:
@@ -308,9 +276,7 @@ def _row_bound(d: Polynomial) -> int:
     top = len(ints) - 1
     N = sum((-a if i % 2 else a) << (top - i) for i, a in enumerate(ints))
     if N == 0:
-        raise DegenerateIntegrandError("d vanishes at t = -1/2")
-    if not _squarefree(ints):
-        raise DegenerateIntegrandError("d has a repeated root")
+        raise ConsistencyError("d vanishes at t = -1/2")
     return N
 
 
@@ -592,11 +558,11 @@ def _aberth(
     return roots
 
 
-@functools.lru_cache(maxsize=256)
 def find_roots(
     p: Polynomial, precision_bits: int, warm: RootSet | None = None
 ) -> RootSet:
-    """All complex roots of squarefree p with a certified error radius.
+    """All complex roots of p with a certified error radius; a set that
+    certifies proves p squarefree (RootSet).
 
     precision_bits is raised to _DOUBLE_BITS when lower; that is the
     precision of the set returned.  The start is `warm`, a set certified
@@ -606,24 +572,32 @@ def find_roots(
     double-precision Aberth run (_aberth_double, Newton-polygon starts,
     stopped at the double noise floor).  Aberth sweeps at doubling
     precisions then refine up to precision_bits.  Results are memoised
-    (functools.lru_cache, 256 entries) on the arguments as given, so the
-    ladders always pass three positional arguments and a repeated ladder
-    gets back the same sets.  Certification is a posteriori and ignores
-    where the approximations came from: the disk of radius
-    deg * |p(x)/p'(x)| around any point contains a root, so taking the
-    worst such radius (|p| bounded above and |p'| below, both with their
-    Horner error) and checking the disks are pairwise disjoint pins
-    exactly one root per disk.  A poor start can therefore only cost
-    sweeps or an escalation, never a wrong certificate.  Failure to
+    (functools.lru_cache, 256 entries) on (p, raised precision, warm),
+    so calls that differ only in how they pass those, or in a precision
+    below the floor, share one entry and get back the same set.
+    Certification is a posteriori and ignores where the approximations
+    came from: the disk of radius deg * |p(x)/p'(x)| around any point
+    contains a root, so taking the worst such radius (|p| bounded above
+    and |p'| below, both with their Horner error) and checking the disks
+    are pairwise disjoint pins exactly one root per disk.  A poor start
+    can therefore only cost sweeps or an escalation, never a wrong
+    certificate, and a repeated root never certifies.  Failure to
     certify raises the precision-escalation signal.
     """
+    # Fewer bits than a double start carries would only round away what
+    # the start knows, and integers of a word or two cost no less.
+    return _find_roots(p, max(precision_bits, _DOUBLE_BITS), warm)
+
+
+@functools.lru_cache(maxsize=256)
+def _find_roots(
+    p: Polynomial, precision_bits: int, warm: RootSet | None
+) -> RootSet:
+    """find_roots at a precision already raised to the floor."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     if warm is not None and len(warm.approximations) != p.degree:
         raise ValueError("a warm start needs one point per root")
-    # Fewer bits than a double start carries would only round away what
-    # the start knows, and integers of a word or two cost no less.
-    precision_bits = max(precision_bits, _DOUBLE_BITS)
     if warm is not None and warm.precision_bits >= precision_bits:
         return warm
     ints = _int_coeffs(p)
@@ -701,9 +675,11 @@ def classify_roots(
 def certified_poles(
     p: Polynomial, start_bits: int = START_BITS
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
-    """(roots, inside, outside): the roots of squarefree p, found and
-    classified against |t| = 1/2 at the same rung of the ladder, each
-    rung warm-started from the last set it certified."""
+    """(roots, inside, outside): the roots of p, certified (which proves
+    p squarefree) and classified against |t| = 1/2 at the same rung of
+    the ladder, each rung warm-started from the last set it certified.
+    A p with a repeated root never certifies, so it ends the ladder with
+    PrecisionError."""
     warm = None
 
     def rung(bits: int):
@@ -934,10 +910,13 @@ def _integrate(
     with c and d the row's factors.
 
     Fails fast when some delta needs more than MAX_BITS, then certifies
-    once that every c-root disk lies outside |t| = 1/2.  Each rung finds
-    d's roots and the weights once; at each root one pass of the r
-    recurrence gives b_j for every pending cell whose delta the rung
-    allows (_numerators_at), and each such cell is one weighted sum.  A
+    once that every c-root disk lies outside |t| = 1/2.  Each rung
+    certifies d's roots and finds the weights once, before it rounds any
+    cell, so every delta it uses rests on proven hypotheses (d
+    squarefree among them) and a repeated root of d ends the ladder with
+    PrecisionError.  At each root one pass of the r recurrence gives b_j
+    for every pending cell whose delta the rung allows (_numerators_at),
+    and each such cell is one weighted sum.  A
     cell is done once delta * error < 1/4 and the scaled sum lies within
     1/4 of an integer: that integer over delta is then exact.
     """
@@ -966,6 +945,9 @@ def _integrate(
                 if k not in done and not delta >> (bits - 8)]
         if not live:
             raise waiting
+        # This certificate proves d squarefree, the one hypothesis of
+        # delta that _row_bound does not check, so it must come before
+        # any cell is rounded.
         d_roots = find_roots(d, bits, d_roots)
         if classify_roots(d_roots)[1]:
             raise ConsistencyError(

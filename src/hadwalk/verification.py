@@ -66,7 +66,7 @@ def _fail(name: str, detail: str) -> CheckResult:
 # ------------------------------------------------------------- identities
 
 
-def check_watrous_recurrence(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_watrous_recurrence(n_max: int) -> CheckResult:
     """p_1^(n) = (1 + 2 p_1^(n-1)) / (2 + 2 p_1^(n-1)) for 3 <= n <= n_max."""
     name = "watrous-recurrence"
     for n in range(3, n_max + 1):
@@ -75,7 +75,7 @@ def check_watrous_recurrence(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 3..{n_max}")
 
 
-def check_row_recurrence(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_row_recurrence(n_max: int) -> CheckResult:
     """p_j - 7 p_{j+1} + 7 p_{j+2} - p_{j+3} = 0 along every row,
     including the p_n = 0 convention cell."""
     name = "row-recurrence"
@@ -90,7 +90,7 @@ def check_row_recurrence(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 4..{n_max}, {cells} windows")
 
 
-def check_outer_pair_sum(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_outer_pair_sum(n_max: int) -> CheckResult:
     """p_1^(n) + p_{n-1}^(n) = 1."""
     name = "outer-pair-sum"
     for n in range(2, n_max + 1):
@@ -99,7 +99,7 @@ def check_outer_pair_sum(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{n_max}")
 
 
-def check_first_two_entries(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_first_two_entries(n_max: int) -> CheckResult:
     """2 p_1^(n) = p_2^(n) + 1 (with the p_2^(2) = 0 convention)."""
     name = "first-two-entries"
     for n in range(2, n_max + 1):
@@ -108,7 +108,7 @@ def check_first_two_entries(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{n_max}")
 
 
-def check_boundary_conventions(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_boundary_conventions(n_max: int) -> CheckResult:
     """p_0^(n) = 1 and p_n^(n) = 0."""
     name = "boundary-conventions"
     for n in range(2, n_max + 1):
@@ -119,7 +119,7 @@ def check_boundary_conventions(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{n_max}")
 
 
-def check_convergence_sandwich(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_convergence_sandwich(n_max: int) -> CheckResult:
     """(sqrt2/2) rho^(n-1) < sqrt2/2 - p_1^(n) < sqrt2 rho^(n-1) with
     rho = 3 - 2 sqrt2, compared exactly in Q(sqrt 2)."""
     name = "convergence-sandwich"
@@ -134,7 +134,7 @@ def check_convergence_sandwich(n_max: int, tail_eps: Rational) -> CheckResult:
 # ------------------------------------------------------- method agreement
 
 
-def check_method_agreement(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_method_agreement(n_max: int) -> CheckResult:
     """Closed form, evaluated residue formula, and certified contour
     integration agree exactly on every interior cell."""
     name = "method-agreement"
@@ -153,7 +153,7 @@ def check_method_agreement(n_max: int, tail_eps: Rational) -> CheckResult:
 # ----------------------------------------------------------------- oracles
 
 
-def check_series_vs_paths(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_series_vs_paths(n_max: int) -> CheckResult:
     """Series coefficients of f_j^(n) equal signed path tallies from the
     explicit walk, for n <= 6 and lengths up to 16 (exhaustive
     enumeration caps the range)."""
@@ -169,7 +169,7 @@ def check_series_vs_paths(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{hi}, lengths <= {m_max}")
 
 
-def check_recurrence_built_gf(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_recurrence_built_gf(n_max: int) -> CheckResult:
     """The closed-form generating functions equal the ones rebuilt from
     the two-step recurrence system (range capped at 12 for cost: on a
     2-vCPU machine rows 2..12 take about 0.03 s, rows 13 and 14 would
@@ -183,7 +183,7 @@ def check_recurrence_built_gf(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{hi}")
 
 
-def check_absorbed_mass_series(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_absorbed_mass_series(n_max: int) -> CheckResult:
     """Left-absorbed mass after m steps equals sum over k <= m of
     c_k^2 2^(-k) for the series coefficients c_k."""
     name = "absorbed-mass-series"
@@ -239,7 +239,7 @@ def _approx(q: QuadExt) -> str:
     return significant(q.a + q.b * _SQRT2_200, 4)
 
 
-def check_first_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_first_column_limit(n_max: int) -> CheckResult:
     """|p_1^(40) - sqrt2/2| < 10^-20, compared exactly in Q(sqrt 2)."""
     name = "first-column-limit"
     gap = abs(QuadExt(p_exact(1, 40)) - SQRT2_OVER_2)
@@ -248,7 +248,7 @@ def check_first_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"gap {_approx(gap)} < 1e-20 at n=40")
 
 
-def check_center_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_center_column_limit(n_max: int) -> CheckResult:
     """|p_20^(40) - sqrt2/4| < 10^-8, compared exactly in Q(sqrt 2)."""
     name = "center-column-limit"
     gap = abs(QuadExt(p_exact(20, 40)) - SQRT2_OVER_4)
@@ -260,7 +260,7 @@ def check_center_column_limit(n_max: int, tail_eps: Rational) -> CheckResult:
 # --------------------------------------------------------------- structure
 
 
-def check_pole_classification(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_pole_classification(n_max: int) -> CheckResult:
     """Certified disks put every root of r_n - r_{n-1} strictly inside
     |t| = 1/2 and every root of r_n + 2t r_{n-1} strictly outside."""
     name = "pole-classification"
@@ -279,7 +279,7 @@ def check_pole_classification(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"n = 2..{n_max}, certified disks")
 
 
-def check_quotient_structure(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_quotient_structure(n_max: int) -> CheckResult:
     """The combination t^(j-1)(1+2t) r_{n-j} +- (r_j - r_{j-1})(r_n + 2t r_{n-1})
     is divisible by r_n - r_{n-1}, and the quotient depends only on j."""
     name = "quotient-structure"
@@ -291,9 +291,10 @@ def check_quotient_structure(n_max: int, tail_eps: Rational) -> CheckResult:
     return _ok(name, f"j = 1..{min(n_max, 11) - 1}, n <= {n_max}")
 
 
-def check_squarefree_denominators(n_max: int, tail_eps: Rational) -> CheckResult:
-    """discriminant(r_n - r_{n-1}) != 0: the contour route always sees
-    simple poles."""
+def check_squarefree_denominators(n_max: int) -> CheckResult:
+    """discriminant(r_n - r_{n-1}) != 0, exactly: the independent
+    reference for the squarefreeness that the contour route's root
+    certificate proves on each row it runs."""
     name = "squarefree-denominators"
     for n in range(2, n_max + 1):
         if poly_discriminant(absorption_denominator(n)) == 0:
@@ -301,9 +302,7 @@ def check_squarefree_denominators(n_max: int, tail_eps: Rational) -> CheckResult
     return _ok(name, f"n = 2..{n_max}")
 
 
-def check_denominator_bound_integrality(
-    n_max: int, tail_eps: Rational
-) -> CheckResult:
+def check_denominator_bound_integrality(n_max: int) -> CheckResult:
     """delta * p is an integer for every interior cell; the detail sets
     the largest delta against the largest true denominator."""
     name = "denominator-bound-integrality"
@@ -323,7 +322,7 @@ def check_denominator_bound_integrality(
     )
 
 
-def check_first_column_numerators(n_max: int, tail_eps: Rational) -> CheckResult:
+def check_first_column_numerators(n_max: int) -> CheckResult:
     """Reduced numerators of p_1^(n), n = 2..9: 1, 2, 7, 12, 41, 70, 239, 408."""
     name = "first-column-numerators"
     got = tuple(p_exact(1, n).numerator for n in range(2, 10))
@@ -334,7 +333,8 @@ def check_first_column_numerators(n_max: int, tail_eps: Rational) -> CheckResult
 
 # ------------------------------------------------------------------ suites
 
-Check = Callable[[int, Rational], CheckResult]
+# A check takes n_max; check_simulator_bracketing also takes the tail.
+Check = Callable[..., CheckResult]
 
 SUITES: dict[str, tuple[Check, ...]] = {
     "identities": (
@@ -371,11 +371,13 @@ def run_suite(
     n_max: int = 9,
     tail_eps: Rational = F(1, 10 ** 10),
 ) -> list[CheckResult]:
-    """Run every check in the suite; results keep registry order."""
+    """Run every check in the suite; results keep registry order.
+    tail_eps reaches check_simulator_bracketing alone."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     if not 0 < tail_eps < 1:
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
-    return [check(n_max, tail_eps) for check in SUITES[suite]]
+    return [check(n_max, tail_eps) if check is check_simulator_bracketing
+            else check(n_max) for check in SUITES[suite]]

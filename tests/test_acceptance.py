@@ -207,7 +207,7 @@ def test_criterion_7_pole_structure_and_divisibility(capsys):
     n-independence of the quotient for j <= 10, n <= 15; squarefree
     absorption denominators to n = 30."""
     failures: list[str] = []
-    roots = check_pole_classification(20, F(1, 10))
+    roots = check_pole_classification(20)
     if not roots.passed:
         failures.append(roots.detail)
     for j in range(1, 11):

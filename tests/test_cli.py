@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -15,8 +17,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadwalk import cli, residue_engine, simulator, verification
+import hadwalk
+from hadwalk import cli, errors, residue_engine, simulator, verification
 from hadwalk.cli import (
     CommandConfig,
     _floor_log10,
@@ -31,6 +36,7 @@ from hadwalk.exactq import Polynomial
 from hadwalk.simulator import SimulationReport
 from hadwalk.verification import CheckResult
 from hadwalk.walk_core import (
+    METHODS,
     AbsorptionResult,
     absorption_denominator,
     gf,
@@ -652,6 +658,90 @@ def test_tail_eps_parsing_keeps_the_digit_limit(capsys):
     assert code == 2 and "Exceeds the limit" in err
     # One short line, not the 5,000-digit argument.
     assert err.count("\n") == 1 and len(err) < 200
+
+
+# The exit code of each exception the package exports, as the README's
+# "Exit codes" paragraph states it.
+_EXIT_CODES = {"ConsistencyError": 1, "PrecisionError": 3,
+               "StepBudgetExceeded": 3}
+
+
+@pytest.mark.parametrize("name", hadwalk._SOURCES["errors"])
+def test_every_exported_error_has_its_exit_code(capsys, monkeypatch, name):
+    # A runner that raises the error: run() maps it to its exit code and
+    # one stderr line.  An exported class without a code fails here.
+    cls = getattr(errors, name)
+
+    def raise_it(cfg):
+        if cls is StepBudgetExceeded:
+            raise cls("boom", report=None)
+        raise cls("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "gf", raise_it)
+    code, out, err = invoke(capsys, "gf", "--n", "5", "--j", "2")
+    assert code == _EXIT_CODES[name]
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(": boom\n")
+
+
+_FORMATS = ("frac", "dec", "text", "csv", "json")
+_TAILS = (
+    # Valid tails down to 1e-12 ...
+    *(f"1/{10 ** k}" for k in (1, 3, 6, 10, 12)), "1e-12", "0.5",
+    # ... malformed fractions and values outside (0, 1).
+    "1/0", "abc", "1/", "", "0", "1", "2", "-1/3", "0x10",
+)
+_VALUES = {
+    "--n": st.integers(-1, 10).map(str),
+    "--j": st.integers(-1, 11).map(str),
+    "--n-max": st.integers(-1, 6).map(str),
+    "--method": st.sampled_from((*METHODS, "all", "bogus")),
+    "--format": st.sampled_from(_FORMATS),
+    "--precision-bits": st.sampled_from(
+        ("-1", "8", "15", "16", "128", "8192", "8193", "x")),
+    "--tail-eps": st.sampled_from(_TAILS),
+    "--suite": st.sampled_from((*cli.SUITE_NAMES, "bogus")),
+    "--common-denominator": st.just(None),
+}
+# Each subcommand's options; the required ones come first.
+_GRAMMAR = {
+    "prob": (("--n", "--j"),
+             ("--method", "--format", "--precision-bits", "--tail-eps")),
+    "table": ((), ("--n-max", "--common-denominator", "--format")),
+    "gf": (("--n", "--j"), ("--format",)),
+    "verify": ((), ("--n-max", "--suite", "--format", "--tail-eps")),
+    "roots": (("--n",), ("--precision-bits", "--format")),
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    sub = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[sub]
+    argv = [sub]
+    for option in required + optional:
+        # A required option is left out now and then, too.
+        if draw(st.integers(0, 7) if option in required else st.booleans()):
+            value = draw(_VALUES[option])
+            argv += [option] if value is None else [option, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_answers_or_fails_with_one_documented_line(argv):
+    # Small inputs only: n <= 10, n_max <= 6, tails >= 1e-12.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert code in (1, 2, 3), argv
+        assert out.getvalue() == "" or code == 1, argv
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 # ------------------------------------------------------------ import diet

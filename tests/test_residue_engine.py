@@ -14,7 +14,6 @@ import pytest
 from hadwalk import residue_engine
 from hadwalk.errors import (
     ConsistencyError,
-    DegenerateIntegrandError,
     PrecisionError,
     PrecisionEscalation,
 )
@@ -30,7 +29,6 @@ from hadwalk.residue_engine import (
     _product,
     _r_at,
     _row_bound,
-    _squarefree,
     _value_on_disk,
     build_integrand,
     certified_poles,
@@ -43,6 +41,8 @@ from hadwalk.residue_engine import (
     residue_sum,
 )
 from hadwalk.walk_core import (
+    A,
+    B,
     absorption_denominator,
     gf_denominator,
     p_exact,
@@ -218,44 +218,34 @@ def test_the_bound_residues_at_zero_half_and_infinity():
 
 
 def test_denominator_bound_degenerate_pole_configurations():
-    # Double root of d at t = 1.
-    with pytest.raises(DegenerateIntegrandError, match="repeated root"):
-        _row_bound(T(0, -1, 2, -1))
-    # d(-1/2) = 0: -1/2 is the one root that c and d could share.
-    with pytest.raises(DegenerateIntegrandError, match="-1/2"):
+    # d(-1/2) = 0: -1/2 is the one root that c and d could share, and
+    # the closed form rules it out (N = (A^(n-1) + B^(n-1))/2).
+    with pytest.raises(ConsistencyError, match="-1/2"):
         _row_bound(T(0, -1, -2))
     # Every d of the family starts -t; anything else is a bug.
     with pytest.raises(ConsistencyError):
         _row_bound(T(0, 1, 1))
 
 
-def test_squarefree_certificate_and_its_exact_fallback(monkeypatch):
-    exact_calls = []
-    real = residue_engine.poly_resultant
+def test_row_bound_is_half_the_closed_form_denominator():
+    # N = 2^(n-1) d(-1/2) = (A^(n-1) + B^(n-1))/2, so N != 0 on every
+    # row the route runs, as the proof on DenominatorBound says.
+    for n in range(2, MAX_ROW + 1):
+        assert 2 * _row_bound(absorption_denominator(n)) == (
+            A ** (n - 1) + B ** (n - 1)), n
 
-    def spy(p, q):
-        exact_calls.append((p, q))
-        return real(p, q)
 
-    monkeypatch.setattr(residue_engine, "poly_resultant", spy)
-    # Every d of the family up to n = 30 certifies modulo 2^61 - 1.
-    for n in range(2, 31):
-        d = absorption_denominator(n)
-        assert _squarefree([int(a) for a in d.coeffs]), n
-    assert exact_calls == []
-    # t^2 - P with P the product of all three primes: each prime divides
-    # disc = 4P, so only the exact resultant decides (squarefree).
-    P = 1
-    for prime in residue_engine._SQUAREFREE_PRIMES:
-        P *= prime
-    assert _squarefree([-P, 0, 1])
-    assert len(exact_calls) == 1
-    # A prime dividing the leading coefficient is skipped, not trusted.
-    assert _squarefree([-1, 0, 2**61 - 1])
-    assert len(exact_calls) == 1
-    # A repeated root fails every prime and the exact check.
-    assert not _squarefree([1, -2, 1])
-    assert len(exact_calls) == 2
+def test_a_repeated_root_never_certifies(monkeypatch):
+    # The root certificate is what proves d squarefree: deg p disjoint
+    # disks that each hold a root cannot cover a double root.
+    with pytest.raises(PrecisionEscalation, match="overlap"):
+        find_roots(T(1, -2, 1), 128)
+    # So a ladder on such a p ends with PrecisionError.  A 256-bit
+    # ceiling keeps it short (each climb to 8,192 bits takes seconds).
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 256)
+    for p in (T(1, -2, 1), T(0, 1, -2, 1)):
+        with pytest.raises(PrecisionError, match="root disks overlap"):
+            certified_poles(p)
 
 
 # ------------------------------------------------------ fixed-point kernel
@@ -386,6 +376,22 @@ def test_find_roots_refinement_is_consistent():
 def test_find_roots_cached_per_precision():
     p = absorption_denominator(6)
     assert find_roots(p, 128) is find_roots(p, 128)
+    # The memo keys on the precision after the double floor, so a call
+    # that leaves warm out, or asks for fewer bits than the floor, gets
+    # back the very set that an equivalent call certified.
+    memo = residue_engine._find_roots
+    memo.cache_clear()
+    ig = build_integrand(3, 7)
+    assert integrate_exact(ig) == p_exact(3, 7)
+    before = memo.cache_info()
+    rs = find_roots(ig.d, 128)
+    assert find_roots(ig.d, 128) is rs
+    low = find_roots(ig.d, 16)
+    assert low.precision_bits == residue_engine._DOUBLE_BITS
+    assert find_roots(ig.d, 16, None) is low
+    assert find_roots(ig.d, residue_engine._DOUBLE_BITS) is low
+    after = memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 4, before.misses + 1)
 
 
 def test_ladder_runs_one_cold_start_per_factor(monkeypatch):
@@ -400,15 +406,15 @@ def test_ladder_runs_one_cold_start_per_factor(monkeypatch):
         return real(ints)
 
     monkeypatch.setattr(residue_engine, "_aberth_double", spy)
-    find_roots.cache_clear()
+    residue_engine._find_roots.cache_clear()
     ig = build_integrand(1, 30)
     assert integrate_exact(ig) == p_exact(1, 30)
     assert sorted(degrees) == sorted([ig.c.degree, ig.d.degree])
     # A second run of the same ladder is served from the memo.
-    hits = find_roots.cache_info().hits
+    hits = residue_engine._find_roots.cache_info().hits
     assert integrate_exact(ig) == p_exact(1, 30)
     assert len(degrees) == 2
-    assert find_roots.cache_info().hits > hits
+    assert residue_engine._find_roots.cache_info().hits > hits
 
 
 def test_find_roots_warm_start_at_the_precision_is_returned():
@@ -427,7 +433,7 @@ def test_find_roots_under_concurrent_callers():
     # More threads than cores, with a short switch interval: callers
     # racing on a key may each compute it, but every set they get back
     # for one (p, bits) is the same, and the memo stays bounded.
-    find_roots.cache_clear()
+    residue_engine._find_roots.cache_clear()
     polys = [absorption_denominator(n) for n in (3, 4, 5, 6)]
     seen: dict[tuple[int, int], list] = {}
     lock = threading.Lock()
@@ -454,7 +460,7 @@ def test_find_roots_under_concurrent_callers():
     assert sorted(len(v) for v in seen.values()) == [6 * 3] * 8
     for got in seen.values():
         assert all(rs == got[0] for rs in got)
-    assert find_roots.cache_info().currsize <= 256
+    assert residue_engine._find_roots.cache_info().currsize <= 256
 
 
 def _one_true_root_per_disk(p: Polynomial, rs) -> None:
@@ -500,14 +506,14 @@ def test_find_roots_is_sound_from_bad_starts(monkeypatch, p):
     for name, start in _bad_starts(p).items():
         monkeypatch.setattr(residue_engine, "_aberth_double",
                             lambda ints, start=start: (list(start), 0))
-        find_roots.cache_clear()
+        residue_engine._find_roots.cache_clear()
         try:
             rs = find_roots(p, 128)
         except PrecisionEscalation:
             continue
         _one_true_root_per_disk(p, rs)
     # Later callers get sets from the usual start.
-    find_roots.cache_clear()
+    residue_engine._find_roots.cache_clear()
 
 
 def test_find_roots_coefficients_beyond_the_double_range():
