@@ -38,6 +38,7 @@ from .errors import (
     PrecisionError,
     StepBudgetExceeded,
 )
+from .exactq import _quotient, significant
 from .walk_core import (
     METHODS,
     AbsorptionResult,
@@ -80,12 +81,6 @@ def decimal_expansion(x: Rational) -> str:
     return str(d.quantize(target, context=_PAD_CTX))
 
 
-def _quotient(x: Rational, ctx: decimal.Context) -> decimal.Decimal:
-    """x rounded by ctx (correctly, in its rounding mode)."""
-    return ctx.divide(decimal.Decimal(x.numerator),
-                      decimal.Decimal(x.denominator))
-
-
 _LEAD_CTX = decimal.Context(prec=1, rounding=decimal.ROUND_DOWN)
 
 
@@ -93,26 +88,6 @@ def _floor_log10(x: Fraction) -> int:
     """floor(log10 x) for x > 0: truncating x to its leading digit never
     crosses a power of ten."""
     return _quotient(x, _LEAD_CTX).adjusted()
-
-
-def significant(x: Fraction, k: int) -> str:
-    """x rounded half up to k >= 1 significant digits, laid out as
-    mpmath.nstr(x, k) lays it out: fixed point while the leading digit's
-    exponent e satisfies min(-(k // 3), -5) < e < k, else d.ddde±N;
-    trailing zeros cut but ".0" kept, and 0 prints as "0.0"."""
-    if x == 0:
-        return "0.0"
-    ctx = decimal.Context(prec=k, rounding=decimal.ROUND_HALF_UP)
-    d = _quotient(abs(x), ctx)
-    e = d.adjusted()
-    digits = "".join(map(str, d.as_tuple().digits)).rstrip("0")
-    sign = "-" if x < 0 else ""
-    if not min(-(k // 3), -5) < e < k:
-        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{e:+d}"
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{digits}"
-    whole = digits[:e + 1].ljust(e + 1, "0")
-    return f"{sign}{whole}.{digits[e + 1:] or '0'}"
 
 
 @contextmanager

@@ -3,7 +3,9 @@
 Rationals, univariate polynomials over Q, elements of the real quadratic
 field Q(sqrt 2), and rational functions kept in a canonical reduced form.
 Everything in this module is exact: no floats enter or leave, and every
-operation either returns an exact value or raises.
+operation either returns an exact value or raises.  The module also
+holds ``significant``, the correctly rounded decimal rendering of a
+rational that both the CLI and the verification suite print.
 
 A polynomial stores each integral coefficient as an ``int`` and only a
 non-integral one as a (reduced) ``Fraction``.  The polynomials of the
@@ -18,6 +20,7 @@ rational coefficient appears on the way.
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -28,14 +31,6 @@ from typing import Iterable, Union
 Rational = Fraction
 
 ScalarLike = Union[int, Fraction]
-
-
-def _as_fraction(x: ScalarLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
 def _coefficient(x: ScalarLike) -> ScalarLike:
@@ -65,6 +60,32 @@ def _div(a: ScalarLike, b: ScalarLike) -> ScalarLike:
         q, r = divmod(a, b)
         return q if not r else Fraction(a, b)
     return _coefficient(Fraction(a) / b)
+
+
+def _quotient(x: Rational, ctx: decimal.Context) -> decimal.Decimal:
+    """x rounded by ctx (correctly, in its rounding mode)."""
+    return ctx.divide(decimal.Decimal(x.numerator),
+                      decimal.Decimal(x.denominator))
+
+
+def significant(x: Fraction, k: int) -> str:
+    """x rounded half up to k >= 1 significant digits, laid out as
+    mpmath.nstr(x, k) lays it out: fixed point while the leading digit's
+    exponent e satisfies min(-(k // 3), -5) < e < k, else d.ddde±N;
+    trailing zeros cut but ".0" kept, and 0 prints as "0.0"."""
+    if x == 0:
+        return "0.0"
+    ctx = decimal.Context(prec=k, rounding=decimal.ROUND_HALF_UP)
+    d = _quotient(abs(x), ctx)
+    e = d.adjusted()
+    digits = "".join(map(str, d.as_tuple().digits)).rstrip("0")
+    sign = "-" if x < 0 else ""
+    if not min(-(k // 3), -5) < e < k:
+        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    whole = digits[:e + 1].ljust(e + 1, "0")
+    return f"{sign}{whole}.{digits[e + 1:] or '0'}"
 
 
 class Polynomial:
@@ -438,27 +459,30 @@ def poly_discriminant(p: Polynomial) -> Fraction:
 class QuadExt:
     """Element a + b*sqrt(2) of the field Q(sqrt 2).
 
-    a and b are exact rationals, so arithmetic in this class is exact
-    field arithmetic.  Instances are immutable and ordered by their real
-    value; the order is decided by exact sign tests, never by floats.
+    a and b are exact rationals, each stored as ``Polynomial`` stores a
+    coefficient: an int when integral, else a reduced Fraction.  So the
+    powers of 2 + sqrt2 stay in integer arithmetic, and arithmetic in this
+    class is exact field arithmetic.  Instances are immutable and ordered
+    by their real value; the order is decided by exact sign tests, never
+    by floats.
     """
 
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0) -> None:
-        object.__setattr__(self, "_a", _as_fraction(a))
-        object.__setattr__(self, "_b", _as_fraction(b))
+        object.__setattr__(self, "_a", _coefficient(a))
+        object.__setattr__(self, "_b", _coefficient(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
 
     @property
-    def a(self) -> Fraction:
+    def a(self) -> ScalarLike:
         """Rational part."""
         return self._a
 
     @property
-    def b(self) -> Fraction:
+    def b(self) -> ScalarLike:
         """Coefficient of sqrt(2)."""
         return self._b
 
@@ -510,7 +534,7 @@ class QuadExt:
         """Field conjugate a - b*sqrt(2); a ring automorphism."""
         return QuadExt(self._a, -self._b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> ScalarLike:
         """Field norm a**2 - 2*b**2 = self * self.conj()."""
         return self._a * self._a - 2 * self._b * self._b
 
@@ -518,7 +542,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("QuadExt division by zero")
-        return QuadExt(self._a / n, -self._b / n)
+        return QuadExt(_div(self._a, n), _div(-self._b, n))
 
     def __truediv__(self, other: object) -> QuadExt:
         o = self._coerce(other)

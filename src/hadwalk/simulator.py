@@ -7,7 +7,10 @@ from (s, L) it moves to (s+1, R) with +1/sqrt2 and to (s-1, L) with
 -1/sqrt2.  Amplitude arriving at a barrier is measured there and then,
 so each absorbed path contributes its squared amplitude exactly once, at
 its arrival step.  Both steppers below apply this rule without the
-1/sqrt2 factor (`_move`), as integer sums and differences.
+1/sqrt2 factor, as integer sums and differences: the exact stepper on
+every interior slot (`_move`), the simulator on the live parity class
+only (`_move_live`, below).  The exact stepper keeps the full-width move
+because it is the oracle that the tests compare `simulate` against.
 
 Exact stepper (`step`).  All amplitudes are integers under a global
 (1/sqrt2)^step scale, so every probability mass is an integer numerator
@@ -21,11 +24,24 @@ bit a step, so step k costs O(n k) bit operations.
 
 Fixed-point simulator (`simulate`).  A bracket needs no exact state, so
 `simulate` keeps the interior amplitudes as ints A at F fractional bits,
-standing for A 2^-F.  A pair of steps applies `_move` twice and then
+standing for A 2^-F.  A pair of steps applies the move twice and then
 shifts every amplitude right by one bit, which is the exact (1/sqrt2)^2
-scale followed by a floor; nothing else is rounded.  The bracket is
-certified by the absolute-error lemma of residue_engine (Higham 2002,
-ch. 3), here with e counted in half-ulps (units of 2^-(F+1)):
+scale followed by a floor; nothing else is rounded.
+
+Live parity class.  Every move changes the site by +-1, so after k steps
+all amplitude sits on the sites s with s - j - k even, and the other
+class is identically zero.  `simulate` holds only the live class, the
+odd sites 1, 3, ... or the even sites 2, 4, ... up to n - 1, which is
+about n - 1 slots for both directions together, and each step maps one
+class to the other.  Only the odd class holds site 1, so only it feeds
+the left barrier; the right barrier is fed by the class that holds site
+n - 1.  A dropped slot is an exact zero, which every move and floor
+keeps, so the state, the hits and every output are those of a
+full-width loop.
+
+The bracket is certified by the absolute-error lemma of residue_engine
+(Higham 2002, ch. 3), here with e counted in half-ulps (units of
+2^-(F+1)):
 
   * the interior map of one step, the unitary move followed by dropping
     the two barrier slots, is a contraction, so an error already in the
@@ -33,7 +49,11 @@ ch. 3), here with e counted in half-ulps (units of 2^-(F+1)):
   * the floor of v/2 errs by 0 or 1/2 ulp in each of the 2(n-1)
     interior slots, so one shift moves the state by at most
     c = ceil(sqrt(2(n-1))) half-ulps in the 2-norm, and after r shifts
-    the computed state lies within e = r c of the exact one;
+    the computed state lies within e = r c of the exact one.  Only the
+    live slots are floored, and the zero slots of the other class floor
+    exactly, so c counted over all 2(n-1) slots is loose but valid; it
+    is kept, since a smaller c would change F, the widening and so the
+    output;
   * a barrier hit is the barrier slot after one or two unitary moves of
     the state, a linear functional of norm 1, so the computed hit h~
     lies within e of the exact hit h, and for any integer x >= |h~|,
@@ -212,11 +232,11 @@ class SimulationReport:
             raise ConsistencyError(f"report mass {total} != 1")
 
 
-# Step budget of `simulate`.  A step costs O(n) operations on ints of
-# about F bits, some 17 us at n = 46 on a 2-vCPU machine (Python 3.11),
-# and a cell needs about n^3 steps: the centre cell of row 46 certifies
-# at 1e-10 in 95,673 steps (1.6 s), and those of rows 47 and 48 exit
-# at the budget after 1.7 s.
+# Step budget of `simulate`.  A step costs O(n) operations on the n - 1
+# live slots, ints of about F bits: some 16 us at n = 46 on a 2-vCPU
+# machine (Python 3.11), and a cell needs about n^3 steps.  The centre
+# cell of row 46 certifies at 1e-10 in 95,673 steps (1.5 s), and those
+# of rows 47 and 48 exit at the budget after about 1.6 s.
 MAX_STEPS = 100_000
 
 
@@ -249,24 +269,51 @@ def _round_error(n: int) -> int:
     return isqrt(2 * (n - 1) - 1) + 1
 
 
-def _widening(mass: int, e: int) -> int:
-    """min(mass, e (2x + e)) with x = ceil(sqrt(mass)) >= |h~|."""
-    if not mass:
-        return 0
-    return min(mass, e * (2 * (isqrt(mass - 1) + 1) + e))
+def _widening(mass: int, hit: int, e: int) -> int:
+    """min(mass, e (2x + e)) with x = ceil(sqrt(mass)) >= |h~|, for the
+    mass hit^2 or 2 hit^2 of a hit != 0: x = |hit| when mass = hit^2,
+    which saves an isqrt."""
+    x = abs(hit)
+    if mass != x * x:
+        x = isqrt(mass - 1) + 1
+    return min(mass, e * (2 * x + e))
+
+
+def _move_live(right, left, odd: bool, holds_last: bool
+               ) -> tuple[list[int], list[int], int, int]:
+    """`_move` on the live class: (right', left', left_hit, right_hit).
+
+    right and left hold the sites of one parity, 1, 3, ... (odd) or
+    2, 4, ... (even), up to n - 1; the result holds the other class.
+    Only the odd class holds site 1 and feeds the left barrier, and only
+    the class that holds site n - 1 (holds_last) feeds the right one.
+    """
+    up = list(map(add, right, left))
+    down = list(map(sub, right, left))
+    left_hit = down.pop(0) if odd else 0
+    if holds_last:
+        right_hit = up.pop()
+    else:
+        right_hit = 0
+        down.append(0)
+    if not odd:
+        up.insert(0, 0)
+    return up, down, left_hit, right_hit
 
 
 def _simulate(
     j: int, n: int, tail_eps: Fraction, max_steps: int, frac_bits: int
 ) -> SimulationReport:
     """simulate() at a given number of fractional bits."""
-    eps_num, eps_den = tail_eps.numerator, tail_eps.denominator
     total = 1 << (2 * frac_bits + 2)
+    # For an integer rest, rest < stop iff rest / total < tail_eps.
+    stop = -(-tail_eps.numerator * total // tail_eps.denominator)
     c = _round_error(n)
-    right = [0] * (n - 1)
-    right[j - 1] = 1 << frac_bits
-    left = [0] * (n - 1)
-    limit = eps_num * total
+    odd = j & 1 == 1
+    last_odd = n & 1 == 0  # the parity of site n - 1
+    right = [0] * (n // 2 if odd else (n - 1) // 2)
+    right[(j - 1) // 2] = 1 << frac_bits
+    left = [0] * len(right)
     # Computed absorbed masses, their widening, and the floors' drift.
     left_mass = right_mass = left_wide = right_wide = drift = 0
     steps = 0
@@ -274,7 +321,7 @@ def _simulate(
         lower_left = left_mass - left_wide
         lower_right = right_mass - right_wide
         rest = total - lower_left - lower_right
-        if rest * eps_den < limit:
+        if rest < stop:
             return _report(lower_left, lower_right, rest, total, steps)
         if steps >= max_steps:
             report = _report(lower_left, lower_right, rest, total, steps)
@@ -283,27 +330,32 @@ def _simulate(
                 f"tail_eps after {steps} steps",
                 report,
             )
-        right, left, left_hit, right_hit = _move(right, left)
+        right, left, left_hit, right_hit = _move_live(
+            right, left, odd, odd == last_odd)
+        odd = not odd
         steps += 1
         if steps & 1:
             hit_left, hit_right = 2 * left_hit**2, 2 * right_hit**2
-            interior = 2 * (sum(map(mul, right, right))
-                            + sum(map(mul, left, left)))
+            state = right + left
+            interior = 2 * sum(map(mul, state, state))
         else:
             hit_left, hit_right = left_hit**2, right_hit**2
-            unrounded = sum(map(mul, right, right)) + sum(map(mul, left, left))
+            state = right + left
+            unrounded = sum(map(mul, state, state))
             right = [v >> 1 for v in right]
             left = [v >> 1 for v in left]
-            interior = 4 * (sum(map(mul, right, right))
-                            + sum(map(mul, left, left)))
+            state = right + left
+            interior = 4 * sum(map(mul, state, state))
             drift += unrounded - interior
         left_mass += hit_left
         right_mass += hit_right
         # Error of the state the hits came from: c per shift before them.
         e = (steps - 1) // 2 * c
         if e:
-            left_wide += _widening(hit_left, e)
-            right_wide += _widening(hit_right, e)
+            if hit_left:
+                left_wide += _widening(hit_left, left_hit, e)
+            if hit_right:
+                right_wide += _widening(hit_right, right_hit, e)
         if left_mass + right_mass + interior + drift != total:
             raise ConsistencyError(
                 f"fixed-point mass identity broken at step {steps} "

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cli import significant
 from .errors import PrecisionError
-from .exactq import QuadExt, Rational, poly_discriminant
+from .exactq import QuadExt, Rational, poly_discriminant, significant
 from .residue_engine import certified_poles, denominator_bounds, integrate_row
 from .simulator import enumerate_paths, initial_state, simulate, step
 from .walk_core import (
@@ -204,8 +203,8 @@ def check_absorbed_mass_series(n_max: int) -> CheckResult:
 
 
 # Largest row the bracketing check simulates.  The cap is for cost: at
-# 1e-10 on a 2-vCPU machine rows 2..12 take about 0.28 s in all, while
-# rows 13 and 14 would add about 0.37 s more, since a row has n - 1
+# 1e-10 on a 2-vCPU machine rows 2..12 take about 0.3 s in all, while
+# rows 13 and 14 would add about 0.4 s more, since a row has n - 1
 # cells of about n^3 steps of O(n) work each.
 SIMULATOR_BRACKETING_MAX_N = 12
 

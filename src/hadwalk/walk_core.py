@@ -253,7 +253,8 @@ def p_closed(j: int, n: int) -> Rational:
         raise ConsistencyError(
             f"closed form left a radical residue at j={j}, n={n}: {val}"
         )
-    p = val.rational_part
+    # An integral part is stored as an int (0 at j = n).
+    p = Fraction(val.rational_part)
     if not 0 <= p <= 1:
         raise ConsistencyError(f"p_closed({j}, {n}) = {p} outside [0, 1]")
     return p

@@ -789,6 +789,22 @@ def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
     assert {m for m in _PIPELINES if m in modules} == set(loaded)
 
 
+def test_verify_loads_the_cli_module_once():
+    # Run as ``python -m hadwalk.cli``, the CLI is the module __main__;
+    # the suite must not import it a second time as hadwalk.cli.
+    proc = _python_c(
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['hadwalk', 'verify', '--suite', 'limits']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('hadwalk.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert 'hadwalk.verification' in sys.modules\n"
+        "assert 'hadwalk.cli' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_subcommand_runs_without_mpmath():
     # mpmath is a test-only oracle; with its import blocked before
     # hadwalk loads, every subcommand still runs.

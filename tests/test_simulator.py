@@ -4,15 +4,18 @@ enumeration oracle."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from hadwalk import simulator
 from hadwalk.errors import ConsistencyError, StepBudgetExceeded
 from hadwalk.simulator import (
     AmplitudeState,
     SignedPathTally,
+    SimulationReport,
     _simulate,
     check_conservation,
     enumerate_paths,
@@ -221,6 +224,73 @@ def test_simulate_budget_error_carries_partial_report():
     rep = exc.value.report
     assert rep.steps_run == 10
     assert rep.p_left_lower + rep.p_right_lower + rep.residual == 1
+    assert str(exc.value) == (
+        "residual 3.154e-01 still above tail_eps after 10 steps")
+    assert rep == SimulationReport(
+        p_left_lower=F(391691965555096314165633347,
+                       618970019642690137449562112),
+        p_right_lower=F(16018267109856453169512423,
+                        309485009821345068724781056),
+        residual=F(195241519867880916944903919,
+                   618970019642690137449562112),
+        steps_run=10)
+
+
+def test_simulate_reports_are_pinned():
+    # Every field of two reports, down to the last bit: the stepping
+    # layout may change, the fixed-point arithmetic may not.
+    assert simulate(7, 14, F(1, 10**10)) == SimulationReport(
+        p_left_lower=F(63077365538113154430946262911434264361552999,
+                       178405961588244985132285746181186892047843328),
+        p_right_lower=F(57664298016189877929613148331896648670939463,
+                        89202980794122492566142873090593446023921664),
+        residual=F(17752074842113186605959330344411403,
+                   178405961588244985132285746181186892047843328),
+        steps_run=2597)
+    assert simulate(3, 10, F(1, 10**10)) == SimulationReport(
+        p_left_lower=F(32466262548776631611428381192301947435748261,
+                       89202980794122492566142873090593446023921664),
+        p_right_lower=F(28368359118411014838022466120807469218941505,
+                        44601490397061246283071436545296723011960832),
+        residual=F(8523831278669559656676560150290393,
+                   89202980794122492566142873090593446023921664),
+        steps_run=907)
+
+
+def test_simulate_reports_of_rows_2_to_12_are_pinned():
+    # One digest over the final or partial report of every cell of rows
+    # 2..12 at the default precision and at two coarse ones, where the
+    # floors and the widening decide most of the result.
+    digest = hashlib.sha256()
+    for run in (lambda j, n: simulate(j, n, F(1, 10**10)),
+                lambda j, n: _simulate(j, n, F(1, 1000), 1000, 10),
+                lambda j, n: _simulate(j, n, F(1, 7), 3, 5)):
+        for n in range(2, 13):
+            for j in range(1, n):
+                try:
+                    rep = run(j, n)
+                except StepBudgetExceeded as exc:
+                    rep = exc.report
+                digest.update(repr(rep).encode())
+    assert digest.hexdigest() == (
+        "a6d0b1ff37f1535bce141173152673c549ac3211b1cdb0b9d3e417828088ead7")
+
+
+def test_fixed_point_identity_catches_a_faulty_move(monkeypatch):
+    move = simulator._move_live
+    calls = []
+
+    def faulty(*args):
+        right, left, left_hit, right_hit = move(*args)
+        calls.append(None)
+        if len(calls) == 5:
+            right[0] += 1  # changes the interior mass by 2v + 1, never 0
+        return right, left, left_hit, right_hit
+
+    monkeypatch.setattr(simulator, "_move_live", faulty)
+    with pytest.raises(ConsistencyError,
+                       match="fixed-point mass identity broken at step 5"):
+        simulate(3, 7, F(1, 10**10))
 
 
 def test_simulate_validates_input():

@@ -253,6 +253,17 @@ def test_p_closed_frozen_values():
         p_closed(0, 4)
 
 
+def test_closed_form_powers_stay_integral():
+    # Q(sqrt 2) components are stored as ints when integral, so powers
+    # of A never build a Fraction; p_closed still returns a Fraction,
+    # also at j = n, where the rational part is the int 0.
+    power = A ** 40
+    assert type(power.a) is int and type(power.b) is int
+    for n in range(2, 13):
+        for j in range(1, n + 1):
+            assert type(p_closed(j, n)) is F, (j, n)
+
+
 def test_reference_table_rows():
     for n in range(2, 10):
         assert row_table(n) == [table_fraction(j, n) for j in range(1, n)]
