@@ -227,18 +227,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Polynomial:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial exponent must be a non-negative int")
-        result = Polynomial.one(self._var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other: object) -> tuple[Polynomial, Polynomial]:
         o = self._coerce(other)
         if o is None:
@@ -769,13 +757,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         return o / self
-
-    def evaluate(self, x):
-        """Exact value at x; raises ZeroDivisionError at a pole."""
-        num = poly_eval(self._num, x)
-        if isinstance(num, int):
-            num = Fraction(num)
-        return num / poly_eval(self._den, x)
 
     def series_coefficients(self, m_max: int) -> list[ScalarLike]:
         """Taylor coefficients c_0 .. c_m_max of the expansion at 0.

@@ -3,10 +3,12 @@ exact rational.
 
 The probability p_j^(n) equals (-1)^j times the sum of residues of
 b/(c d) over the roots of d, all of which lie inside the contour
-|t| = 1/2 while the roots of c stay outside.  The sum is approximated
-in _Gaussian fixed point with a fully propagated error bound,
-multiplied by an integer delta known to clear the denominator of the
-exact value, and rounded to the nearest integer.  If the certified
+|t| = 1/2 while the roots of c lie outside it (proof on
+build_integrand).  The sum only evaluates c at the roots of d, so c's
+roots are never computed.  The sum is approximated in _Gaussian fixed
+point with a fully propagated error bound, multiplied by an integer
+delta known to clear the denominator of the exact value, and rounded to
+the nearest integer.  If the certified
 error and the rounding distance both stay below 1/4, the rounded value
 is provably exact.
 
@@ -35,12 +37,12 @@ large the coefficients are.
 
 A row is the unit of work.  The cells of row n share c = r_n + 2t r_{n-1}
 and d = r_n - r_{n-1}; only the numerator b_j = t^(j-1) r_{n-j}^2 depends
-on j.  So the roots of d, the classification of c, the row part of the
-denominator bound and, at each precision, the weights
-w(x) = 1/(c(x) d'(x)) are computed once per row; one pass of the r
-recurrence at a root gives b_j there for every j, and each cell is one
-weighted sum (`integrate_row`).  `integrate_exact` runs the same engine,
-numerators included, on a single cell.
+on j.  So the roots of d, the row part of the denominator bound and,
+at each precision, the weights w(x) = 1/(c(x) d'(x)) are computed once
+per row; one pass of the r recurrence at a root gives b_j there for
+every j, and each cell is one weighted sum (`integrate_row`).
+`integrate_exact` runs the same engine, numerators included, on a
+single cell.
 
 Everything numeric lives behind escalation: any failed bound raises an
 internal signal, the working precision doubles, and the computation
@@ -66,9 +68,7 @@ hold a root are deg p distinct roots), the one hypothesis of the
 denominator bound not read off d's coefficients, and the ladder rounds
 a cell only at a rung where d's roots are certified.  find_roots is
 memoised, so a ladder that runs again for the same polynomial gets its
-certified sets back without a sweep.  The outside factor c is
-classified once, before the ladder, since the residue sum only
-evaluates c at the roots of d.
+certified sets back without a sweep.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
 
 
 # The largest row the contour route runs.  Root finding, not delta, sets
-# it: a cell of row 150 takes 13-17 s cold.  Rows above it fail before
+# it: a cell of row 150 takes 8-10 s cold.  Rows above it fail before
 # any polynomial is built.
 MAX_ROW = 150
 
@@ -259,6 +259,31 @@ def build_integrand(j: int, n: int) -> Integrand:
     on DenominatorBound, from N != 0), and the inside factor is
     squarefree: the root certificate of d proves it on every rung that
     rounds a cell.
+
+    Every root of c lies outside the contour, |t| > 1/2, so the contour
+    encloses the poles of d alone and the route never finds c's roots.
+    Proof, for n >= 3 (c = 1 for n = 2):
+
+    1. f_1^(n)(z) = z r_{n-1}(z^2) / c(z^2) generates the signed path
+       counts c_m, and the walk is absorbed on the left at step m with
+       amplitude c_m 2^(-m/2).  By unitarity the absorbed mass
+       sum_(m<=M) c_m^2 2^(-m) (the identity of the absorbed-mass-series
+       check) is at most 1 for every M.  So g(w) = f_1(w / sqrt2) has
+       square-summable coefficients, sum |g_m|^2 = s^2 <= 1.
+    2. By Cauchy-Schwarz, |g(w)| <= s / sqrt(1 - |w|^2) on |w| < 1.  A
+       pole of g at w_0 with |w_0| < 1 contradicts this outright, and
+       one with |w_0| = 1 makes |g(r w_0)| grow at least like
+       (1 - r)^(-1) as r -> 1, faster than the bound's (1 - r)^(-1/2).
+       So the rational function g has no pole in |w| <= 1.
+    3. c(0) = 1, and gcd(c, r_{n-1}) = gcd(r_n, r_{n-1}) = 1: by the
+       Casoratian (step 1 on DenominatorBound) a common root a has
+       (-a)^(n-1) = 0, yet r_k(0) = 1 for k >= 1.  So at a root tau of
+       c, w = sqrt(2 tau) != 0 makes the numerator w r_{n-1}(tau) / sqrt2
+       nonzero and the denominator c(tau) zero: w is a pole of g, so
+       |w| > 1 by 2, that is |tau| > 1/2.
+
+    `hadwalk roots` and verify's pole-classification check classify c's
+    roots with certified disks, an independent run-time witness.
     """
     return Integrand(j, n)
 
@@ -909,14 +934,15 @@ def _integrate(
     b_j/(c d') over the roots of d, one per cell (j, delta) of row n,
     with c and d the row's factors.
 
-    Fails fast when some delta needs more than MAX_BITS, then certifies
-    once that every c-root disk lies outside |t| = 1/2.  Each rung
-    certifies d's roots and finds the weights once, before it rounds any
-    cell, so every delta it uses rests on proven hypotheses (d
-    squarefree among them) and a repeated root of d ends the ladder with
-    PrecisionError.  At each root one pass of the r recurrence gives b_j
-    for every pending cell whose delta the rung allows (_numerators_at),
-    and each such cell is one weighted sum.  A
+    Fails fast when some delta needs more than MAX_BITS.  c enters only
+    through its coefficients in the weights 1/(c d'); its roots lie
+    outside the contour by the proof on build_integrand, so none is
+    found here.  Each rung certifies d's roots and finds the weights
+    once, before it rounds any cell, so every delta it uses rests on
+    proven hypotheses (d squarefree among them) and a repeated root of d
+    ends the ladder with PrecisionError.  At each root one pass of the r
+    recurrence gives b_j for every pending cell whose delta the rung
+    allows (_numerators_at), and each such cell is one weighted sum.  A
     cell is done once delta * error < 1/4 and the scaled sum lies within
     1/4 of an integer: that integer over delta is then exact.
     """
@@ -926,12 +952,6 @@ def _integrate(
     what = f"the integral for a {widest}-bit delta"
     if widest > MAX_BITS - 8:
         raise _exhausted(what, f"delta needs more than {MAX_BITS} bits")
-    # c is only classified, never integrated over (the weights read its
-    # coefficients at the roots of d), so one certified rung suffices.
-    if c.degree >= 1 and certified_poles(c, start_bits)[1]:
-        raise ConsistencyError(
-            "a pole of the outside factor sits inside |t|=1/2"
-        )
     done: dict[int, Rational] = {}
     # The last certified set of d's roots, the next rung's warm start.
     d_roots: RootSet | None = None
@@ -990,8 +1010,8 @@ def integrate_row(
     """Exact p_j^(n) for each j in js (default every interior cell
     1..n-1), in that order, by the contour route.
 
-    The row's work is done once: c, d, the row part of the bound and
-    c's classification; at each rung, d's roots and their weights
+    The row's work is done once: c, d and the row part of the bound;
+    at each rung, d's roots and their weights
     w(x) = 1/(c(x) d'(x)).  At each root x one pass of the recurrence
     gives r_0(x)..r_n(x) and so b_j(x) = x^(j-1) r_{n-j}(x)^2 for every
     j, and each cell is one weighted sum.

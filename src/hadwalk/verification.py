@@ -261,7 +261,11 @@ def check_center_column_limit(n_max: int) -> CheckResult:
 
 def check_pole_classification(n_max: int) -> CheckResult:
     """Certified disks put every root of r_n - r_{n-1} strictly inside
-    |t| = 1/2 and every root of r_n + 2t r_{n-1} strictly outside."""
+    |t| = 1/2 and every root of r_n + 2t r_{n-1} strictly outside.
+
+    The contour route proves the second fact (build_integrand) and never
+    finds c's roots, so this check is its independent run-time witness,
+    on every row that verify runs."""
     name = "pole-classification"
     for n in range(2, n_max + 1):
         try:

@@ -17,10 +17,9 @@ from hadwalk.errors import (
     PrecisionError,
     PrecisionEscalation,
 )
-from hadwalk.exactq import Polynomial
+from hadwalk.exactq import Polynomial, poly_gcd
 from hadwalk.residue_engine import (
     MAX_ROW,
-    START_BITS,
     _aberth_double,
     _div,
     _horner,
@@ -62,7 +61,8 @@ def one_plus_2t():
 
 def numerator(j, n):
     """b_j = t^(j-1) r_{n-j}^2 of the integrand, multiplied out."""
-    return Polynomial.monomial(j - 1, var="t") * r_poly(n - j) ** 2
+    r = r_poly(n - j)
+    return Polynomial.monomial(j - 1, var="t") * r * r
 
 
 def exact(x, bits):
@@ -156,6 +156,15 @@ def test_casoratian_of_the_r_recurrence():
     for k in range(1, 41):
         want = Polynomial.monomial(k - 1, var="t") * (-1) ** (k - 1)
         assert r_poly(k) * q[k - 1] - r_poly(k - 1) * q[k] == want, k
+
+
+def test_outside_factor_proof_inputs():
+    # Step 3 of the proof on build_integrand: c(0) = 1 and c shares no
+    # root with r_{n-1}, so every root of c is a pole of f_1.
+    for n in range(2, 61):
+        c = gf_denominator(n)
+        assert c.coeffs[0] == 1, n
+        assert poly_gcd(c, r_poly(n - 1)).degree == 0, n
 
 
 def test_d_starts_with_minus_t():
@@ -394,10 +403,10 @@ def test_find_roots_cached_per_precision():
     assert (after.hits, after.misses) == (before.hits + 4, before.misses + 1)
 
 
-def test_ladder_runs_one_cold_start_per_factor(monkeypatch):
+def test_ladder_runs_one_cold_start_for_d(monkeypatch):
     # (1, 30) climbs from 128 to 256 bits on d; the 256-bit rung refines
-    # the 128-bit set instead of starting cold, and c is classified at
-    # one rung, so the double-precision run happens once per factor.
+    # the 128-bit set instead of starting cold, and c's roots are never
+    # found, so the double-precision run happens once, for d.
     degrees = []
     real = residue_engine._aberth_double
 
@@ -409,11 +418,11 @@ def test_ladder_runs_one_cold_start_per_factor(monkeypatch):
     residue_engine._find_roots.cache_clear()
     ig = build_integrand(1, 30)
     assert integrate_exact(ig) == p_exact(1, 30)
-    assert sorted(degrees) == sorted([ig.c.degree, ig.d.degree])
+    assert degrees == [ig.d.degree]
     # A second run of the same ladder is served from the memo.
     hits = residue_engine._find_roots.cache_info().hits
     assert integrate_exact(ig) == p_exact(1, 30)
-    assert len(degrees) == 2
+    assert len(degrees) == 1
     assert residue_engine._find_roots.cache_info().hits > hits
 
 
@@ -645,10 +654,10 @@ def test_integrate_exact_frozen():
     assert integrate_exact(build_integrand(2, 3)) == F(1, 3)
 
 
-def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
-    # c is classified once, at the first rung that certifies it, and
-    # never refined along the ladder; d climbs to the rung the cell
-    # needs.  (1, 30) needs 256 bits.  (15, 30), (1, 13) and (2, 20)
+def test_outside_factor_is_never_root_found(monkeypatch):
+    # The roots of c lie outside the contour by proof (build_integrand),
+    # so neither engine entry point finds them; d climbs to the rung the
+    # cell needs.  (1, 30) needs 256 bits.  (15, 30), (1, 13) and (2, 20)
     # certify at the rung integrate_row(n, [j]) uses, since a single cell
     # takes its numerator from the same recurrence.
     calls: list[tuple[Polynomial, int]] = []
@@ -664,10 +673,9 @@ def test_outside_factor_is_root_found_at_one_precision(monkeypatch):
         ig = build_integrand(j, n)
         calls.clear()
         assert integrate_exact(ig) == p_exact(j, n)
-        c_bits = [bits for p, bits in calls if p == ig.c]
-        assert c_bits == [certified_poles(ig.c)[0].precision_bits]
-        assert c_bits == [START_BITS]
-        assert max(bits for p, bits in calls if p == ig.d) == d_bits, (j, n)
+        assert integrate_row(n, [j]) == [p_exact(j, n)]
+        assert [p for p, _ in calls if p != ig.d] == [], (j, n)
+        assert max(bits for _, bits in calls) == d_bits, (j, n)
 
 
 def test_integrate_exact_stable_under_start_precision():
