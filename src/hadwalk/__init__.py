@@ -26,6 +26,7 @@ import importlib
 # Each public name and the submodule that defines it.  A name is imported
 # on first access (PEP 562), so ``import hadwalk`` loads no pipeline.
 _SOURCES = {
+    "cells": ("AbsorptionResult", "METHODS"),
     "errors": (
         "ConsistencyError",
         "PrecisionError",
@@ -64,8 +65,6 @@ _SOURCES = {
     "walk_core": (
         "A",
         "B",
-        "AbsorptionResult",
-        "METHODS",
         "absorption",
         "absorption_denominator",
         "gf",

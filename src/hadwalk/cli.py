@@ -21,16 +21,15 @@ output depends on evaluation order.
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import TYPE_CHECKING, NamedTuple, NoReturn, Sequence
 
+from .cells import METHODS, AbsorptionResult, _quotient, _validate, significant
 from .errors import (
     MAX_BITS,
     START_BITS,
@@ -38,20 +37,11 @@ from .errors import (
     PrecisionError,
     StepBudgetExceeded,
 )
-from .exactq import _quotient, significant
-from .walk_core import (
-    METHODS,
-    AbsorptionResult,
-    _validate,
-    absorption,
-    gf,
-    row_common_denominator,
-    row_table,
-)
 
-# The contour route, the simulator and the verification suite are
-# imported by the subcommand that runs them, so a process loads only the
-# pipeline it uses.
+# The polynomial layer (walk_core, exactq), the contour route, the
+# simulator, the verification suite and csv are imported by the runner
+# that uses them, so a process loads only its route: `prob --method
+# simulate` adds the simulator to cells, and neither walk_core nor exactq.
 if TYPE_CHECKING:
     from .exactq import Rational
     from .simulator import SimulationReport
@@ -117,11 +107,7 @@ def canonical_json(obj) -> str:
 # ------------------------------------------------------------ configuration
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated invocation: every field satisfies the preconditions of
-    the target operation before dispatch."""
-
+class _CommandFields(NamedTuple):
     subcommand: str
     n: int | None = None
     j: int | None = None
@@ -133,7 +119,16 @@ class CommandConfig:
     common_denominator: bool = False
     suite: str = "all"
 
-    def __post_init__(self) -> None:
+
+class CommandConfig(_CommandFields):
+    """Validated invocation: every field satisfies the preconditions of
+    the target operation before dispatch, on every construction
+    (``_replace`` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CommandConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.subcommand in ("prob", "gf", "roots"):
             if self.n is None or self.n < 2:
                 raise ValueError(f"need a barrier position --n >= 2, got {self.n}")
@@ -150,6 +145,11 @@ class CommandConfig:
             )
         if not 0 < self.tail_eps < 1:
             raise ValueError(f"--tail-eps must lie in (0, 1), got {self.tail_eps}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> CommandConfig:
+        return cls(*fields)
 
     def _j_range(self) -> tuple[int, int]:
         # The evaluated formula covers the j = 0 and j = n conventions;
@@ -174,8 +174,22 @@ class _SingleLineParser(argparse.ArgumentParser):
 _ECHO_CHARS = 32
 
 
+def _check_exponent(text: str) -> None:
+    """Refuse the exponent form d.ddE±N for |N| above Python's int <-> str
+    digit limit (3.11 and later, unless lifted): Fraction builds 10^|N|
+    outright, so the exponent must not get round the limit that bounds
+    every digit string it parses."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, mark, exponent = text.strip().lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if limit and mark and digits.isdecimal() and (
+            len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValueError(f"exponent exceeds the limit ({limit} digits)")
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
+        _check_exponent(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # The argument and the parser's message (which may quote it) are
@@ -208,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--j", type=int, required=True, help="start site")
     prob.add_argument("--method", choices=METHODS + ("all",),
                       help="computation pipeline "
-                      f"(default: {CommandConfig.method})")
+                      f"(default: {CommandConfig._field_defaults['method']})")
     prob.add_argument("--format",
                       choices=("frac", "dec", "text", "csv", "json"),
                       default="frac")
@@ -286,6 +300,8 @@ def _cell_json(n: int, j: int, p: Pair, q: Pair, method: str) -> dict:
 
 
 def _csv_table(rows: list[tuple[int, int, Pair, Pair, str]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "j", "p_num", "p_den", "q_num", "q_den", "method"])
@@ -301,6 +317,8 @@ def _one_method(cfg: CommandConfig, method: str):
     """(AbsorptionResult, SimulationReport | None) for one pipeline."""
     n, j = cfg.n, cfg.j
     if method in ("closed", "residue"):
+        from .walk_core import absorption
+
         return absorption(j, n, method), None
     if method == "numeric":
         from .residue_engine import build_integrand, integrate_exact
@@ -406,6 +424,8 @@ def _run_prob(cfg: CommandConfig) -> int:
 def _table_rows(cfg: CommandConfig) -> list[tuple[int, int, Pair, Pair]]:
     """(n, j, p, q) for every cell, p and q as (num, den) pairs: reduced,
     or over the row's shared denominator with --common-denominator."""
+    from .walk_core import row_common_denominator, row_table
+
     out = []
     for n in range(2, cfg.n_max + 1):
         if cfg.common_denominator:
@@ -445,6 +465,8 @@ def _run_table(cfg: CommandConfig) -> int:
 
 
 def _run_gf(cfg: CommandConfig) -> int:
+    from .walk_core import gf
+
     f = gf(cfg.j, cfg.n)
     if cfg.format == "text":
         print(f"f_{cfg.j}^({cfg.n})(z) = {f}")
@@ -464,9 +486,10 @@ def _run_gf(cfg: CommandConfig) -> int:
 
 def _run_verify(cfg: CommandConfig) -> int:
     # The contour route first, then the suite that imports it: in this
-    # order `verify --n-max 14` peaks at 18.7 MB RSS, against 18.8 MB when
-    # the suite's import pulls it in (medians of 10 runs, quartile spread
-    # at most 0.11 MB, Python 3.11).
+    # order `verify --n-max 14` peaks at 17.1 MB RSS, against 17.3 MB when
+    # the suite's import pulls it in (medians of 20 runs, each started
+    # from a bare Python parent, quartile spread at most 0.1 MB, Python
+    # 3.11).
     from . import residue_engine  # noqa: F401
     from .verification import run_suite
 

@@ -3,9 +3,7 @@
 Rationals, univariate polynomials over Q, elements of the real quadratic
 field Q(sqrt 2), and rational functions kept in a canonical reduced form.
 Everything in this module is exact: no floats enter or leave, and every
-operation either returns an exact value or raises.  The module also
-holds ``significant``, the correctly rounded decimal rendering of a
-rational that both the CLI and the verification suite print.
+operation either returns an exact value or raises.
 
 A polynomial stores each integral coefficient as an ``int`` and only a
 non-integral one as a (reduced) ``Fraction``.  The polynomials of the
@@ -20,7 +18,6 @@ rational coefficient appears on the way.
 
 from __future__ import annotations
 
-import decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -60,32 +57,6 @@ def _div(a: ScalarLike, b: ScalarLike) -> ScalarLike:
         q, r = divmod(a, b)
         return q if not r else Fraction(a, b)
     return _coefficient(Fraction(a) / b)
-
-
-def _quotient(x: Rational, ctx: decimal.Context) -> decimal.Decimal:
-    """x rounded by ctx (correctly, in its rounding mode)."""
-    return ctx.divide(decimal.Decimal(x.numerator),
-                      decimal.Decimal(x.denominator))
-
-
-def significant(x: Fraction, k: int) -> str:
-    """x rounded half up to k >= 1 significant digits, laid out as
-    mpmath.nstr(x, k) lays it out: fixed point while the leading digit's
-    exponent e satisfies min(-(k // 3), -5) < e < k, else d.ddde±N;
-    trailing zeros cut but ".0" kept, and 0 prints as "0.0"."""
-    if x == 0:
-        return "0.0"
-    ctx = decimal.Context(prec=k, rounding=decimal.ROUND_HALF_UP)
-    d = _quotient(abs(x), ctx)
-    e = d.adjusted()
-    digits = "".join(map(str, d.as_tuple().digits)).rstrip("0")
-    sign = "-" if x < 0 else ""
-    if not min(-(k // 3), -5) < e < k:
-        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{e:+d}"
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{digits}"
-    whole = digits[:e + 1].ljust(e + 1, "0")
-    return f"{sign}{whole}.{digits[e + 1:] or '0'}"
 
 
 class Polynomial:

@@ -77,10 +77,10 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
+from .cells import _validate
 from .errors import (
     MAX_BITS,
     START_BITS,
@@ -89,7 +89,7 @@ from .errors import (
     PrecisionEscalation,
 )
 from .exactq import Polynomial, Rational
-from .walk_core import _validate, absorption_denominator, gf_denominator
+from .walk_core import absorption_denominator, gf_denominator
 
 _T = TypeVar("_T")
 
@@ -134,8 +134,14 @@ def _factors(n: int) -> tuple[Polynomial, Polynomial]:
     return gf_denominator(n), absorption_denominator(n)
 
 
-@dataclass(frozen=True)
-class Integrand:
+class _IntegrandFields(NamedTuple):
+    j: int
+    n: int
+    c: Polynomial
+    d: Polynomial
+
+
+class Integrand(_IntegrandFields):
     """The integrand (-1)^j b / (c d) of p_j^(n) on the circle |t| = 1/2,
     with b = t^(j-1) r_{n-j}^2, c = r_n + 2t r_{n-1} and d = r_n - r_{n-1}.
 
@@ -145,20 +151,20 @@ class Integrand:
     evaluates it at the roots of d by the r recurrence.
     """
 
-    j: int
-    n: int
-    c: Polynomial = field(init=False)
-    d: Polynomial = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _validate(self.j, self.n, 1, self.n - 1)
-        c, d = _factors(self.n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+    def __new__(cls, j: int, n: int) -> Integrand:
+        _validate(j, n, 1, n - 1)
+        return super().__new__(cls, j, n, *_factors(n))
+
+    @classmethod
+    def _make(cls, fields) -> Integrand:
+        # _replace: a new (j, n) derives its own c and d.
+        j, n, _, _ = fields
+        return cls(j, n)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """All complex roots of one polynomial p, which the set proves
     squarefree.
 
@@ -180,8 +186,7 @@ class RootSet:
         return Fraction(self.radius, 1 << self.precision_bits)
 
 
-@dataclass(frozen=True)
-class DenominatorBound:
+class DenominatorBound(NamedTuple):
     """Integer delta = 2^power |N| with delta * (integral value)
     guaranteed integral, for the cell (j, n): N = 2^(n-1) d(-1/2), the
     row's part, and power = m - 1 with m = n - j.

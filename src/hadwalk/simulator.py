@@ -85,22 +85,22 @@ less than e_max 2^(F+3) units, in all by less than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
+from .cells import _validate
 from .errors import ConsistencyError, StepBudgetExceeded
-from .exactq import Rational
-from .walk_core import _validate
+
+if TYPE_CHECKING:
+    from .exactq import Rational
 
 LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass(frozen=True)
-class AmplitudeState:
+class AmplitudeState(NamedTuple):
     """Walk state after ``step`` steps on sites 0..n.
 
     ``right[s]`` and ``left[s]`` (s = 0..n) are the integer numerators of
@@ -210,26 +210,36 @@ def step(state: AmplitudeState, n: int) -> AmplitudeState:
     return out
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    """Certified truncation of the infinite absorption sums.
-
-    The exact left probability lies in
-    [p_left_lower, p_left_lower + residual], and similarly on the
-    right; the three fields always sum to exactly 1.
-    """
-
+class _ReportFields(NamedTuple):
     p_left_lower: Rational
     p_right_lower: Rational
     residual: Rational
     steps_run: int
 
-    def __post_init__(self) -> None:
+
+class SimulationReport(_ReportFields):
+    """Certified truncation of the infinite absorption sums.
+
+    The exact left probability lies in
+    [p_left_lower, p_left_lower + residual], and similarly on the
+    right; the three fields always sum to exactly 1, which every
+    construction (``_replace`` included) checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimulationReport:
+        self = super().__new__(cls, *args, **kwargs)
         if self.residual < 0:
             raise ConsistencyError(f"negative residual {self.residual}")
         total = self.p_left_lower + self.p_right_lower + self.residual
         if total != 1:
             raise ConsistencyError(f"report mass {total} != 1")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> SimulationReport:
+        return cls(*fields)
 
 
 # Step budget of `simulate`.  A step costs O(n) operations on the n - 1
@@ -373,8 +383,7 @@ def _report(lower_left: int, lower_right: int, rest: int, total: int,
     )
 
 
-@dataclass(frozen=True)
-class SignedPathTally:
+class SignedPathTally(NamedTuple):
     """counts[m-1] = sum of path signs over length-m absorbed paths."""
 
     counts: tuple[int, ...]

@@ -16,12 +16,12 @@ floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .cells import significant
 from .errors import PrecisionError
-from .exactq import QuadExt, Rational, poly_discriminant, significant
+from .exactq import QuadExt, Rational, poly_discriminant
 from .residue_engine import certified_poles, denominator_bounds, integrate_row
 from .simulator import enumerate_paths, initial_state, simulate, step
 from .walk_core import (
@@ -47,8 +47,7 @@ SQRT2_OVER_4 = QuadExt(0, F(1, 4))
 RHO = QuadExt(3, -2)  # 3 - 2 sqrt2, the per-step convergence ratio
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -18,50 +18,17 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .cells import AbsorptionResult, _validate
 from .errors import ConsistencyError
 from .exactq import SQRT2, Polynomial, QuadExt, Rational, RationalFunction
 
 # Fundamental units of the closed form: A = 2 + sqrt2, B = 2 - sqrt2.
 A = QuadExt(2, 1)
 B = QuadExt(2, -1)
-
-METHODS = ("closed", "residue", "numeric", "simulate")
-
-
-@dataclass(frozen=True)
-class AbsorptionResult:
-    """Absorption probabilities for one (j, n) as computed by one method.
-
-    For the exact methods (closed, residue, numeric) the two sides sum
-    to exactly 1.  For simulate, p_left and p_right are certified lower
-    bounds and may sum to less than 1 by the unabsorbed residual.
-    """
-
-    p_left: Rational
-    p_right: Rational
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (0 <= self.p_left <= 1 and 0 <= self.p_right <= 1):
-            raise ConsistencyError(
-                f"probabilities outside [0, 1]: {self.p_left}, {self.p_right}"
-            )
-        total = self.p_left + self.p_right
-        if self.method == "simulate":
-            if total > 1:
-                raise ConsistencyError(f"lower bounds sum above 1: {total}")
-        elif total != 1:
-            raise ConsistencyError(
-                f"exact method {self.method}: p_left + p_right = {total} != 1"
-            )
-
 
 class RFamily:
     """Append-only cache of the polynomial family r_k in the variable t.
@@ -112,15 +79,6 @@ def absorption_denominator(n: int) -> Polynomial:
     the row's absorption probabilities, and its roots are the poles
     picked up by the contour route."""
     return r_poly(n) - r_poly(n - 1)
-
-
-def _validate(j: int, n: int, j_low: int, j_high: int) -> None:
-    """The package's one range check for a cell (j, n): n >= 2 and
-    j_low <= j <= j_high, the bounds being those of the caller's route."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if not j_low <= j <= j_high:
-        raise ValueError(f"start site j={j} outside {j_low}..{j_high} for n={n}")
 
 
 def gf(j: int, n: int) -> RationalFunction:

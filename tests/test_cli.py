@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import functools
 import io
 import json
 import os
@@ -21,7 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadwalk
-from hadwalk import cli, errors, residue_engine, simulator, verification
+from hadwalk import (
+    cli,
+    errors,
+    residue_engine,
+    simulator,
+    verification,
+    walk_core,
+)
+from hadwalk.cells import METHODS, AbsorptionResult
 from hadwalk.cli import (
     CommandConfig,
     _floor_log10,
@@ -36,8 +44,6 @@ from hadwalk.exactq import Polynomial
 from hadwalk.simulator import SimulationReport
 from hadwalk.verification import CheckResult
 from hadwalk.walk_core import (
-    METHODS,
-    AbsorptionResult,
     absorption_denominator,
     gf,
     gf_denominator,
@@ -125,6 +131,12 @@ def test_command_config_validation():
     # The evaluated formula covers both boundary conventions.
     assert CommandConfig(subcommand="prob", n=5, j=0).j == 0
     assert CommandConfig(subcommand="prob", n=5, j=5).j == 5
+    # Immutable, and checked on every construction.
+    cfg = CommandConfig(subcommand="prob", n=5, j=5)
+    with pytest.raises(AttributeError):
+        cfg.j = 6
+    with pytest.raises(ValueError):
+        cfg._replace(method="numeric")
 
 
 def test_parse_argv_builds_config():
@@ -289,7 +301,7 @@ def test_prob_numeric_json_is_the_exact_cell_to_n16(capsys):
 
 
 def test_prob_all_detects_method_disagreement(capsys, monkeypatch):
-    real = cli.absorption
+    real = walk_core.absorption
 
     def crooked(j, n, method="residue"):
         if method == "closed":
@@ -297,7 +309,7 @@ def test_prob_all_detects_method_disagreement(capsys, monkeypatch):
                                     method="closed")
         return real(j, n, method)
 
-    monkeypatch.setattr(cli, "absorption", crooked)
+    monkeypatch.setattr(walk_core, "absorption", crooked)
     code, out, err = invoke(capsys, "prob", "--n", "4", "--j", "1",
                             "--method", "all")
     assert code == 1
@@ -585,7 +597,7 @@ def test_roots_radius_covers_both_factors(capsys, monkeypatch):
     def widened(p, bits):
         rs, ins, outs = real(p, bits)
         if p == c:
-            rs = dataclasses.replace(rs, radius=1000 * rs.radius)
+            rs = rs._replace(radius=1000 * rs.radius)
         return rs, ins, outs
 
     monkeypatch.setattr(residue_engine, "certified_poles", widened)
@@ -643,10 +655,15 @@ def test_help_exits_zero(capsys):
     assert "prob" in out and "verify" in out
 
 
+# 10^100,000,000: Fraction would build the power before any digit limit.
+_HUGE_EXPONENT = "1e-100000000"
+
+
 def test_bad_tail_eps_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
-                          "--method", "simulate", "--tail-eps", "1/0")
-    assert code == 2 and "bad fraction" in err
+    for tail in ("1/0", _HUGE_EXPONENT):
+        code, _, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
+                              "--method", "simulate", "--tail-eps", tail)
+        assert code == 2 and "bad fraction" in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -657,6 +674,13 @@ def test_tail_eps_parsing_keeps_the_digit_limit(capsys):
                           "--tail-eps", "1/1" + "0" * 5000)
     assert code == 2 and "Exceeds the limit" in err
     # One short line, not the 5,000-digit argument.
+    assert err.count("\n") == 1 and len(err) < 200
+    # The exponent form is held to the same limit, and refused at once.
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
+                          "--method", "simulate", "--tail-eps", _HUGE_EXPONENT)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "exponent exceeds the limit" in err
     assert err.count("\n") == 1 and len(err) < 200
 
 
@@ -690,7 +714,7 @@ _TAILS = (
     # Valid tails down to 1e-12 ...
     *(f"1/{10 ** k}" for k in (1, 3, 6, 10, 12)), "1e-12", "0.5",
     # ... malformed fractions and values outside (0, 1).
-    "1/0", "abc", "1/", "", "0", "1", "2", "-1/3", "0x10",
+    "1/0", "abc", "1/", "", "0", "1", "2", "-1/3", "0x10", _HUGE_EXPONENT,
 )
 _VALUES = {
     "--n": st.integers(-1, 10).map(str),
@@ -747,8 +771,13 @@ def test_cli_answers_or_fails_with_one_documented_line(argv):
 # ------------------------------------------------------------ import diet
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-_PIPELINES = ("mpmath", "hadwalk.residue_engine", "hadwalk.simulator",
-              "hadwalk.verification")
+# Modules a route may or may not load: the pipelines, the polynomial
+# layer, and the stdlib modules that only some routes need.
+_TRACKED = ("mpmath", "hadwalk.residue_engine", "hadwalk.simulator",
+            "hadwalk.verification", "hadwalk.exactq", "hadwalk.walk_core",
+            "dataclasses", "csv")
+_EXACT = ("hadwalk.exactq", "hadwalk.walk_core")
+_ENGINE = ("hadwalk.residue_engine", *_EXACT)
 
 
 def _cli(*argv):
@@ -765,28 +794,49 @@ def _python_c(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120, env=env)
 
 
+_LIST_MODULES = "import sys\nprint(' '.join(sorted(sys.modules)))\n"
+
+
+@functools.cache
+def _bare_modules() -> frozenset:
+    """What the interpreter loads before any hadwalk code runs, site
+    hooks included, in the environment the tests run in."""
+    proc = _python_c(_LIST_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
 @pytest.mark.parametrize("code,loaded", [
-    (_cli("prob", "--n", "5", "--j", "2"), ()),
-    (_cli("prob", "--n", "5", "--j", "2", "--method", "closed"), ()),
-    (_cli("table", "--n-max", "6"), ()),
-    (_cli("gf", "--n", "5", "--j", "2"), ()),
-    ("import hadwalk\nhadwalk.p_exact(2, 5)\n", ()),
+    (_cli("prob", "--n", "5", "--j", "2"), _EXACT),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "closed"), _EXACT),
+    (_cli("table", "--n-max", "6"), _EXACT),
+    (_cli("gf", "--n", "5", "--j", "2"), _EXACT),
+    ("import hadwalk\nhadwalk.p_exact(2, 5)\n", _EXACT),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate"),
      ("hadwalk.simulator",)),
-    (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"),
-     ("hadwalk.residue_engine",)),
-    ("import hadwalk.residue_engine\n", ("hadwalk.residue_engine",)),
-    (_cli("roots", "--n", "5"), ("hadwalk.residue_engine",)),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"), _ENGINE),
+    ("import hadwalk.residue_engine\n", _ENGINE),
+    (_cli("roots", "--n", "5"), _ENGINE),
     (_cli("verify", "--suite", "limits"),
-     ("hadwalk.residue_engine", "hadwalk.simulator", "hadwalk.verification")),
+     (*_ENGINE, "hadwalk.simulator", "hadwalk.verification")),
+    (_cli("prob", "--n", "12", "--j", "6", "--method", "simulate",
+          "--tail-eps", "1e-10", "--format", "json"), ("hadwalk.simulator",)),
+    (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate",
+          "--format", "csv"), ("hadwalk.simulator", "csv")),
+    (_cli("table", "--n-max", "4", "--format", "csv"), (*_EXACT, "csv")),
+    (_cli("verify", "--suite", "limits", "--format", "json"),
+     (*_ENGINE, "hadwalk.simulator", "hadwalk.verification")),
 ], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
-        "engine", "roots", "verify"])
+        "engine", "roots", "verify", "simulate-json", "simulate-csv",
+        "table-csv", "verify-json"])
 def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
-    proc = _python_c(
-        code + "import sys\nprint(' '.join(sorted(sys.modules)))\n")
+    # A tracked module counts when the route loads it on top of a bare
+    # interpreter: no route loads dataclasses, the simulator route loads
+    # no polynomial layer, and only --format csv loads csv.
+    proc = _python_c(code + _LIST_MODULES)
     assert proc.returncode == 0, proc.stderr
-    modules = set(proc.stdout.split())
-    assert {m for m in _PIPELINES if m in modules} == set(loaded)
+    modules = set(proc.stdout.split()) - _bare_modules()
+    assert {m for m in _TRACKED if m in modules} == set(loaded)
 
 
 def test_verify_loads_the_cli_module_once():

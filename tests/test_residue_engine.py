@@ -20,6 +20,7 @@ from hadwalk.errors import (
 from hadwalk.exactq import Polynomial, poly_gcd
 from hadwalk.residue_engine import (
     MAX_ROW,
+    Integrand,
     _aberth_double,
     _div,
     _horner,
@@ -97,6 +98,11 @@ def test_build_integrand_structure():
     ig = build_integrand(2, 5)
     assert ig.c == gf_denominator(5)
     assert ig.d == absorption_denominator(5)
+    # c and d follow (j, n) on every construction, and stay put.
+    assert Integrand(j=2, n=5) == ig
+    assert ig._replace(n=6) == build_integrand(2, 6)
+    with pytest.raises(AttributeError):
+        ig.d = ig.c
 
 
 def test_build_integrand_validation():

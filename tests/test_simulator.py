@@ -3,7 +3,6 @@ enumeration oracle."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -132,10 +131,9 @@ def test_conservation_failure_is_detected():
         right = list(s.right)
         right[site] += delta
         with pytest.raises(ConsistencyError):
-            check_conservation(dataclasses.replace(s, right=tuple(right)))
+            check_conservation(s._replace(right=tuple(right)))
         with pytest.raises(ConsistencyError):
-            check_conservation(
-                dataclasses.replace(s, left_num=s.left_num + delta))
+            check_conservation(s._replace(left_num=s.left_num + delta))
 
 
 # ---------------------------------------------------------------- simulate
@@ -216,6 +214,20 @@ def test_coarse_precision_keeps_the_bracket():
                 rep = exc.report
             assert _brackets(rep, p_exact(j, n)), (j, n)
             assert rep.p_left_lower >= 0 and rep.p_right_lower >= 0
+
+
+def test_simulation_report_checks_every_construction():
+    rep = SimulationReport(p_left_lower=F(1, 2), p_right_lower=F(1, 4),
+                           residual=F(1, 4), steps_run=3)
+    assert rep == SimulationReport(F(1, 2), F(1, 4), F(1, 4), 3)
+    with pytest.raises(AttributeError):
+        rep.residual = F(0)
+    for bad in ({"residual": F(-1, 4), "p_left_lower": F(1)},
+                {"residual": F(1, 8)}):
+        with pytest.raises(ConsistencyError):
+            rep._replace(**bad)
+        with pytest.raises(ConsistencyError):
+            SimulationReport(**{**rep._asdict(), **bad})
 
 
 def test_simulate_budget_error_carries_partial_report():

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from hadwalk.cells import AbsorptionResult
 from hadwalk.errors import ConsistencyError
 from hadwalk.exactq import Polynomial, QuadExt, RationalFunction
 from hadwalk.walk_core import (
     A,
     B,
-    AbsorptionResult,
     RFamily,
     _f1,
     absorption,
@@ -393,6 +393,14 @@ def test_absorption_result_validation():
         AbsorptionResult(p_left=F(3, 2), p_right=F(-1, 2), method="residue")
     with pytest.raises(ValueError):
         AbsorptionResult(p_left=F(1, 2), p_right=F(1, 2), method="magic")
+    # Immutable values, checked on every construction.
+    res = AbsorptionResult(F(2, 3), F(1, 3), "closed")
+    assert res == AbsorptionResult(p_left=F(2, 3), p_right=F(1, 3),
+                                   method="closed")
+    with pytest.raises(AttributeError):
+        res.p_left = F(1, 3)
+    with pytest.raises(ConsistencyError):
+        res._replace(p_left=F(1, 3))
 
 
 def test_absorption_builder():
