@@ -65,7 +65,6 @@ _SOURCES = {
     "walk_core": (
         "A",
         "B",
-        "absorption",
         "absorption_denominator",
         "gf",
         "gf_coefficients",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -39,9 +38,10 @@ from .errors import (
 )
 
 # The polynomial layer (walk_core, exactq), the contour route, the
-# simulator, the verification suite and csv are imported by the runner
-# that uses them, so a process loads only its route: `prob --method
-# simulate` adds the simulator to cells, and neither walk_core nor exactq.
+# simulator and the verification suite are imported by the runner that
+# uses them, so a process loads only its route: `prob --method simulate`
+# adds the simulator to cells, and neither walk_core nor exactq.  No
+# route loads csv: _csv_table writes its unquoted fields itself.
 if TYPE_CHECKING:
     from .exactq import Rational
     from .simulator import SimulationReport
@@ -300,14 +300,10 @@ def _cell_json(n: int, j: int, p: Pair, q: Pair, method: str) -> dict:
 
 
 def _csv_table(rows: list[tuple[int, int, Pair, Pair, str]]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "j", "p_num", "p_den", "q_num", "q_den", "method"])
-    for n, j, p, q, method in rows:
-        writer.writerow([n, j, *p, *q, method])
-    return buf.getvalue()
+    # Ints and method names: no field needs quoting.
+    lines = [("n", "j", "p_num", "p_den", "q_num", "q_den", "method")]
+    lines += [(n, j, *p, *q, method) for n, j, p, q, method in rows]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 # ------------------------------------------------------------------ prob
@@ -316,24 +312,25 @@ def _csv_table(rows: list[tuple[int, int, Pair, Pair, str]]) -> str:
 def _one_method(cfg: CommandConfig, method: str):
     """(AbsorptionResult, SimulationReport | None) for one pipeline."""
     n, j = cfg.n, cfg.j
-    if method in ("closed", "residue"):
-        from .walk_core import absorption
+    if method == "simulate":
+        from .simulator import simulate
 
-        return absorption(j, n, method), None
+        report = simulate(j, n, cfg.tail_eps)
+        result = AbsorptionResult(
+            p_left=report.p_left_lower,
+            p_right=report.p_right_lower,
+            method="simulate",
+        )
+        return result, report
     if method == "numeric":
         from .residue_engine import build_integrand, integrate_exact
 
         p = integrate_exact(build_integrand(j, n), start_bits=cfg.precision_bits)
-        return AbsorptionResult(p_left=p, p_right=1 - p, method="numeric"), None
-    from .simulator import simulate
+    else:
+        from .walk_core import p_closed, p_exact
 
-    report = simulate(j, n, cfg.tail_eps)
-    result = AbsorptionResult(
-        p_left=report.p_left_lower,
-        p_right=report.p_right_lower,
-        method="simulate",
-    )
-    return result, report
+        p = (p_closed if method == "closed" else p_exact)(j, n)
+    return AbsorptionResult(p_left=p, p_right=1 - p, method=method), None
 
 
 def _prob_line(res: AbsorptionResult, rep: SimulationReport | None,

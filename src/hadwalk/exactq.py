@@ -19,6 +19,7 @@ rational coefficient appears on the way.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -39,16 +40,14 @@ def _coefficient(x: ScalarLike) -> ScalarLike:
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
-def _primitive_ints(
-    coeffs: tuple[ScalarLike, ...]
-) -> tuple[list[int], int, int]:
-    """(ints, g, L) with coeffs * L / g = ints, coprime integers: L is
-    the lcm of the denominators and g the gcd of the cleared numerators
-    (positive, as coeffs has a nonzero entry)."""
+def _primitive_ints(coeffs: tuple[ScalarLike, ...]) -> list[int]:
+    """coeffs * L / g as coprime integers: L is the lcm of the
+    denominators and g the gcd of the cleared numerators (positive, as
+    coeffs has a nonzero entry)."""
     denom_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
     g = gcd(*ints)
-    return [a // g for a in ints], g, denom_lcm
+    return [a // g for a in ints]
 
 
 def _div(a: ScalarLike, b: ScalarLike) -> ScalarLike:
@@ -218,23 +217,6 @@ class Polynomial:
             [k * c for k, c in enumerate(self._coeffs)][1:], var=self._var
         )
 
-    def compose(self, inner: Polynomial) -> Polynomial:
-        """self(inner), a polynomial in inner's variable."""
-        acc = Polynomial.zero(inner._var)
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Polynomial.constant(c, var=inner._var)
-        return acc
-
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * (primitive integer poly).
-
-        Zero for the zero polynomial.
-        """
-        if self.is_zero:
-            return Fraction(0)
-        _, g, denom_lcm = _primitive_ints(self._coeffs)
-        return Fraction(g, denom_lcm)
-
     def primitive_part(self) -> Polynomial:
         """self divided by its content; integer coefficients, gcd 1.
 
@@ -242,7 +224,7 @@ class Polynomial:
         """
         if self.is_zero:
             return self
-        return Polynomial(_primitive_ints(self._coeffs)[0], var=self._var)
+        return Polynomial(_primitive_ints(self._coeffs), var=self._var)
 
     def monic(self) -> Polynomial:
         if self.is_zero:
@@ -415,6 +397,7 @@ def poly_discriminant(p: Polynomial) -> Fraction:
     return sign * res / Fraction(p.leading_coefficient)
 
 
+@total_ordering
 class QuadExt:
     """Element a + b*sqrt(2) of the field Q(sqrt 2).
 
@@ -444,10 +427,6 @@ class QuadExt:
     def b(self) -> ScalarLike:
         """Coefficient of sqrt(2)."""
         return self._b
-
-    # Long-form aliases used in exported results and messages.
-    rational_part = a
-    radical_part = b
 
     @staticmethod
     def _coerce(x: object) -> QuadExt | None:
@@ -556,24 +535,6 @@ class QuadExt:
             return NotImplemented
         return (self - o)._sign() < 0
 
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() >= 0
-
     def __hash__(self) -> int:
         # Rational values must hash like their Fraction so that mixed
         # comparisons stay consistent with dict/set membership.
@@ -632,7 +593,7 @@ class RationalFunction:
         # Joint rescale: one rational multiplier clears all coefficient
         # denominators and the shared integer content at once, so the
         # pair (not each part separately) is primitive.
-        ints, _, _ = _primitive_ints(num.coeffs + den.coeffs)
+        ints = _primitive_ints(num.coeffs + den.coeffs)
         if den.leading_coefficient < 0:
             ints = [-i for i in ints]
         split = len(num.coeffs)

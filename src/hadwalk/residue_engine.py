@@ -3,14 +3,14 @@ exact rational.
 
 The probability p_j^(n) equals (-1)^j times the sum of residues of
 b/(c d) over the roots of d, all of which lie inside the contour
-|t| = 1/2 while the roots of c lie outside it (proof on
+|t| = 1/2 while the roots of c lie outside it (proofs on
 build_integrand).  The sum only evaluates c at the roots of d, so c's
-roots are never computed.  The sum is approximated in _Gaussian fixed
-point with a fully propagated error bound, multiplied by an integer
-delta known to clear the denominator of the exact value, and rounded to
-the nearest integer.  If the certified
-error and the rounding distance both stay below 1/4, the rounded value
-is provably exact.
+roots are never computed, and d's are found but never classified.  The
+sum is approximated in _Gaussian fixed point with a fully propagated
+error bound, multiplied by an integer delta known to clear the
+denominator of the exact value, and rounded to the nearest integer.  If
+the certified error and the rounding distance both stay below 1/4, the
+rounded value is provably exact.
 
 Arithmetic.  At a rung of F bits a complex value is a pair of Python
 ints (X, Y) standing for (X + iY) 2^-F, and an error bound is a
@@ -265,9 +265,10 @@ def build_integrand(j: int, n: int) -> Integrand:
     squarefree: the root certificate of d proves it on every rung that
     rounds a cell.
 
-    Every root of c lies outside the contour, |t| > 1/2, so the contour
-    encloses the poles of d alone and the route never finds c's roots.
-    Proof, for n >= 3 (c = 1 for n = 2):
+    Every root of c lies outside the contour, |t| > 1/2, and every root
+    of d inside it, |t| < 1/2.  So the contour encloses the poles of d
+    alone, the route never finds c's roots, and it never classifies d's.
+    Proof for c, for n >= 3 (c = 1 for n = 2):
 
     1. f_1^(n)(z) = z r_{n-1}(z^2) / c(z^2) generates the signed path
        counts c_m, and the walk is absorbed on the left at step m with
@@ -287,8 +288,21 @@ def build_integrand(j: int, n: int) -> Integrand:
        nonzero and the denominator c(tau) zero: w is a pole of g, so
        |w| > 1 by 2, that is |tau| > 1/2.
 
-    `hadwalk roots` and verify's pole-classification check classify c's
-    roots with certified disks, an independent run-time witness.
+    Proof for d (d = -2t for n = 2, whose one root is 0):
+
+    1. Let s_k = (4t)^(k-1) r_k(1/(4t)).  Then s_0 = 0, s_1 = 1 and
+       s_(k+2) = (4t - 2) s_(k+1) + 4t s_k, multiplying the r recurrence
+       at 1/(4t) by (4t)^(k+1).
+    2. (-2)^(k-1) r_k(t) obeys the same recurrence from the same starts,
+       so s_k = (-2)^(k-1) r_k(t).
+    3. Hence (4t)^(n-1) c(1/(4t)) = s_n + 2 s_(n-1) = (-2)^(n-1) d(t).
+    4. So a root a != 0 of d makes tau = 1/(4a) a root of c, and
+       |a| = 1/(4 |tau|) < 1/2 since |tau| > 1/2.  The roots of d are 0
+       and 1/(4 tau), one for each root tau of c.
+
+    `hadwalk roots` and verify's pole-classification check classify the
+    roots of both factors with certified disks, an independent run-time
+    witness.
     """
     return Integrand(j, n)
 
@@ -941,11 +955,12 @@ def _integrate(
 
     Fails fast when some delta needs more than MAX_BITS.  c enters only
     through its coefficients in the weights 1/(c d'); its roots lie
-    outside the contour by the proof on build_integrand, so none is
-    found here.  Each rung certifies d's roots and finds the weights
-    once, before it rounds any cell, so every delta it uses rests on
-    proven hypotheses (d squarefree among them) and a repeated root of d
-    ends the ladder with PrecisionError.  At each root one pass of the r
+    outside the contour and d's inside it by the proofs on
+    build_integrand, so c's roots are not found and d's not classified.
+    Each rung certifies d's roots and finds the weights once, before it
+    rounds any cell, so every delta it uses rests on proven hypotheses
+    (d squarefree among them) and a repeated root of d ends the ladder
+    with PrecisionError.  At each root one pass of the r
     recurrence gives b_j for every pending cell whose delta the rung
     allows (_numerators_at), and each such cell is one weighted sum.  A
     cell is done once delta * error < 1/4 and the scaled sum lies within
@@ -974,13 +989,14 @@ def _integrate(
         # delta that _row_bound does not check, so it must come before
         # any cell is rounded.
         d_roots = find_roots(d, bits, d_roots)
-        if classify_roots(d_roots)[1]:
-            raise ConsistencyError(
-                "a pole of the inside factor sits outside |t|=1/2"
-            )
-        failure = waiting
         # The roots' precision, which is at least the rung's.
         F = d_roots.precision_bits
+        # d's roots lie inside |t| < 1/2 by the proof on build_integrand,
+        # so they are not classified; the Taylor bound of _numerators_at
+        # needs only disks of radius below 1/2.
+        if d_roots.radius >= 1 << (F - 1):
+            raise PrecisionEscalation(f"root disks too wide at {bits} bits")
+        failure = waiting
         weights = _weights(c, d, d_roots)
         js = [cells[k][0] for k in live]
         per_root = [_numerators_at(x, d_roots.radius, n, js, F)
@@ -1047,7 +1063,7 @@ def integrate_row(
     3. Variation.  For |y - x| <= rho, Taylor's formula at x gives
        b_j(y) - b_j(x) = b_j'(x) (y - x) + sum over i >= 2 of
        b_j^(i)(x) (y - x)^i / i!, with |b_j^(i)(x)| <= B_j^(i)(z) by 1.
-       Since rho < 1 (every root disk lies inside |t| = 1/2), the tail
+       Since rho < 1 (the rung escalates unless rho < 1/2), the tail
        is at most rho^2 times the Taylor series of B_j at z evaluated
        one unit away, whose terms are all non-negative: at most
        rho^2 B_j(z + 1).

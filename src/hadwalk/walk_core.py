@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cells import AbsorptionResult, _validate
+from .cells import _validate
 from .errors import ConsistencyError
 from .exactq import SQRT2, Polynomial, QuadExt, Rational, RationalFunction
 
@@ -55,8 +55,6 @@ class RFamily:
                            + self._t * self._cache[-2])
                     self._cache.append(nxt)
         return self._cache[k]
-
-    __getitem__ = r
 
 
 _FAMILY = RFamily()
@@ -95,12 +93,17 @@ def gf(j: int, n: int) -> RationalFunction:
     _validate(j, n, 1, n)
     if j == n:
         return RationalFunction.zero("z")
-    z_sq = Polynomial.monomial(2, var="z")
-    num = r_poly(n - j).compose(z_sq) * Polynomial.monomial(j, var="z")
-    if j % 2 == 0:
-        num = -num
-    den = gf_denominator(n).compose(z_sq)
-    return RationalFunction(num, den)
+    sign = 1 if j % 2 else -1
+    return RationalFunction(_in_z_squared(r_poly(n - j), j, sign),
+                            _in_z_squared(gf_denominator(n), 0, 1))
+
+
+def _in_z_squared(p: Polynomial, shift: int, sign: int) -> Polynomial:
+    """sign z^shift p(z^2): the coefficient of t^k becomes that of
+    z^(2k + shift)."""
+    out = [0] * (shift + 2 * len(p.coeffs))
+    out[shift::2] = [sign * a for a in p.coeffs]
+    return Polynomial(out, var="z")
 
 
 _Z_RF = RationalFunction(Polynomial.variable("z"), Polynomial.one("z"))
@@ -207,12 +210,12 @@ def p_closed(j: int, n: int) -> Rational:
            * (A ** (n - j) - B ** (n - j))
            * (A ** (j - 1) + B ** (j - 1))
            / (A ** (n - 1) + B ** (n - 1)))
-    if val.radical_part != 0:
+    if val.b != 0:
         raise ConsistencyError(
             f"closed form left a radical residue at j={j}, n={n}: {val}"
         )
     # An integral part is stored as an int (0 at j = n).
-    p = Fraction(val.rational_part)
+    p = Fraction(val.a)
     if not 0 <= p <= 1:
         raise ConsistencyError(f"p_closed({j}, {n}) = {p} outside [0, 1]")
     return p
@@ -272,17 +275,3 @@ def watrous_step(p: Rational) -> Rational:
     p_1^(n) = (1 + 2 p_1^(n-1)) / (2 + 2 p_1^(n-1))."""
     return (1 + 2 * p) / (2 + 2 * p)
 
-
-def absorption(j: int, n: int, method: str = "residue") -> AbsorptionResult:
-    """AbsorptionResult for the two pipelines local to this module.
-
-    The numeric contour method lives in residue_engine and the
-    simulator in simulator; the cli composes all four.
-    """
-    if method == "residue":
-        p = p_exact(j, n)
-    elif method == "closed":
-        p = p_closed(j, n)
-    else:
-        raise ValueError(f"method {method!r} is not computed by this module")
-    return AbsorptionResult(p_left=p, p_right=1 - p, method=method)

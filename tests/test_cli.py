@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from hadwalk import (
     verification,
     walk_core,
 )
-from hadwalk.cells import METHODS, AbsorptionResult
+from hadwalk.cells import METHODS
 from hadwalk.cli import (
     CommandConfig,
     _floor_log10,
@@ -301,15 +302,7 @@ def test_prob_numeric_json_is_the_exact_cell_to_n16(capsys):
 
 
 def test_prob_all_detects_method_disagreement(capsys, monkeypatch):
-    real = walk_core.absorption
-
-    def crooked(j, n, method="residue"):
-        if method == "closed":
-            return AbsorptionResult(p_left=F(1, 3), p_right=F(2, 3),
-                                    method="closed")
-        return real(j, n, method)
-
-    monkeypatch.setattr(walk_core, "absorption", crooked)
+    monkeypatch.setattr(walk_core, "p_closed", lambda j, n: F(1, 3))
     code, out, err = invoke(capsys, "prob", "--n", "4", "--j", "1",
                             "--method", "all")
     assert code == 1
@@ -492,6 +485,26 @@ def test_gf_json(capsys):
 def test_gf_zero_at_right_barrier(capsys):
     code, out, _ = invoke(capsys, "gf", "--n", "5", "--j", "5")
     assert (code, out) == (0, "f_5^(5)(z) = 0\n")
+
+
+# SHA-256 of the text then the JSON output of `gf` for every cell
+# j = 1..n of rows 2..16, row by row, then for the cell (1, 200).  It was
+# taken from a general polynomial composition t -> z^2, so the
+# coefficient spreading in gf must reproduce those bytes.
+_GF_OUTPUT_SHA256 = (
+    "0cdbfd001130b22d386993887c75bcf0e8015605c85e171c14736369d1ba7062")
+
+
+def test_gf_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    cells = [(j, n) for n in range(2, 17) for j in range(1, n + 1)]
+    for j, n in [*cells, (1, 200)]:
+        for fmt in ("text", "json"):
+            code, out, err = invoke(capsys, "gf", "--n", str(n), "--j", str(j),
+                                    "--format", fmt)
+            assert (code, err) == (0, ""), (j, n, fmt)
+            digest.update(out.encode())
+    assert digest.hexdigest() == _GF_OUTPUT_SHA256
 
 
 # ------------------------------------------------------------------ verify
@@ -822,8 +835,8 @@ def _bare_modules() -> frozenset:
     (_cli("prob", "--n", "12", "--j", "6", "--method", "simulate",
           "--tail-eps", "1e-10", "--format", "json"), ("hadwalk.simulator",)),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate",
-          "--format", "csv"), ("hadwalk.simulator", "csv")),
-    (_cli("table", "--n-max", "4", "--format", "csv"), (*_EXACT, "csv")),
+          "--format", "csv"), ("hadwalk.simulator",)),
+    (_cli("table", "--n-max", "4", "--format", "csv"), _EXACT),
     (_cli("verify", "--suite", "limits", "--format", "json"),
      (*_ENGINE, "hadwalk.simulator", "hadwalk.verification")),
 ], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
@@ -832,7 +845,7 @@ def _bare_modules() -> frozenset:
 def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
     # A tracked module counts when the route loads it on top of a bare
     # interpreter: no route loads dataclasses, the simulator route loads
-    # no polynomial layer, and only --format csv loads csv.
+    # no polynomial layer, and no route loads csv.
     proc = _python_c(code + _LIST_MODULES)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.split()) - _bare_modules()

@@ -173,6 +173,20 @@ def test_outside_factor_proof_inputs():
         assert poly_gcd(c, r_poly(n - 1)).degree == 0, n
 
 
+def test_inside_factor_proof_identities():
+    # Steps 2 and 3 of the proof for d on build_integrand, coefficient by
+    # coefficient: (4t)^(k-1) r_k(1/(4t)) = (-2)^(k-1) r_k(t) and
+    # (4t)^(n-1) c(1/(4t)) = (-2)^(n-1) d(t), on every row the route runs.
+    for n in range(1, MAX_ROW + 1):
+        pairs = [(r_poly(n), r_poly(n))]
+        if n >= 2:
+            pairs.append((gf_denominator(n), absorption_denominator(n)))
+        for p, q in pairs:
+            for i in range(n):
+                assert (p[i] * 4 ** (n - 1 - i)
+                        == (-2) ** (n - 1) * q[n - 1 - i]), (n, i)
+
+
 def test_d_starts_with_minus_t():
     # The hypothesis d_0 = 0, d_1 = -1 holds on every row the route runs.
     for n in range(3, MAX_ROW + 1):
@@ -682,6 +696,25 @@ def test_outside_factor_is_never_root_found(monkeypatch):
         assert integrate_row(n, [j]) == [p_exact(j, n)]
         assert [p for p, _ in calls if p != ig.d] == [], (j, n)
         assert max(bits for _, bits in calls) == d_bits, (j, n)
+
+
+def test_inside_factor_disks_wider_than_half_escalate(monkeypatch):
+    # d's roots are not classified, so the one hypothesis left for the
+    # Taylor bound of _numerators_at, disks of radius below 1/2, is
+    # checked on every rung: a 128-bit set widened to 1/2 climbs a rung.
+    real = residue_engine.find_roots
+
+    def widened(p, precision_bits, warm=None):
+        rs = real(p, precision_bits, warm)
+        if rs.precision_bits > 128:
+            return rs
+        return rs._replace(radius=1 << (rs.precision_bits - 1))
+
+    monkeypatch.setattr(residue_engine, "find_roots", widened)
+    assert integrate_exact(build_integrand(15, 30)) == p_exact(15, 30)
+    monkeypatch.setattr(residue_engine, "MAX_BITS", 128)
+    with pytest.raises(PrecisionError, match="root disks too wide"):
+        integrate_exact(build_integrand(15, 30))
 
 
 def test_integrate_exact_stable_under_start_precision():

@@ -16,7 +16,6 @@ from hadwalk.walk_core import (
     B,
     RFamily,
     _f1,
-    absorption,
     absorption_denominator,
     gf,
     gf_coefficients,
@@ -402,11 +401,3 @@ def test_absorption_result_validation():
     with pytest.raises(ConsistencyError):
         res._replace(p_left=F(1, 3))
 
-
-def test_absorption_builder():
-    res = absorption(2, 3, method="residue")
-    assert res.p_left == F(1, 3) and res.p_right == F(2, 3)
-    res2 = absorption(2, 3, method="closed")
-    assert res2.p_left == res.p_left
-    with pytest.raises(ValueError):
-        absorption(1, 3, method="simulate")
