@@ -569,27 +569,31 @@ class RationalFunction:
     coefficients with no common integer factor across the pair, and the
     denominator has positive leading coefficient.  That form is unique,
     so equality is structural comparison of the stored pair.  The zero
-    function is 0/1.
+    function is 0/1.  The constructor divides out the gcd of the pair;
+    from_coprime reaches the same form without it, for a pair proven
+    coprime.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: Polynomial, den: Polynomial) -> None:
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.var != den.var:
-            raise ValueError(f"variable mismatch: {num.var!r} vs {den.var!r}")
-        var = num.var
-        if num.is_zero:
-            object.__setattr__(self, "_num", Polynomial.zero(var))
-            object.__setattr__(self, "_den", Polynomial.one(var))
-            return
+    def __new__(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
         # Dividing by the primitive gcd keeps integer parts integral
         # (Gauss's lemma), so the divisions below stay in int.
         g = _primitive_gcd(num, den)
         if g.degree > 0:
-            num = num // g
-            den = den // g
+            num, den = num // g, den // g
+        return cls.from_coprime(num, den)
+
+    @classmethod
+    def from_coprime(cls, num: Polynomial, den: Polynomial) -> RationalFunction:
+        """num / den for a pair the caller has proven to share no root:
+        the constructor's canonical form, without its gcd."""
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.var != den.var:
+            raise ValueError(f"variable mismatch: {num.var!r} vs {den.var!r}")
+        if num.is_zero:
+            den = Polynomial.one(den.var)
         # Joint rescale: one rational multiplier clears all coefficient
         # denominators and the shared integer content at once, so the
         # pair (not each part separately) is primitive.
@@ -597,8 +601,10 @@ class RationalFunction:
         if den.leading_coefficient < 0:
             ints = [-i for i in ints]
         split = len(num.coeffs)
-        object.__setattr__(self, "_num", Polynomial(ints[:split], var=var))
-        object.__setattr__(self, "_den", Polynomial(ints[split:], var=var))
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "_num", Polynomial(ints[:split], var=num.var))
+        object.__setattr__(rf, "_den", Polynomial(ints[split:], var=num.var))
+        return rf
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalFunction is immutable")
@@ -621,7 +627,7 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, var: str = "t") -> RationalFunction:
-        return cls(Polynomial.zero(var), Polynomial.one(var))
+        return cls.from_coprime(Polynomial.zero(var), Polynomial.one(var))
 
     def _coerce(self, other: object) -> RationalFunction | None:
         if isinstance(other, RationalFunction):

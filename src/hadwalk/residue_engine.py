@@ -120,7 +120,8 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
 
 
 # The largest row the contour route runs.  Root finding, not delta, sets
-# it: a cell of row 150 takes 8-10 s cold.  Rows above it fail before
+# it: the centre cell of row 150 takes 6-10 s cold (median 8.1 s of five
+# runs on a 2-vCPU VM), and (1, 150) 9.5 s.  Rows above it fail before
 # any polynomial is built.
 MAX_ROW = 150
 

@@ -17,7 +17,6 @@ Conventions fixed here once and used everywhere:
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -31,52 +30,90 @@ A = QuadExt(2, 1)
 B = QuadExt(2, -1)
 
 class RFamily:
-    """Append-only cache of the polynomial family r_k in the variable t.
+    """The polynomial family r_k in the variable t:
 
-    r_0 = 0, r_1 = 1, r_{k+2} = (1 - 2t) r_{k+1} + t r_k.  The cache
-    only ever grows, entries are immutable, and extension happens under
-    a lock, so concurrent readers always see a consistent prefix.
+        r_0 = 0, r_1 = 1, r_{k+2} = (1 - 2t) r_{k+1} + t r_k.
+
+    r_k has degree k - 1, r_k(0) = 1 for k >= 1, and leading
+    coefficient (-2)^(k-1).  Nothing is cached: each call runs the
+    recurrence once, keeping two members.
+
+    Lemma: for k >= 2 the k - 1 roots of r_k are simple and lie on
+    |t| = 1/2 (r_k is the Chebyshev U_(k-1) in disguise; Mason and
+    Handscomb, Chebyshev Polynomials, 2003).  Proof:
+
+    1. Let l1, l2 be the roots of l^2 - (1 - 2t) l - t, so l1 + l2 =
+       1 - 2t and l1 l2 = -t.  Where l1 != l2, r_k = (l1^k - l2^k) /
+       (l1 - l2) (both sides obey the recurrence from r_0, r_1).  Where
+       l1 = l2, that is 1 + 4t^2 = 0, r_k = k l1^(k-1) with
+       l1 = (1 - 2t)/2 != 0, so such t is no root.  Since r_k(0) = 1,
+       a root has t != 0, so l1 l2 != 0.
+    2. So r_k(t) = 0 exactly when rho = l1/l2 is a k-th root of unity
+       other than 1, rho = e^(2 pi i m/k) with 1 <= m <= k - 1.  Then
+       (l1 + l2)^2 / (l1 l2) = rho + 2 + 1/rho = 4 cos^2(pi m/k), that
+       is (1 - 2t)^2 = -4t cos^2(pi m/k), or
+       4t^2 - 4 sin^2(pi m/k) t + 1 = 0.  Conversely a root t of that
+       quadratic has t != 0 and rho + 1/rho = 2 cos(2 pi m/k), so rho
+       is e^(2 pi i m/k) or its inverse; rho != 1 gives l1 != l2, and
+       l1^k = l2^k gives r_k(t) = 0.
+    3. The quadratic has real coefficients, discriminant
+       16 (sin^4 - 1) <= 0 and root product 1/4: its roots are a
+       conjugate pair on |t| = 1/2, or t = 1/2 twice when m = k/2.
+       Their real part sin^2(pi m/k)/2 is distinct for distinct
+       m <= k/2, and m and k - m give the same quadratic.  So
+       m = 1..floor(k/2) give k - 1 distinct roots of r_k, all on
+       |t| = 1/2; deg r_k = k - 1, so they are all its roots and each
+       is simple.
+
+    On |t| = 1/2, 1/(4t) is the conjugate of t, so the real r_k is
+    self-inversive: with d = k - 1 its coefficients obey
+    a_(d-i) = (-1)^d 2^(d-2i) a_i, which is (4t)^d r_k(1/(4t)) =
+    (-2)^d r_k(t), step 2 of the proof for d on
+    residue_engine.build_integrand.
+
+    What gf takes from the lemma: z^j r_(n-j)(z^2) and c(z^2), with
+    c = r_n + 2t r_(n-1), are coprime.  c(0) = 1, so z does not divide
+    c(z^2); a common root w != 0 would make w^2 a root of both
+    r_(n-j), on |t| = 1/2, and c, whose roots lie in |t| > 1/2 (proof
+    for c on residue_engine.build_integrand).  So gf's pair is in
+    lowest terms with no gcd.
     """
 
-    def __init__(self) -> None:
-        one = Polynomial.one("t")
-        self._cache: list[Polynomial] = [Polynomial.zero("t"), one]
-        self._step = Polynomial((1, -2), var="t")  # 1 - 2t
-        self._t = Polynomial.variable("t")
-        self._lock = threading.Lock()
-
-    def r(self, k: int) -> Polynomial:
-        if k < 0:
-            raise ValueError(f"r_k needs k >= 0, got {k}")
-        if k >= len(self._cache):
-            with self._lock:
-                while len(self._cache) <= k:
-                    nxt = (self._step * self._cache[-1]
-                           + self._t * self._cache[-2])
-                    self._cache.append(nxt)
-        return self._cache[k]
-
-
-_FAMILY = RFamily()
+    # Stateless class, not a function: the benchmark traces RFamily.r by name.
+    def r(self, *ks: int) -> tuple[Polynomial, ...]:
+        """(r_k for k in ks), in the order asked, from one pass of the
+        recurrence on int coefficient lists."""
+        if min(ks) < 0:
+            raise ValueError(f"r_k needs k >= 0, got {min(ks)}")
+        found = {}
+        r_k, r_next = [], [1]
+        for k in range(max(ks) + 1):
+            if k in ks:
+                found[k] = Polynomial(r_k, var="t")
+            # r_{k+2}[i] = r_{k+1}[i] - 2 r_{k+1}[i-1] + r_k[i-1]
+            r_k, r_next = r_next, [a - 2 * b + c for a, b, c in zip(
+                r_next + [0], [0] + r_next, [0] + r_k + [0])]
+        return tuple(found[k] for k in ks)
 
 
 def r_poly(k: int) -> Polynomial:
-    """The k-th member of the r family, from the shared cache."""
-    return _FAMILY.r(k)
+    """The k-th member of the r family."""
+    return RFamily().r(k)[0]
 
 
 def gf_denominator(n: int) -> Polynomial:
     """r_n + 2t r_{n-1}: common denominator (in t) of the row's
     generating functions."""
-    two_t = Polynomial((0, 2), var="t")
-    return r_poly(n) + two_t * r_poly(n - 1)
+    r_n, r_m = RFamily().r(n, n - 1)
+    return r_n + Polynomial((0, 2), var="t") * r_m
 
 
 def absorption_denominator(n: int) -> Polynomial:
     """r_n - r_{n-1}: its value at t = -1/2 is the denominator scale of
     the row's absorption probabilities, and its roots are the poles
     picked up by the contour route."""
-    return r_poly(n) - r_poly(n - 1)
+    r_n, r_m = RFamily().r(n, n - 1)
+    return r_n - r_m
 
 
 def gf(j: int, n: int) -> RationalFunction:
@@ -94,8 +131,11 @@ def gf(j: int, n: int) -> RationalFunction:
     if j == n:
         return RationalFunction.zero("z")
     sign = 1 if j % 2 else -1
-    return RationalFunction(_in_z_squared(r_poly(n - j), j, sign),
-                            _in_z_squared(gf_denominator(n), 0, 1))
+    r_top, r_n, r_m = RFamily().r(n - j, n, n - 1)
+    c = r_n + Polynomial((0, 2), var="t") * r_m
+    # Coprime by the lemma on RFamily, so no gcd is taken.
+    return RationalFunction.from_coprime(_in_z_squared(r_top, j, sign),
+                                         _in_z_squared(c, 0, 1))
 
 
 def _in_z_squared(p: Polynomial, shift: int, sign: int) -> Polynomial:
@@ -231,12 +271,11 @@ def h_quotient(j: int, n: int) -> Polynomial:
     the property suite (the second).
     """
     _validate(j, n, 1, n)
-    t_pow = Polynomial.monomial(j - 1, var="t")
-    one_plus_2t = Polynomial((1, 2), var="t")
-    h = t_pow * one_plus_2t * r_poly(n - j)
-    tail = (r_poly(j) - r_poly(j - 1)) * gf_denominator(n)
+    r_top, r_j, r_i, r_n, r_m = RFamily().r(n - j, j, j - 1, n, n - 1)
+    h = Polynomial([0] * (j - 1) + [1, 2], var="t") * r_top  # t^(j-1)(1 + 2t)
+    tail = (r_j - r_i) * (r_n + Polynomial((0, 2), var="t") * r_m)
     h = h + tail if j % 2 == 0 else h - tail
-    quot, rem = divmod(h, absorption_denominator(n))
+    quot, rem = divmod(h, r_n - r_m)
     if not rem.is_zero:
         raise ConsistencyError(
             f"H_{j} not divisible by r_{n} - r_{n - 1}; remainder {rem}"

@@ -507,6 +507,22 @@ def test_gf_output_is_pinned(capsys):
     assert digest.hexdigest() == _GF_OUTPUT_SHA256
 
 
+# SHA-256 of `gf --n 200 --j 100` text then JSON, computed when gf still
+# reduced its pair by the gcd, which it no longer calls.
+_GF_CENTRE_200_SHA256 = (
+    "793551d9beb1166fac3d0aaa4f0e27959ab837e3533a9e151292fec0d4a92231")
+
+
+def test_gf_centre_of_row_200_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        code, out, err = invoke(capsys, "gf", "--n", "200", "--j", "100",
+                                "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        digest.update(out.encode())
+    assert digest.hexdigest() == _GF_CENTRE_200_SHA256
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -232,6 +232,10 @@ def test_ratfunc_zero():
     assert r.num == Z() and r.den == Z(1)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Z(1), Z())
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.from_coprime(Z(1), Z())
+    with pytest.raises(ValueError):
+        RationalFunction.from_coprime(Z(1), P(1))
 
 
 def test_ratfunc_arithmetic():
@@ -305,6 +309,16 @@ def test_quadext_ring_axioms(x, y, z):
 @given(poly_st, nonzero_poly_st, nonzero_poly_st)
 def test_ratfunc_normalization_invariant_under_common_factor(num, den, h):
     assert RationalFunction(num * h, den * h) == RationalFunction(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_st, nonzero_poly_st, st.fractions().filter(bool))
+def test_ratfunc_from_coprime_matches_the_gcd_constructor(num, den, scale):
+    # A lowest-terms pair under any rational scale: from_coprime must
+    # reach the constructor's canonical form without the gcd.
+    r = RationalFunction(num, den)
+    s = RationalFunction.from_coprime(r.num * scale, r.den * scale)
+    assert (s.num, s.den) == (r.num, r.den)
 
 
 @settings(max_examples=100, deadline=None)

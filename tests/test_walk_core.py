@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-import threading
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hadwalk import exactq
 from hadwalk.cells import AbsorptionResult
 from hadwalk.errors import ConsistencyError
 from hadwalk.exactq import Polynomial, QuadExt, RationalFunction
+from hadwalk.residue_engine import MAX_ROW
 from hadwalk.walk_core import (
     A,
     B,
     RFamily,
     _f1,
+    _in_z_squared,
     absorption_denominator,
     gf,
     gf_coefficients,
@@ -64,27 +66,34 @@ def test_r_family_degree_and_leading_coefficient():
             assert rk.derivative()[0] == -k
 
 
-def test_r_family_recurrence_holds_in_cache():
-    fam = RFamily()
+def test_r_family_recurrence_holds():
     step = T(1, -2)
     t = T(0, 1)
     for k in range(0, 20):
-        assert fam.r(k + 2) == step * fam.r(k + 1) + t * fam.r(k)
+        assert r_poly(k + 2) == step * r_poly(k + 1) + t * r_poly(k)
 
 
-def test_r_family_concurrent_extension():
-    fam = RFamily()
-    results = []
+def test_r_family_rejects_negative_index():
+    with pytest.raises(ValueError):
+        r_poly(-1)
+    with pytest.raises(ValueError):
+        RFamily().r(3, -1)
 
-    def worker():
-        results.append(fam.r(150))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert all(p == r_poly(150) for p in results)
+def test_r_family_returns_members_in_the_order_asked():
+    assert RFamily().r(5, 2, 5) == (r_poly(5), r_poly(2), r_poly(5))
+
+
+def test_r_family_is_self_inversive():
+    # The lemma on RFamily: every root of r_k lies on |t| = 1/2, so with
+    # d = k - 1 the coefficients obey a_(d-i) = (-1)^d 2^(d-2i) a_i.
+    ks = range(1, MAX_ROW + 1)
+    for k, rk in zip(ks, RFamily().r(*ks)):
+        d = k - 1
+        a = rk.coeffs
+        assert len(a) == k, k
+        for i in range(k):
+            assert a[d - i] * 4**i == (-2) ** d * a[i], (k, i)
 
 
 def test_gf_denominator_frozen_values():
@@ -138,6 +147,31 @@ def test_gf_equals_gf_via_recurrence():
     for n in range(2, 11):
         for j in range(1, n):
             assert gf(j, n) == gf_via_recurrence(j, n), (j, n)
+
+
+def test_gf_is_the_gcd_constructors_lowest_terms():
+    # gf skips the gcd because its pair is coprime (lemma on RFamily);
+    # the gcd constructor, given the same pair, must agree on every cell.
+    for n in range(2, 31):
+        c_in_z = _in_z_squared(gf_denominator(n), 0, 1)
+        for j in range(1, n + 1):
+            sign = 1 if j % 2 else -1
+            num = _in_z_squared(r_poly(n - j), j, sign)
+            assert gf(j, n) == RationalFunction(num, c_in_z), (j, n)
+
+
+def test_gf_takes_no_gcd_and_the_recurrence_construction_does(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError("gcd taken")
+
+    monkeypatch.setattr(exactq, "_primitive_gcd", refuse)
+    for n in range(2, 9):
+        for j in range(1, n + 1):
+            gf(j, n)
+    gf_via_recurrence.cache_clear()
+    _f1.cache_clear()
+    with pytest.raises(AssertionError, match="gcd taken"):
+        gf_via_recurrence(2, 5)
 
 
 def test_recurrence_caches_hold_a_sweep_and_stay_bounded():
