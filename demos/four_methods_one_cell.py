@@ -21,6 +21,7 @@ from hadwalk import (
     integrate_exact,
     p_closed,
     p_exact,
+    row_starts,
     simulate,
 )
 
@@ -49,7 +50,9 @@ ig = build_integrand(J, N)
 bound = denominator_bound(ig)
 print(f"denominator bound:  delta = {bound.delta} "
       f"(2^{bound.power} times |2^{N - 1} d(-1/2)| = {abs(bound.N)})")
-roots = find_roots(ig.d, 128)
+# The poles start from the roots of r_(n-1), which lie on |t| = 1/2 in
+# closed form, scaled just inside the contour.
+roots = find_roots(ig.d, 128, row_starts(N)[0])
 print(f"poles inside:       {len(roots.approximations)} roots of {ig.d}, "
       f"each pinned within {float(roots.error_radius):.1e}")
 contour = integrate_exact(ig)

@@ -14,11 +14,11 @@ absorbing barriers at 0 and n:
 
 Everything downstream of the integer walk rules is exact rational or
 Q(sqrt 2) arithmetic, except in two certified layers.  The contour layer
-computes in a double-precision start, then Gaussian fixed point, and the
-simulator in real fixed point; both carry integer error bounds, and
-neither lets an approximation reach a returned value: the contour value
-is rounded to a provably exact rational, and the simulator's bounds are
-exact rationals widened by its error bound.
+starts root finding from points in doubles, then computes in Gaussian
+fixed point, and the simulator in real fixed point; both carry integer
+error bounds, and neither lets an approximation reach a returned value:
+the contour value is rounded to a provably exact rational, and the
+simulator's bounds are exact rationals widened by its error bound.
 """
 
 import importlib
@@ -51,6 +51,7 @@ _SOURCES = {
         "find_roots",
         "integrate_exact",
         "integrate_row",
+        "row_starts",
     ),
     "simulator": (
         "AmplitudeState",

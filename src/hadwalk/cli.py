@@ -532,11 +532,11 @@ def _certified_part(x: Fraction, radius: Fraction) -> str:
     return significant(x, max(1, min(_ROOT_DIGITS, lead - finest + 1)))
 
 
-def _root_entries(poly, role: str, bits: int):
+def _root_entries(poly, start, role: str, bits: int):
     """The factor's JSON block and its certified error radius."""
     from .residue_engine import certified_poles
 
-    rs, inside, _ = certified_poles(poly, bits)
+    rs, inside, _ = certified_poles(poly, start, bits)
     # Fixed-point pairs (X, Y) at F bits stand for (X + iY) 2^-F.
     unit = 1 << rs.precision_bits
     ordered = sorted(rs.approximations,
@@ -555,15 +555,18 @@ def _root_entries(poly, role: str, bits: int):
 def _run_roots(cfg: CommandConfig) -> int:
     # _factors enforces the contour route's row ceiling before any
     # polynomial is built.
-    from .residue_engine import _factors
+    from .residue_engine import _factors, row_starts
 
     n = cfg.n
     c, d = _factors(n)
-    inside_block, radius = _root_entries(d, "inside-factor", cfg.precision_bits)
+    d_start, c_start = row_starts(n)
+    inside_block, radius = _root_entries(
+        d, d_start, "inside-factor", cfg.precision_bits
+    )
     blocks = [inside_block]
     if c.degree >= 1:
         outside_block, c_radius = _root_entries(
-            c, "outside-factor", cfg.precision_bits
+            c, c_start, "outside-factor", cfg.precision_bits
         )
         blocks.append(outside_block)
         radius = max(radius, c_radius)

@@ -56,27 +56,28 @@ The bound itself is read off d's coefficients, 2^(n-j-1) times
 2^(n-1) d(-1/2), about 2.8n bits at most (proof on DenominatorBound).
 
 Roots are found the way MPSolve finds them (Bini 1996; Bini and Robol
-2014): cheap starting points first, a certificate afterwards.  A cold
-start is an Aberth run in double precision from Newton-polygon radii,
-stopped at the double noise floor; Aberth sweeps at doubling precision
-then refine it up to the rung's precision.  The certificate (disks of
-radius deg |p/p'|, pairwise disjoint) is computed at that precision
-from the final approximations alone, so the starting points decide how
-long a run takes, never whether its answer is right.  The certificate
-also proves the polynomial squarefree (deg p disjoint disks that each
-hold a root are deg p distinct roots), the one hypothesis of the
-denominator bound not read off d's coefficients, and the ladder rounds
-a cell only at a rung where d's roots are certified.  find_roots is
-memoised, so a ladder that runs again for the same polynomial gets its
-certified sets back without a sweep.
+2014): starting points first, a certificate afterwards.  Every caller
+passes its start.  For the row factors it is explicit: by the lemma on
+walk_core.RFamily the roots of r_(n-1) lie on |t| = 1/2 in closed
+form, and row_starts scales them just inside the circle for d (with 0)
+and just outside it for c.  Fixed-point Aberth sweeps at doubling
+precision refine a start up to the rung's precision.  The certificate
+(disks of radius deg |p/p'|, pairwise disjoint) is computed at that
+precision on p's exact integer coefficients from the final
+approximations alone, so the start decides how long a run takes, never
+whether its answer is right.  The certificate also proves the
+polynomial squarefree (deg p disjoint disks that each hold a root are
+deg p distinct roots), the one hypothesis of the denominator bound not
+read off d's coefficients, and the ladder rounds a cell only at a rung
+where d's roots are certified.  find_roots is memoised, so a ladder
+that runs again for the same polynomial and start gets its certified
+sets back without a sweep.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -120,9 +121,10 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
 
 
 # The largest row the contour route runs.  Root finding, not delta, sets
-# it: the centre cell of row 150 takes 6-10 s cold (median 8.1 s of five
-# runs on a 2-vCPU VM), and (1, 150) 9.5 s.  Rows above it fail before
-# any polynomial is built.
+# it: the centre cell of row 150 takes 3-5 s cold (medians 3.4 and 4.1 s
+# in two sets of six runs on a 2-vCPU VM), and (1, 150) 3.6-5.3 s, about
+# two thirds of it finding the roots of d.  Rows above it fail before any
+# polynomial is built.
 MAX_ROW = 150
 
 
@@ -455,108 +457,34 @@ def _value_on_disk(
     return v, e + _disk_variation(coeffs, _abs_up(x), rho, F)
 
 
-_EPS = sys.float_info.epsilon
-# A guard only: on the r family up to degree 80 the double run freezes
-# every point in fewer than 30 sweeps.
-_DOUBLE_SWEEPS = 500
-# Bits credited to a double start: multiprecision refinement of one
-# begins at START_BITS.
+# Bits credited to a start of complex doubles: multiprecision refinement
+# of one begins at START_BITS.
 _DOUBLE_BITS = START_BITS // 2
+# The factor that puts d's start just inside the circle |t| = 1/2 and, as
+# its inverse, c's start just outside it.
+_INSIDE = 0.999
 
 
-def _double_start(ints: Sequence[int]) -> list[complex]:
-    """Starting points on the circles of the Newton polygon.
+def row_starts(n: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """(d's start, c's start) for row n: one point per root of each
+    factor, for find_roots and certified_poles.
 
-    The upper convex hull of the points (k, log|a_k|) splits the roots
-    into groups of known size with known typical modulus: an edge from
-    i to k stands for k - i roots near the circle of radius
-    (|a_i|/|a_k|)^(1/(k-i)) (Bini 1996).  Vanishing coefficients
-    a_0 .. a_(h-1) stand for h roots at zero.  Logarithms of Python
-    ints never overflow; radii beyond the double range are clamped,
-    which only slows the run.
+    By the lemma on walk_core.RFamily the n - 2 roots of r_{n-1} are
+    (s^2 +- i sqrt(1 - s^4))/2 with s^2 = sin^2(pi m/(n-1)), all on
+    |t| = 1/2.  d = r_n - r_{n-1} has the root 0 and its other roots
+    inside the circle, c = r_n + 2t r_{n-1} its roots outside it (proofs
+    on build_integrand), so d starts from 0 and those points scaled just
+    inside, c from the same points scaled just outside.  A start only
+    sets how long Aberth runs: the certificate never depends on it.
     """
-    deg = len(ints) - 1
-    logs = [math.log(abs(c)) if c else -math.inf for c in ints]
-    hull: list[int] = []
-    for k in range(deg + 1):
-        if not ints[k]:
-            continue
-        while len(hull) >= 2 and (
-            (logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
-            <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])
-        ):
-            hull.pop()
-        hull.append(k)
-    out = [0j] * hull[0]
-    for i, k in zip(hull, hull[1:]):
-        m = k - i
-        radius = math.exp(max(-700.0, min(700.0, (logs[i] - logs[k]) / m)))
-        for q in range(m):
-            theta = 2 * math.pi * (q / m + len(out) / deg) + 0.7
-            out.append(cmath.rect(radius, theta))
-    return out
-
-
-def _horner_double(
-    a: Sequence[float], x: complex
-) -> tuple[complex, complex, float]:
-    """p(x), p'(x) and sum |a_k| |x|^k in doubles."""
-    v = dv = 0j
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(a):
-        dv = dv * x + v
-        v = v * x + c
-        mag = mag * ax + abs(c)
-    return v, dv, mag
-
-
-def _log_derivative_double(a, rev, x: complex) -> complex | None:
-    """p'(x)/p(x) in doubles, or None when p(x) is at the noise floor.
-
-    Outside the unit disk the reversed polynomial q is evaluated at
-    y = 1/x, so no power of x overflows: p(x) = x^deg q(y) gives
-    p'(x)/p(x) = (deg - y q'(y)/q(y)) / x.
-    """
-    deg = len(a) - 1
-    inside = abs(x) <= 1
-    y = x if inside else 1 / x
-    v, dv, mag = _horner_double(a if inside else rev, y)
-    if abs(v) <= 4 * deg * _EPS * mag:
-        return None
-    return dv / v if inside else (deg - y * dv / v) / x
-
-
-def _aberth_double(ints: Sequence[int]) -> tuple[list[complex], int]:
-    """Aberth iteration in double precision from Newton-polygon starts.
-
-    Coefficients are scaled by a power of two first, so any integer
-    polynomial converts without overflow.  Each approximation freezes
-    once |p(x)| is within a few ulps of sum |a_k| |x|^k, the point past
-    which a double evaluation carries no direction; the run ends when
-    every approximation is frozen.  Returns (roots, sweeps).
-    """
-    scale = 2 ** max(abs(c) for c in ints).bit_length()
-    a = [c / scale for c in ints]
-    rev = a[::-1]
-    roots = _double_start(ints)
-    live = set(range(len(roots)))
-    sweeps = 0
-    while live and sweeps < _DOUBLE_SWEEPS:
-        sweeps += 1
-        for i in sorted(live):
-            x = roots[i]
-            w = _log_derivative_double(a, rev, x)
-            if w is None:
-                live.discard(i)
-                continue
-            for k, z in enumerate(roots):
-                if k != i and z != x:
-                    w -= 1 / (x - z)
-            step = 1 / w if w else 0j
-            if cmath.isfinite(step):
-                roots[i] = x - step
-    return roots, sweeps
+    k = n - 1
+    points = [0.5 + 0j] if k % 2 == 0 else []  # m = k/2
+    for m in range(1, (k + 1) // 2):
+        s2 = math.sin(math.pi * m / k) ** 2
+        y = math.sqrt(1 - s2 * s2) / 2
+        points += [complex(s2 / 2, y), complex(s2 / 2, -y)]
+    inside = tuple(_INSIDE * z for z in points)
+    return (0j, *inside), tuple(z / _INSIDE for z in points)
 
 
 def _aberth(
@@ -604,60 +532,64 @@ def _aberth(
 
 
 def find_roots(
-    p: Polynomial, precision_bits: int, warm: RootSet | None = None
+    p: Polynomial, precision_bits: int, start: RootSet | Sequence[complex]
 ) -> RootSet:
     """All complex roots of p with a certified error radius; a set that
     certifies proves p squarefree (RootSet).
 
     precision_bits is raised to _DOUBLE_BITS when lower; that is the
-    precision of the set returned.  The start is `warm`, a set certified
+    precision of the set returned.  The start is either a set certified
     for p at a lower rung, which the two ladders (certified_poles and
     the rung of _integrate) carry from one rung to the next and which is
-    returned unchanged once it has the precision; without one, it is a
-    double-precision Aberth run (_aberth_double, Newton-polygon starts,
-    stopped at the double noise floor).  Aberth sweeps at doubling
-    precisions then refine up to precision_bits.  Results are memoised
-    (functools.lru_cache, 256 entries) on (p, raised precision, warm),
-    so calls that differ only in how they pass those, or in a precision
-    below the floor, share one entry and get back the same set.
-    Certification is a posteriori and ignores where the approximations
-    came from: the disk of radius deg * |p(x)/p'(x)| around any point
-    contains a root, so taking the worst such radius (|p| bounded above
-    and |p'| below, both with their Horner error) and checking the disks
-    are pairwise disjoint pins exactly one root per disk.  A poor start
-    can therefore only cost sweeps or an escalation, never a wrong
-    certificate, and a repeated root never certifies.  Failure to
-    certify raises the precision-escalation signal.
+    returned unchanged once it has the precision, or one complex point
+    per root (row_starts gives a row's), credited with _DOUBLE_BITS.
+    Aberth sweeps at doubling precisions refine it up to precision_bits.
+    Results are memoised (functools.lru_cache, 256 entries) on
+    (p, raised precision, start), so calls that differ only in a
+    precision below the floor, or in passing equal points as a list or
+    a tuple, share one entry and get back the same set.  Certification
+    is a posteriori and ignores where the approximations came from: the
+    disk of radius deg * |p(x)/p'(x)| around any point contains a root,
+    so taking the worst such radius (|p| bounded above and |p'| below,
+    both with their Horner error) and checking the disks are pairwise
+    disjoint pins exactly one root per disk.  A poor start can therefore
+    only cost sweeps or an escalation, never a wrong certificate, and a
+    repeated root never certifies.  Failure to certify raises the
+    precision-escalation signal; a start with the wrong number of
+    points, or a point that is not finite, raises ValueError.
     """
-    # Fewer bits than a double start carries would only round away what
+    if not isinstance(start, RootSet):
+        start = tuple(map(complex, start))
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag)
+                   for z in start):
+            raise ValueError("a start needs finite points")
+    # Fewer bits than a start of doubles carries would only round away what
     # the start knows, and integers of a word or two cost no less.
-    return _find_roots(p, max(precision_bits, _DOUBLE_BITS), warm)
+    return _find_roots(p, max(precision_bits, _DOUBLE_BITS), start)
 
 
 @functools.lru_cache(maxsize=256)
 def _find_roots(
-    p: Polynomial, precision_bits: int, warm: RootSet | None
+    p: Polynomial, precision_bits: int, start: RootSet | tuple[complex, ...]
 ) -> RootSet:
     """find_roots at a precision already raised to the floor."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    if warm is not None and len(warm.approximations) != p.degree:
-        raise ValueError("a warm start needs one point per root")
-    if warm is not None and warm.precision_bits >= precision_bits:
-        return warm
+    warm = isinstance(start, RootSet)
+    points = start.approximations if warm else start
+    if len(points) != p.degree:
+        raise ValueError("a start needs one point per root")
+    if warm and start.precision_bits >= precision_bits:
+        return start
     ints = _int_coeffs(p)
-    known_bits = _DOUBLE_BITS if warm is None else warm.precision_bits
+    at = start.precision_bits if warm else _DOUBLE_BITS
+    roots = list(points) if warm else [_fixed(z, at) for z in points]
     # Near simple roots an Aberth sweep triples the correct bits, so
     # refining through doubling precisions spends about two sweeps per
     # rung and only the last rung's at the full precision.
     rungs = [precision_bits]
-    while rungs[-1] // 2 > known_bits:
+    while rungs[-1] // 2 > at:
         rungs.append(rungs[-1] // 2)
-    if warm is None:
-        at = rungs[-1]
-        roots = [_fixed(z, at) for z in _aberth_double(ints)[0]]
-    else:
-        at, roots = known_bits, list(warm.approximations)
     for bits in reversed(rungs):
         up = bits - at
         roots = _aberth(ints, [(x << up, y << up) for x, y in roots], bits)
@@ -718,14 +650,16 @@ def classify_roots(
 
 
 def certified_poles(
-    p: Polynomial, start_bits: int = START_BITS
+    p: Polynomial,
+    start: Sequence[complex],
+    start_bits: int = START_BITS,
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
     """(roots, inside, outside): the roots of p, certified (which proves
     p squarefree) and classified against |t| = 1/2 at the same rung of
-    the ladder, each rung warm-started from the last set it certified.
-    A p with a repeated root never certifies, so it ends the ladder with
-    PrecisionError."""
-    warm = None
+    the ladder.  The first rung refines start, one point per root; each
+    later rung starts from the last set certified.  A p with a repeated
+    root never certifies, so it ends the ladder with PrecisionError."""
+    warm: RootSet | Sequence[complex] = start
 
     def rung(bits: int):
         nonlocal warm
@@ -974,8 +908,9 @@ def _integrate(
     if widest > MAX_BITS - 8:
         raise _exhausted(what, f"delta needs more than {MAX_BITS} bits")
     done: dict[int, Rational] = {}
-    # The last certified set of d's roots, the next rung's warm start.
-    d_roots: RootSet | None = None
+    # The next rung's start: the lemma's points, then the last certified
+    # set of d's roots.
+    d_roots: RootSet | Sequence[complex] = row_starts(n)[0]
 
     def rung(bits: int) -> list[Rational]:
         nonlocal d_roots

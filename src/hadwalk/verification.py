@@ -22,15 +22,21 @@ from typing import Callable, NamedTuple
 from .cells import significant
 from .errors import PrecisionError
 from .exactq import QuadExt, Rational, poly_discriminant
-from .residue_engine import certified_poles, denominator_bounds, integrate_row
+from .residue_engine import (
+    certified_poles,
+    denominator_bounds,
+    integrate_row,
+    row_starts,
+)
 from .simulator import enumerate_paths, initial_state, simulate, step
 from .walk_core import (
+    RFamily,
+    _h_quotient,
     absorption_denominator,
     gf,
     gf_coefficients,
     gf_denominator,
     gf_via_recurrence,
-    h_quotient,
     p_closed,
     p_exact,
     watrous_step,
@@ -268,12 +274,14 @@ def check_pole_classification(n_max: int) -> CheckResult:
     name = "pole-classification"
     for n in range(2, n_max + 1):
         try:
-            _, inside, outside = certified_poles(absorption_denominator(n))
+            d_start, c_start = row_starts(n)
+            _, inside, outside = certified_poles(absorption_denominator(n),
+                                                 d_start)
             if len(inside) != n - 1 or outside:
                 return _fail(name, f"inside factor misplaced root at n={n}")
             c = gf_denominator(n)
             if c.degree >= 1:
-                _, inside, outside = certified_poles(c)
+                _, inside, outside = certified_poles(c, c_start)
                 if inside or len(outside) != n - 2:
                     return _fail(name, f"outside factor misplaced root at n={n}")
         except PrecisionError as exc:
@@ -285,10 +293,11 @@ def check_quotient_structure(n_max: int) -> CheckResult:
     """The combination t^(j-1)(1+2t) r_{n-j} +- (r_j - r_{j-1})(r_n + 2t r_{n-1})
     is divisible by r_n - r_{n-1}, and the quotient depends only on j."""
     name = "quotient-structure"
+    r = RFamily().r(*range(n_max + 1))
     for j in range(1, min(n_max, 11)):
-        baseline = h_quotient(j, j + 1)
+        baseline = _h_quotient(j, j + 1, r)
         for n in range(j + 2, n_max + 1):
-            if h_quotient(j, n) != baseline:
+            if _h_quotient(j, n, r) != baseline:
                 return _fail(name, f"quotient depends on n at j={j}, n={n}")
     return _ok(name, f"j = 1..{min(n_max, 11) - 1}, n <= {n_max}")
 

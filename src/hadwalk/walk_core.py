@@ -271,11 +271,17 @@ def h_quotient(j: int, n: int) -> Polynomial:
     the property suite (the second).
     """
     _validate(j, n, 1, n)
-    r_top, r_j, r_i, r_n, r_m = RFamily().r(n - j, j, j - 1, n, n - 1)
-    h = Polynomial([0] * (j - 1) + [1, 2], var="t") * r_top  # t^(j-1)(1 + 2t)
-    tail = (r_j - r_i) * (r_n + Polynomial((0, 2), var="t") * r_m)
+    ks = (n - j, j, j - 1, n, n - 1)
+    return _h_quotient(j, n, dict(zip(ks, RFamily().r(*ks))))
+
+
+def _h_quotient(j: int, n: int, r) -> Polynomial:
+    """h_quotient(j, n) with r_k read from r[k], so that one pass of the
+    r family serves many cells."""
+    h = Polynomial([0] * (j - 1) + [1, 2], var="t") * r[n - j]  # t^(j-1)(1 + 2t)
+    tail = (r[j] - r[j - 1]) * (r[n] + Polynomial((0, 2), var="t") * r[n - 1])
     h = h + tail if j % 2 == 0 else h - tail
-    quot, rem = divmod(h, r_n - r_m)
+    quot, rem = divmod(h, r[n] - r[n - 1])
     if not rem.is_zero:
         raise ConsistencyError(
             f"H_{j} not divisible by r_{n} - r_{n - 1}; remainder {rem}"

@@ -611,34 +611,30 @@ def test_roots_json_round_trip_and_sorting(capsys):
 
 def test_roots_radius_covers_both_factors(capsys, monkeypatch):
     # Each block states its own radius and the header the larger one, so
-    # no printed root is claimed tighter than it is.  At n = 9 the inside
-    # factor's disks are the wider ones.
-    code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    inside, outside = (Decimal(f["error_radius"]) for f in obj["factors"])
-    assert Decimal(obj["error_radius"]) == inside > outside
-    # Widen the outside factor's disks 1000-fold (still disjoint, so
-    # still a certificate) for the case where they are the wider ones.
+    # no printed root is claimed tighter than it is.  Which factor's
+    # disks come out wider depends on where Aberth stops, so each factor
+    # in turn has its disks widened 1000-fold (still disjoint, so still a
+    # certificate) to make it the wider one.
     real = residue_engine.certified_poles
-    c = gf_denominator(9)
+    for wide, role in ((absorption_denominator(9), 0),
+                       (gf_denominator(9), 1)):
 
-    def widened(p, bits):
-        rs, ins, outs = real(p, bits)
-        if p == c:
-            rs = rs._replace(radius=1000 * rs.radius)
-        return rs, ins, outs
+        def widened(p, start, bits, wide=wide):
+            rs, ins, outs = real(p, start, bits)
+            if p == wide:
+                rs = rs._replace(radius=1000 * rs.radius)
+            return rs, ins, outs
 
-    monkeypatch.setattr(residue_engine, "certified_poles", widened)
-    code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    inside, outside = (Decimal(f["error_radius"]) for f in obj["factors"])
-    assert outside > inside
-    assert Decimal(obj["error_radius"]) == outside
-    code, out, _ = invoke(capsys, "roots", "--n", "9")
-    header = out.splitlines()[0]
-    assert header.endswith(f"error radius <= {obj['error_radius']}")
+        monkeypatch.setattr(residue_engine, "certified_poles", widened)
+        code, out, _ = invoke(capsys, "roots", "--n", "9", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        radii = [Decimal(f["error_radius"]) for f in obj["factors"]]
+        assert radii[role] > radii[1 - role]
+        assert Decimal(obj["error_radius"]) == radii[role]
+        code, out, _ = invoke(capsys, "roots", "--n", "9")
+        header = out.splitlines()[0]
+        assert header.endswith(f"error radius <= {obj['error_radius']}")
 
 
 @pytest.mark.parametrize("precision", [(), ("--precision-bits", "16")])

@@ -13,6 +13,7 @@ import pytest
 
 from hadwalk import residue_engine
 from hadwalk.errors import (
+    START_BITS,
     ConsistencyError,
     PrecisionError,
     PrecisionEscalation,
@@ -21,7 +22,7 @@ from hadwalk.exactq import Polynomial, poly_gcd
 from hadwalk.residue_engine import (
     MAX_ROW,
     Integrand,
-    _aberth_double,
+    RootSet,
     _div,
     _horner,
     _mul,
@@ -39,6 +40,7 @@ from hadwalk.residue_engine import (
     integrate_exact,
     integrate_row,
     residue_sum,
+    row_starts,
 )
 from hadwalk.walk_core import (
     A,
@@ -58,6 +60,20 @@ def T(*coeffs):
 
 def one_plus_2t():
     return T(1, 2)
+
+
+def ring(p: Polynomial) -> list[complex]:
+    """A start that knows nothing of p: deg p points spread on |t| = 1."""
+    deg = p.degree
+    return [cmath.rect(1, 2 * cmath.pi * k / deg + 0.7) for k in range(deg)]
+
+
+def d_start(n: int):
+    return row_starts(n)[0]
+
+
+def c_start(n: int):
+    return row_starts(n)[1]
 
 
 def numerator(j, n):
@@ -268,13 +284,13 @@ def test_a_repeated_root_never_certifies(monkeypatch):
     # The root certificate is what proves d squarefree: deg p disjoint
     # disks that each hold a root cannot cover a double root.
     with pytest.raises(PrecisionEscalation, match="overlap"):
-        find_roots(T(1, -2, 1), 128)
+        find_roots(T(1, -2, 1), 128, ring(T(1, -2, 1)))
     # So a ladder on such a p ends with PrecisionError.  A 256-bit
     # ceiling keeps it short (each climb to 8,192 bits takes seconds).
     monkeypatch.setattr(residue_engine, "MAX_BITS", 256)
     for p in (T(1, -2, 1), T(0, 1, -2, 1)):
         with pytest.raises(PrecisionError, match="root disks overlap"):
-            certified_poles(p)
+            certified_poles(p, ring(p))
 
 
 # ------------------------------------------------------ fixed-point kernel
@@ -361,23 +377,23 @@ def test_value_on_disk_covers_the_disk(name):
 
 
 def test_find_roots_frozen_small():
-    rs = find_roots(T(0, -2), 128)  # -2t
+    rs = find_roots(T(0, -2), 128, ring(T(0, -2)))  # -2t
     assert rs.precision_bits == 128
     assert len(rs.approximations) == 1
     assert near(rs, rs.approximations[0], (0, 0), rs.error_radius)
     assert rs.error_radius < F(1, 10 ** 25)
 
-    rs = find_roots(T(0, -1, 4), 128)  # t(4t - 1)
+    rs = find_roots(T(0, -1, 4), 128, ring(T(0, -1, 4)))  # t(4t - 1)
     got = sorted(rs.approximations)
     assert near(rs, got[0], (0, 0), rs.error_radius)
     assert near(rs, got[1], (F(1, 4), 0), rs.error_radius)
 
-    rs = find_roots(T(1, -1), 128)  # 1 - t
+    rs = find_roots(T(1, -1), 128, ring(T(1, -1)))  # 1 - t
     assert near(rs, rs.approximations[0], (1, 0), rs.error_radius)
 
 
 def test_find_roots_certificate_means_disjoint_disks():
-    rs = find_roots(gf_denominator(5), 128)
+    rs = find_roots(gf_denominator(5), 128, c_start(5))
     assert len(rs.approximations) == 3
     for i in range(3):
         for k in range(i + 1, 3):
@@ -388,8 +404,8 @@ def test_find_roots_certificate_means_disjoint_disks():
 
 def test_find_roots_refinement_is_consistent():
     p = absorption_denominator(7)
-    coarse = find_roots(p, 128)
-    fine = find_roots(p, 512)
+    coarse = find_roots(p, 128, d_start(7))
+    fine = find_roots(p, 512, d_start(7))
     assert fine.error_radius < coarse.error_radius
     def key(rs):
         return lambda x: tuple(round(float(v), 6)
@@ -404,51 +420,54 @@ def test_find_roots_refinement_is_consistent():
 
 def test_find_roots_cached_per_precision():
     p = absorption_denominator(6)
-    assert find_roots(p, 128) is find_roots(p, 128)
-    # The memo keys on the precision after the double floor, so a call
-    # that leaves warm out, or asks for fewer bits than the floor, gets
-    # back the very set that an equivalent call certified.
+    assert find_roots(p, 128, d_start(6)) is find_roots(p, 128, d_start(6))
+    # The memo keys on the precision after the double floor and on the
+    # start as a tuple, so a call that passes the row's points as a list,
+    # or asks for fewer bits than the floor, gets back the very set that
+    # an equivalent call certified, the ladder's first rung among them.
     memo = residue_engine._find_roots
     memo.cache_clear()
     ig = build_integrand(3, 7)
     assert integrate_exact(ig) == p_exact(3, 7)
     before = memo.cache_info()
-    rs = find_roots(ig.d, 128)
-    assert find_roots(ig.d, 128) is rs
-    low = find_roots(ig.d, 16)
+    start = d_start(7)
+    rs = find_roots(ig.d, 128, start)
+    assert find_roots(ig.d, 128, list(start)) is rs
+    low = find_roots(ig.d, 16, start)
     assert low.precision_bits == residue_engine._DOUBLE_BITS
-    assert find_roots(ig.d, 16, None) is low
-    assert find_roots(ig.d, residue_engine._DOUBLE_BITS) is low
+    assert find_roots(ig.d, residue_engine._DOUBLE_BITS, start) is low
     after = memo.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 4, before.misses + 1)
+    assert (after.hits, after.misses) == (before.hits + 3, before.misses + 1)
 
 
 def test_ladder_runs_one_cold_start_for_d(monkeypatch):
-    # (1, 30) climbs from 128 to 256 bits on d; the 256-bit rung refines
-    # the 128-bit set instead of starting cold, and c's roots are never
-    # found, so the double-precision run happens once, for d.
-    degrees = []
-    real = residue_engine._aberth_double
+    # (1, 30) climbs from 128 to 256 bits on d.  Only the first rung
+    # starts from the row's points; the 256-bit rung refines the 128-bit
+    # set, and c's roots are never found.
+    calls = []
+    real = residue_engine.find_roots
 
-    def spy(ints):
-        degrees.append(len(ints) - 1)
-        return real(ints)
+    def spy(p, precision_bits, start):
+        calls.append((p, precision_bits, start))
+        return real(p, precision_bits, start)
 
-    monkeypatch.setattr(residue_engine, "_aberth_double", spy)
+    monkeypatch.setattr(residue_engine, "find_roots", spy)
     residue_engine._find_roots.cache_clear()
     ig = build_integrand(1, 30)
     assert integrate_exact(ig) == p_exact(1, 30)
-    assert degrees == [ig.d.degree]
+    assert [(p, bits) for p, bits, _ in calls] == [(ig.d, 128), (ig.d, 256)]
+    assert calls[0][2] == d_start(30)
+    assert isinstance(calls[1][2], RootSet)
+    assert calls[1][2].precision_bits == 128
     # A second run of the same ladder is served from the memo.
-    hits = residue_engine._find_roots.cache_info().hits
+    misses = residue_engine._find_roots.cache_info().misses
     assert integrate_exact(ig) == p_exact(1, 30)
-    assert len(degrees) == 1
-    assert residue_engine._find_roots.cache_info().hits > hits
+    assert residue_engine._find_roots.cache_info().misses == misses
 
 
 def test_find_roots_warm_start_at_the_precision_is_returned():
     p = absorption_denominator(6)
-    rs = find_roots(p, 128)
+    rs = find_roots(p, 128, d_start(6))
     assert find_roots(p, 128, rs) is rs
     assert find_roots(p, 16, rs) is rs
     fine = find_roots(p, 256, rs)
@@ -463,15 +482,15 @@ def test_find_roots_under_concurrent_callers():
     # racing on a key may each compute it, but every set they get back
     # for one (p, bits) is the same, and the memo stays bounded.
     residue_engine._find_roots.cache_clear()
-    polys = [absorption_denominator(n) for n in (3, 4, 5, 6)]
+    polys = [(absorption_denominator(n), d_start(n)) for n in (3, 4, 5, 6)]
     seen: dict[tuple[int, int], list] = {}
     lock = threading.Lock()
 
     def work():
         for _ in range(3):
-            for k, p in enumerate(polys):
+            for k, (p, start) in enumerate(polys):
                 for bits in (128, 256):
-                    rs = find_roots(p, bits)
+                    rs = find_roots(p, bits, start)
                     with lock:
                         seen.setdefault((k, bits), []).append(rs)
 
@@ -529,92 +548,90 @@ def _bad_starts(p: Polynomial) -> dict[str, list]:
     gf_denominator(8),
     T(-2, 0, 1) * T(-3, 1),
 ], ids=["d7", "c8", "cubic"])
-def test_find_roots_is_sound_from_bad_starts(monkeypatch, p):
+def test_find_roots_is_sound_from_bad_starts(p):
     # A start can cost sweeps or force an escalation, but whatever
     # certifies is right.
     for name, start in _bad_starts(p).items():
-        monkeypatch.setattr(residue_engine, "_aberth_double",
-                            lambda ints, start=start: (list(start), 0))
-        residue_engine._find_roots.cache_clear()
         try:
-            rs = find_roots(p, 128)
+            rs = find_roots(p, 128, start)
         except PrecisionEscalation:
             continue
         _one_true_root_per_disk(p, rs)
-    # Later callers get sets from the usual start.
-    residue_engine._find_roots.cache_clear()
 
 
 def test_find_roots_coefficients_beyond_the_double_range():
+    # Fixed-point Horner never converts a coefficient to a double.
     p = T(-2, 0, 1) * T(-3, 1) * 10 ** 400
     assert max(abs(c) for c in p.coeffs) > 10 ** 308
-    start, _ = _aberth_double([int(c) for c in p.coeffs])
-    assert sorted(round(z.real, 6) for z in start) == [-1.414214, 1.414214, 3.0]
-    rs = find_roots(p, 128)
+    rs = find_roots(p, 128, ring(p))
     _one_true_root_per_disk(p, rs)
 
 
-def test_double_start_stops_at_its_noise_floor():
-    # The double run ends because every point froze, not at its cap.
-    for n in range(2, 41):
-        for p in (absorption_denominator(n), gf_denominator(n)):
-            if p.degree >= 1:
-                roots, sweeps = _aberth_double([int(c) for c in p.coeffs])
-                assert len(roots) == p.degree
-                assert sweeps < residue_engine._DOUBLE_SWEEPS // 10
+def test_find_roots_rejects_a_malformed_start():
+    p = absorption_denominator(6)
+    start = d_start(6)
+    for bad in (start[:-1], start + (0j,), (),
+                start[:-1] + (complex("nan"),),
+                start[:-1] + (complex(0, float("inf")),)):
+        with pytest.raises(ValueError, match="start"):
+            find_roots(p, 128, bad)
+        with pytest.raises(ValueError, match="start"):
+            certified_poles(p, bad)
 
 
 def test_find_roots_validation():
     with pytest.raises(ValueError):
-        find_roots(T(3), 128)
+        find_roots(T(3), 128, ())
     # Truncating 1/2 to 0 would certify the root 0 of t.
     with pytest.raises(ValueError, match="integer coefficients"):
-        find_roots(T(F(1, 2), 1), 128)
+        find_roots(T(F(1, 2), 1), 128, [0.3])
 
 
 # ----------------------------------------------------------- classification
 
 
 def test_classify_frozen():
-    rs = find_roots(T(0, -1, 4), 128)
+    rs = find_roots(T(0, -1, 4), 128, ring(T(0, -1, 4)))
     inside, outside = classify_roots(rs)
     assert len(inside) == 2 and not outside
 
-    rs = find_roots(T(1, -1), 128)
+    rs = find_roots(T(1, -1), 128, ring(T(1, -1)))
     inside, outside = classify_roots(rs)
     assert not inside and len(outside) == 1
 
 
 def test_classify_every_row_splits_cleanly():
-    for n in range(2, 13):
-        inside, outside = classify_roots(
-            find_roots(absorption_denominator(n), 128)
-        )
+    # row_starts gives each factor one point per root, and from them both
+    # factors certify and classify at the first rung.
+    for n in range(2, 41):
+        d, c = absorption_denominator(n), gf_denominator(n)
+        assert (len(d_start(n)), len(c_start(n))) == (d.degree, c.degree)
+        inside, outside = classify_roots(find_roots(d, START_BITS, d_start(n)))
         assert len(inside) == n - 1 and not outside
-        if gf_denominator(n).degree >= 1:
+        if c.degree >= 1:
             inside, outside = classify_roots(
-                find_roots(gf_denominator(n), 128)
+                find_roots(c, START_BITS, c_start(n))
             )
             assert not inside and len(outside) == n - 2
 
 
 def test_certified_poles_escalates_transparently():
     # Degree-1 input certifies at the first rung.
-    rs, inside, outside = certified_poles(T(1, -1))
+    rs, inside, outside = certified_poles(T(1, -1), ring(T(1, -1)))
     assert rs.precision_bits == 128
     assert not inside and len(outside) == 1
     with pytest.raises(ValueError):
-        certified_poles(T(5))
+        certified_poles(T(5), ())
 
 
 def test_certified_poles_reports_exhaustion():
     # Roots exactly on the contour never classify, at any precision.
     with pytest.raises(PrecisionError, match="degree-2 polynomial"):
-        certified_poles(T(-1, 0, 4), 4096)
+        certified_poles(T(-1, 0, 4), ring(T(-1, 0, 4)), 4096)
 
 
 def test_classify_root_on_contour_escalates():
-    rs = find_roots(T(-1, 0, 4), 128)  # roots exactly at +-1/2
+    rs = find_roots(T(-1, 0, 4), 128, ring(T(-1, 0, 4)))  # roots at +-1/2
     with pytest.raises(PrecisionEscalation):
         classify_roots(rs)
 
@@ -627,7 +644,7 @@ def test_residue_sum_frozen():
     # are -1 and 1/3.
     ig = build_integrand(1, 3)
     (re, im), err = residue_sum(numerator(1, 3), ig.c, ig.d,
-                                find_roots(ig.d, 128))
+                                find_roots(ig.d, 128, d_start(3)))
     assert err < F(1, 10 ** 25)
     assert abs(re + F(2, 3)) <= err
     assert abs(im) <= err
@@ -637,10 +654,10 @@ def test_residue_closure_over_the_whole_plane():
     # For N / ((1+2t)(r_n - r_{n-1})) the denominator degree exceeds the
     # numerator degree by 2, so the residues over all poles sum to zero.
     lin = one_plus_2t()
-    lin_roots = find_roots(lin, 128)
+    lin_roots = find_roots(lin, 128, ring(lin))
     for n in range(2, 13):
         d = absorption_denominator(n)
-        d_roots = find_roots(d, 128)
+        d_roots = find_roots(d, 128, d_start(n))
         for j in sorted({1, n // 2, n - 1}):
             num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
             s1, e1 = residue_sum(num, lin, d, d_roots)
@@ -651,7 +668,7 @@ def test_residue_closure_over_the_whole_plane():
 def test_residue_at_minus_half_recovers_the_evaluated_formula():
     # The pole at t = -1/2 alone carries p_exact.
     lin = one_plus_2t()
-    lin_roots = find_roots(lin, 128)
+    lin_roots = find_roots(lin, 128, ring(lin))
     for j, n in [(1, 2), (1, 3), (2, 5), (4, 9), (3, 11)]:
         num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
         (re, _), err = residue_sum(num, absorption_denominator(n), lin,
@@ -683,9 +700,9 @@ def test_outside_factor_is_never_root_found(monkeypatch):
     calls: list[tuple[Polynomial, int]] = []
     real = residue_engine.find_roots
 
-    def spy(p, precision_bits, warm=None):
+    def spy(p, precision_bits, start):
         calls.append((p, precision_bits))
-        return real(p, precision_bits, warm)
+        return real(p, precision_bits, start)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
     for j, n, d_bits in [(15, 30, 128), (1, 30, 256), (1, 13, 128),
@@ -704,8 +721,8 @@ def test_inside_factor_disks_wider_than_half_escalate(monkeypatch):
     # checked on every rung: a 128-bit set widened to 1/2 climbs a rung.
     real = residue_engine.find_roots
 
-    def widened(p, precision_bits, warm=None):
-        rs = real(p, precision_bits, warm)
+    def widened(p, precision_bits, start):
+        rs = real(p, precision_bits, start)
         if rs.precision_bits > 128:
             return rs
         return rs._replace(radius=1 << (rs.precision_bits - 1))
@@ -736,9 +753,9 @@ def test_integrate_exact_reports_exhaustion(monkeypatch):
     calls = []
     real = residue_engine.find_roots
 
-    def spy(p, precision_bits, warm=None):
+    def spy(p, precision_bits, start):
         calls.append(precision_bits)
-        return real(p, precision_bits, warm)
+        return real(p, precision_bits, start)
 
     monkeypatch.setattr(residue_engine, "find_roots", spy)
     for run, bits in ((lambda: integrate_exact(build_integrand(20, 40)), 88),
@@ -776,7 +793,7 @@ def _points_near_roots(n: int) -> list[tuple[int, int]]:
     # Roots of d cut to 60 fractional bits: exact inputs with full-length
     # products at 128 bits, so the recurrence really rounds.
     cut = 128 - 60
-    roots = find_roots(absorption_denominator(n), 128)
+    roots = find_roots(absorption_denominator(n), 128, d_start(n))
     return [(x >> cut << cut, y >> cut << cut) for x, y in roots.approximations]
 
 
