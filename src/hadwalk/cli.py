@@ -532,11 +532,9 @@ def _certified_part(x: Fraction, radius: Fraction) -> str:
     return significant(x, max(1, min(_ROOT_DIGITS, lead - finest + 1)))
 
 
-def _root_entries(poly, start, role: str, bits: int):
-    """The factor's JSON block and its certified error radius."""
-    from .residue_engine import certified_poles
-
-    rs, inside, _ = certified_poles(poly, start, bits)
+def _root_entries(poly, poles, role: str):
+    """The factor's JSON block."""
+    rs, inside, _ = poles
     # Fixed-point pairs (X, Y) at F bits stand for (X + iY) 2^-F.
     unit = 1 << rs.precision_bits
     ordered = sorted(rs.approximations,
@@ -547,38 +545,28 @@ def _root_entries(poly, start, role: str, bits: int):
         "im": _certified_part(Fraction(x[1], unit), radius),
         "location": "inside" if x in inside else "outside",
     } for x in ordered]
-    block = {"role": role, "poly": str(poly),
-             "error_radius": significant(radius, 5), "roots": entries}
-    return block, radius
+    return {"role": role, "poly": str(poly),
+            "error_radius": significant(radius, 5), "roots": entries}
 
 
 def _run_roots(cfg: CommandConfig) -> int:
-    # _factors enforces the contour route's row ceiling before any
-    # polynomial is built.
-    from .residue_engine import _factors, row_starts
+    from .residue_engine import row_poles
 
     n = cfg.n
-    c, d = _factors(n)
-    d_start, c_start = row_starts(n)
-    inside_block, radius = _root_entries(
-        d, d_start, "inside-factor", cfg.precision_bits
-    )
-    blocks = [inside_block]
-    if c.degree >= 1:
-        outside_block, c_radius = _root_entries(
-            c, c_start, "outside-factor", cfg.precision_bits
-        )
-        blocks.append(outside_block)
-        radius = max(radius, c_radius)
+    (d, d_poles), (c, c_poles) = row_poles(n, cfg.precision_bits)
+    blocks = [_root_entries(d, d_poles, "inside-factor")]
+    if c_poles is not None:
+        blocks.append(_root_entries(c, c_poles, "outside-factor"))
     # The header covers every printed root, so it states the larger radius.
-    shown = significant(radius, 5)
+    shown = significant(max(poles[0].error_radius
+                            for poles in (d_poles, c_poles) if poles), 5)
     if cfg.format == "text":
         print(f"n = {n}  contour |t| = 1/2  error radius <= {shown}")
         for block in blocks:
             print(f"{block['role']}: {block['poly']}")
             for e in block["roots"]:
                 print(f"  {e['re']:>28} {e['im']:>28}i  {e['location']}")
-        if c.degree < 1:
+        if c_poles is None:
             print(f"outside-factor: {c} (constant, no roots)")
     else:
         print(canonical_json({

@@ -35,6 +35,14 @@ product does not scale with the size of its operands, Horner's rule on
 integer coefficients errs by less than 2 sum_(i<deg) |x|^i ulps however
 large the coefficients are.
 
+One lemma bounds every value over a root disk.  If a root lies within
+rho < 1 of its approximation x and q has a coefficientwise majorant Q,
+then q at the root lies within rho |q'(x)| + rho^2 Q(|x| + 1) of q(x)
+(Taylor at x; the disk lemma, step 3 of the proof on integrate_row).
+_value_on_disk applies it to c and d' in the weights 1/(c d') and to a
+general numerator, with Q = sum |a_k| t^k; _numerators_at applies it
+to b_j, with the majorant that the r recurrence gives.
+
 A row is the unit of work.  The cells of row n share c = r_n + 2t r_{n-1}
 and d = r_n - r_{n-1}; only the numerator b_j = t^(j-1) r_{n-j}^2 depends
 on j.  So the roots of d, the row part of the denominator bound and,
@@ -121,19 +129,27 @@ def _escalate(rung: Callable[[int], _T], what: str, start_bits: int) -> _T:
 
 
 # The largest row the contour route runs.  Root finding, not delta, sets
-# it: the centre cell of row 150 takes 3-5 s cold (medians 3.4 and 4.1 s
-# in two sets of six runs on a 2-vCPU VM), and (1, 150) 3.6-5.3 s, about
-# two thirds of it finding the roots of d.  Rows above it fail before any
+# it.  With the weights bounded by the derivative at each root's
+# approximation (_value_on_disk), the centre cell of row 150 certifies
+# at 512 bits and takes 1.3-2.5 s cold (median 1.7 s in twelve runs on
+# a 2-vCPU VM); (1, 150) still climbs to 1,024 bits, where its numerator
+# bound binds, and takes 4.0-6.4 s.  Rows above it fail before any
 # polynomial is built.
 MAX_ROW = 150
 
 
-def _factors(n: int) -> tuple[Polynomial, Polynomial]:
-    """(c, d) of row n, once n is known to lie within MAX_ROW."""
+def require_row(n: int) -> None:
+    """Refuse a row above MAX_ROW with the route's one-line
+    PrecisionError."""
     if n > MAX_ROW:
         raise PrecisionError(
             f"the contour route runs rows up to n = {MAX_ROW}, got n = {n}"
         )
+
+
+def _factors(n: int) -> tuple[Polynomial, Polynomial]:
+    """(c, d) of row n, once n is known to lie within MAX_ROW."""
+    require_row(n)
     return gf_denominator(n), absorption_denominator(n)
 
 
@@ -435,26 +451,26 @@ def _horner(coeffs: Sequence[int], x: _Gauss, F: int) -> tuple[_Gauss, int]:
     return (re, im), err
 
 
-def _disk_variation(coeffs: Sequence[int], z: int, rho: int, F: int) -> int:
-    """Bound on |q(y) - q(x)| over |y - x| <= rho, for |x| <= z (ulps).
-
-    Mean value bound: rho * sup |q'| on the disk, with the sup bounded
-    by sum k |a_k| (z + rho)^(k-1), each step rounded upward.
-    """
-    reach = z + rho
-    total = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        total = _ceil_shift(total * reach, F) + (k * abs(coeffs[k]) << F)
-    return _ceil_shift(rho * total, F)
-
-
 def _value_on_disk(
     coeffs: Sequence[int], x: _Gauss, rho: int, F: int
 ) -> tuple[_Gauss, int]:
     """q(x) by Horner, and a bound on its distance from q(y) for every
-    y with |y - x| <= rho (rounding plus variation over the disk)."""
+    y with |y - x| <= rho < 2^F (ulps at F bits).
+
+    The disk lemma (step 3 of the proof on integrate_row) with q's
+    coefficientwise majorant Q = sum |a_k| t^k: the rounding e of q(x),
+    plus rho (|q'(x)| + e') with q'(x) by Horner on the derivative's
+    coefficients, plus rho^2 Q(|x| + 1), summed upward.
+    """
     v, e = _horner(coeffs, x, F)
-    return v, e + _disk_variation(coeffs, _abs_up(x), rho, F)
+    deriv = [k * a for k, a in enumerate(coeffs)][1:] or [0]
+    slope, e_slope = _horner(deriv, x, F)
+    reach = _abs_up(x) + (1 << F)
+    far = 0
+    for a in reversed(coeffs):
+        far = _ceil_shift(far * reach, F) + (abs(a) << F)
+    variation = _ceil_shift(rho * (_abs_up(slope) + e_slope), F)
+    return v, e + variation + _ceil_shift(rho * rho * far, 2 * F)
 
 
 # Bits credited to a start of complex doubles: multiprecision refinement
@@ -671,6 +687,21 @@ def certified_poles(
     )
 
 
+def row_poles(
+    n: int, start_bits: int = START_BITS
+) -> tuple[tuple[Polynomial, tuple], tuple[Polynomial, tuple | None]]:
+    """((d, poles of d), (c, poles of c)) for row n: each factor's
+    roots certified and classified by certified_poles from its
+    row_starts(n) point, first d, then c.  c is the constant 1 at n = 2
+    and has no poles (None).  Rows above MAX_ROW fail before any
+    polynomial is built."""
+    c, d = _factors(n)
+    d_start, c_start = row_starts(n)
+    d_poles = certified_poles(d, d_start, start_bits)
+    c_poles = certified_poles(c, c_start, start_bits) if c.degree >= 1 else None
+    return (d, d_poles), (c, c_poles)
+
+
 def _weight(
     cc: Sequence[int], dc: Sequence[int], x: _Gauss, rho: int, F: int
 ) -> tuple[_Gauss, int]:
@@ -705,10 +736,17 @@ def _weight(
 def _weights(
     c: Polynomial, d: Polynomial, d_roots: RootSet
 ) -> list[tuple[_Gauss, int]]:
-    """_weight at every approximation of d_roots, at its precision."""
+    """_weight at every approximation of d_roots, at its precision.
+
+    The disk lemma behind _value_on_disk and _numerators_at needs disks
+    of radius below 1, so a set whose radius is 1/2 or more raises the
+    escalation signal here, and no value bounded on its disks is used.
+    """
+    F = d_roots.precision_bits
+    if d_roots.radius >= 1 << (F - 1):
+        raise PrecisionEscalation(f"root disks too wide at {F} bits")
     cc = _int_coeffs(c)
     dc = _int_coeffs(d.derivative())
-    F = d_roots.precision_bits
     return [_weight(cc, dc, x, d_roots.radius, F)
             for x in d_roots.approximations]
 
@@ -826,8 +864,9 @@ def _numerators_at(
 
     One pass of the r recurrence at x serves every j.  Beside it, the
     rounding bounds of r_k and r_k' carry through the products that
-    make b_j and b_j', and the majorant R at |x| + 1 bounds the Taylor
-    tail of b_j over the disk (proof on integrate_row).
+    make b_j and b_j', and the disk lemma (step 3 of the proof on
+    integrate_row) bounds the variation over the disk with B_j, the
+    majorant of b_j built from R at |x| + 1.
     """
     top = n - min(js)
     one = 1 << F
@@ -928,10 +967,9 @@ def _integrate(
         # The roots' precision, which is at least the rung's.
         F = d_roots.precision_bits
         # d's roots lie inside |t| < 1/2 by the proof on build_integrand,
-        # so they are not classified; the Taylor bound of _numerators_at
-        # needs only disks of radius below 1/2.
-        if d_roots.radius >= 1 << (F - 1):
-            raise PrecisionEscalation(f"root disks too wide at {bits} bits")
+        # so they are not classified.  _weights checks the disk radius
+        # that the disk lemma of _numerators_at needs too, so it runs
+        # first.
         failure = waiting
         weights = _weights(c, d, d_roots)
         js = [cells[k][0] for k in live]
@@ -973,7 +1011,8 @@ def integrate_row(
     gives r_0(x)..r_n(x) and so b_j(x) = x^(j-1) r_{n-j}(x)^2 for every
     j, and each cell is one weighted sum.
 
-    The bound on b_j, in the absolute model of the module docstring.
+    The bound on b_j, and the disk lemma behind every value on a root
+    disk, in the absolute model of the module docstring.
     Let x approximate a root a of d with |a - x| <= rho, let z >= |x|,
     and write m = n - j.
 
@@ -996,16 +1035,24 @@ def integrate_row(
        computed with error bounds that use the computed moduli alone;
        every bound is an integer rounded upward, so no bound has a
        rounding error of its own.
-    3. Variation.  For |y - x| <= rho, Taylor's formula at x gives
-       b_j(y) - b_j(x) = b_j'(x) (y - x) + sum over i >= 2 of
-       b_j^(i)(x) (y - x)^i / i!, with |b_j^(i)(x)| <= B_j^(i)(z) by 1.
-       Since rho < 1 (the rung escalates unless rho < 1/2), the tail
-       is at most rho^2 times the Taylor series of B_j at z evaluated
-       one unit away, whose terms are all non-negative: at most
-       rho^2 B_j(z + 1).
+    3. The disk lemma.  Let q be any polynomial with a coefficientwise
+       majorant Q, |[t^i] q| <= [t^i] Q for every i, and let rho < 1.
+       For |y - x| <= rho, Taylor's formula at x gives
+       q(y) - q(x) = q'(x) (y - x) + sum over i >= 2 of
+       q^(i)(x) (y - x)^i / i!, and |q^(i)(x)| <= Q^(i)(z) since
+       derivatives keep the relation.  As rho < 1, the tail is at most
+       rho^2 times the Taylor series of Q at z evaluated one unit away,
+       whose terms are all non-negative: at most rho^2 Q(z + 1).  So
+       |q(y) - q(x)| <= rho |q'(x)| + rho^2 Q(z + 1).  Every q has the
+       majorant sum |a_k| t^k (_value_on_disk, for c, d' and a general
+       numerator); b_j has B_j by 1 (_numerators_at).  The route uses
+       their bounds only on disks that _weights has checked to be of
+       radius below 1/2.
 
     So |computed b_j(x) - b_j(y)| <= e(b_j) + rho (|computed b_j'(x)|
-    + e(b_j')) + rho^2 B_j(z + 1), with e the rounding bounds of 2.
+    + e(b_j')) + rho^2 B_j(z + 1), with e the rounding bounds of 2, and
+    |computed q(x) - q(y)| <= e(q) + rho (|computed q'(x)| + e(q')) +
+    rho^2 Q(z + 1) for every q, with the rounding bound of Horner's rule.
     """
     js, c, d, bounds = _row(n, js)
     cells = [(j, db.delta) for j, db in zip(js, bounds)]

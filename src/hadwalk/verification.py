@@ -23,10 +23,10 @@ from .cells import significant
 from .errors import PrecisionError
 from .exactq import QuadExt, Rational, poly_discriminant
 from .residue_engine import (
-    certified_poles,
     denominator_bounds,
     integrate_row,
-    row_starts,
+    require_row,
+    row_poles,
 )
 from .simulator import enumerate_paths, initial_state, simulate, step
 from .walk_core import (
@@ -35,7 +35,6 @@ from .walk_core import (
     absorption_denominator,
     gf,
     gf_coefficients,
-    gf_denominator,
     gf_via_recurrence,
     p_closed,
     p_exact,
@@ -274,18 +273,15 @@ def check_pole_classification(n_max: int) -> CheckResult:
     name = "pole-classification"
     for n in range(2, n_max + 1):
         try:
-            d_start, c_start = row_starts(n)
-            _, inside, outside = certified_poles(absorption_denominator(n),
-                                                 d_start)
-            if len(inside) != n - 1 or outside:
-                return _fail(name, f"inside factor misplaced root at n={n}")
-            c = gf_denominator(n)
-            if c.degree >= 1:
-                _, inside, outside = certified_poles(c, c_start)
-                if inside or len(outside) != n - 2:
-                    return _fail(name, f"outside factor misplaced root at n={n}")
+            (_, (_, inside, outside)), (_, c_poles) = row_poles(n)
         except PrecisionError as exc:
             return _fail(name, f"certification failed at n={n}: {exc}")
+        if len(inside) != n - 1 or outside:
+            return _fail(name, f"inside factor misplaced root at n={n}")
+        # c is the constant 1 at n = 2, with no roots to place.
+        _, inside, outside = c_poles or (None, (), ())
+        if inside or len(outside) != n - 2:
+            return _fail(name, f"outside factor misplaced root at n={n}")
     return _ok(name, f"n = 2..{n_max}, certified disks")
 
 
@@ -375,6 +371,10 @@ SUITES: dict[str, tuple[Check, ...]] = {
 SUITES["all"] = tuple(c for suite in
                       ("identities", "methods", "oracles", "limits", "structure")
                       for c in SUITES[suite])
+# The suites that run the contour route (method-agreement,
+# pole-classification, denominator-bound-integrality), which refuses
+# rows above MAX_ROW: run_suite refuses their n_max before any check.
+_CONTOUR_SUITES = ("all", "methods", "structure")
 
 
 def run_suite(
@@ -383,12 +383,16 @@ def run_suite(
     tail_eps: Rational = F(1, 10 ** 10),
 ) -> list[CheckResult]:
     """Run every check in the suite; results keep registry order.
-    tail_eps reaches check_simulator_bracketing alone."""
+    tail_eps reaches check_simulator_bracketing alone.  A suite that
+    runs the contour route refuses an n_max above MAX_ROW at once with
+    the route's PrecisionError."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     if not 0 < tail_eps < 1:
         raise ValueError(f"tail_eps must lie in (0, 1), got {tail_eps}")
+    if suite in _CONTOUR_SUITES:
+        require_row(n_max)
     return [check(n_max, tail_eps) if check is check_simulator_bracketing
             else check(n_max) for check in SUITES[suite]]

@@ -560,6 +560,33 @@ def test_verify_failure_exits_one_and_names_the_identity(capsys, monkeypatch):
     assert err == "error: verification: row-recurrence: broken at n=6\n"
 
 
+def test_verify_refuses_rows_above_the_ceiling_before_any_check(
+    capsys, monkeypatch
+):
+    # A suite with a contour check could only end in exit 3 at row 151,
+    # after every row below it: it now exits 3 at once, on one line.
+    # Suites without one keep any --n-max.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran above the row ceiling")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "p_exact", refuse)
+        patch.setattr(verification, "integrate_row", refuse)
+        patch.setattr(verification, "row_poles", refuse)
+        for suite in ("all", "methods", "structure"):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, "verify", "--suite", suite,
+                                    "--n-max", "151")
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (3, "")
+            assert err == ("error: precision: the contour route runs rows "
+                           "up to n = 150, got n = 151\n")
+    code, out, err = invoke(capsys, "verify", "--suite", "identities",
+                            "--n-max", "151")
+    assert (code, err) == (0, "")
+    assert out.endswith("6/6 checks passed (suite identities, n <= 151)\n")
+
+
 def test_suite_choices_are_the_registry():
     assert cli.SUITE_NAMES == tuple(sorted(verification.SUITES))
 

@@ -23,6 +23,7 @@ from hadwalk.residue_engine import (
     MAX_ROW,
     Integrand,
     RootSet,
+    _abs_up,
     _div,
     _horner,
     _mul,
@@ -358,19 +359,30 @@ def test_horner_value_within_its_bound(bits, name):
 @pytest.mark.parametrize("name", list(_KERNEL_POLYS))
 def test_value_on_disk_covers_the_disk(name):
     # Points y on the rim |y - x| = rho: q(y) lies within the stated
-    # error of the value computed at x.
+    # error of the value computed at x.  On the disks of radius 1/4 some
+    # rim point lies beyond the first-order part of the bound,
+    # e + rho (|q'(x)| + e'), so the rho^2 tail is what covers it.
     poly = _KERNEL_POLYS[name]
     ints = [int(a) for a in poly.coeffs]
+    deriv = [int(a) for a in poly.derivative().coeffs]
     bits = 128
-    rho = 1 << (bits - 30)  # 2^-30
     ulp2 = F(1, 1 << bits) ** 2
-    for x in _dyadic_points(bits, 6, 7):
-        value, err = _value_on_disk(ints, x, rho, bits)
-        point = exact(x, bits)
-        for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
-            y = (point[0] + F(dre) / 2**30, point[1] + F(dim) / 2**30)
-            want = _exact_at(poly, y)
-            assert gap2(exact(value, bits), want) <= err * err * ulp2
+    for log_rho in (30, 2):
+        rho = 1 << (bits - log_rho)
+        beyond_first_order = False
+        for x in _dyadic_points(bits, 6, 7):
+            value, err = _value_on_disk(ints, x, rho, bits)
+            _, e = _horner(ints, x, bits)
+            slope, e_slope = _horner(deriv, x, bits)
+            first = e + -(-rho * (_abs_up(slope) + e_slope) >> bits)
+            point = exact(x, bits)
+            for dre, dim in ((1, 0), (-1, 0), (0, 1), (F(3, 5), F(-4, 5))):
+                y = (point[0] + F(dre) / 2**log_rho,
+                     point[1] + F(dim) / 2**log_rho)
+                gap = gap2(exact(value, bits), _exact_at(poly, y))
+                assert gap <= err * err * ulp2, (log_rho, x)
+                beyond_first_order |= gap > first * first * ulp2
+        assert beyond_first_order or log_rho != 2
 
 
 # ------------------------------------------------------------- root finding
@@ -732,6 +744,51 @@ def test_inside_factor_disks_wider_than_half_escalate(monkeypatch):
     monkeypatch.setattr(residue_engine, "MAX_BITS", 128)
     with pytest.raises(PrecisionError, match="root disks too wide"):
         integrate_exact(build_integrand(15, 30))
+
+
+def test_residue_sum_refuses_disks_wider_than_half():
+    # The disk lemma behind every value on a disk needs a radius below 1,
+    # and the weights, which residue_sum shares with the engine, refuse a
+    # set widened to 1/2, so no bound on such disks is returned.
+    ig = build_integrand(1, 3)
+    rs = find_roots(ig.d, 128, d_start(3))
+    wide = rs._replace(radius=1 << (rs.precision_bits - 1))
+    with pytest.raises(PrecisionEscalation, match="root disks too wide"):
+        residue_sum(numerator(1, 3), ig.c, ig.d, wide)
+    assert residue_sum(numerator(1, 3), ig.c, ig.d, rs)[1] < F(1, 10 ** 25)
+
+
+def _highest_rung(monkeypatch, run):
+    """run()'s value and the most bits it asked find_roots for."""
+    asked = []
+    real = residue_engine.find_roots
+
+    def spy(p, precision_bits, start):
+        asked.append(precision_bits)
+        return real(p, precision_bits, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(residue_engine, "find_roots", spy)
+        return run(), max(asked)
+
+
+def test_disk_lemma_weights_save_a_rung(monkeypatch):
+    # With the weights bounded by the Taylor lemma at x, every cell of
+    # row 29 certifies at 128 bits and every cell of row 57 by 256,
+    # where the mean-value bound over the disk left some a rung higher.
+    for n, bits in ((29, 128), (57, 256)):
+        row, top = _highest_rung(monkeypatch, lambda: integrate_row(n))
+        assert row == [p_exact(j, n) for j in range(1, n)], n
+        assert top == bits, n
+
+
+def test_centre_cell_of_row_150_certifies_at_512_bits(monkeypatch):
+    # Its 337-bit delta needs an error below 2^-339: the weights' term
+    # reaches 2^-423 at 512 bits, so the ladder stops there.
+    value, top = _highest_rung(
+        monkeypatch, lambda: integrate_exact(build_integrand(75, 150)))
+    assert value == p_exact(75, 150)
+    assert top == 512
 
 
 def test_integrate_exact_stable_under_start_precision():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hadwalk import verification
 from hadwalk.verification import (
     SUITES,
     CheckResult,
@@ -51,3 +52,13 @@ def test_method_agreement_standalone():
 
 def test_first_column_numerators_standalone():
     assert check_first_column_numerators(9).passed
+
+
+def test_contour_suites_are_the_suites_with_a_contour_check():
+    # run_suite refuses an n_max above MAX_ROW for exactly these suites.
+    contour = {verification.check_method_agreement,
+               verification.check_pole_classification,
+               verification.check_denominator_bound_integrality}
+    assert set(verification._CONTOUR_SUITES) == {
+        name for name, checks in verification.SUITES.items()
+        if contour & set(checks)}
