@@ -5,6 +5,11 @@ field Q(sqrt 2), and rational functions kept in a canonical reduced form.
 Everything in this module is exact: no floats enter or leave, and every
 operation either returns an exact value or raises.
 
+A rational function is a canonical value, not a field element: it has no
+arithmetic.  A caller that combines quotients multiplies out the
+numerator and denominator polynomials itself and builds one
+``RationalFunction`` from the pair, so one gcd reduces the result.
+
 A polynomial stores each integral coefficient as an ``int`` and only a
 non-integral one as a (reduced) ``Fraction``.  The polynomials of the
 walk have integer coefficients, so their products and sums are plain
@@ -88,15 +93,6 @@ class Polynomial:
         return cls((1,), var=var)
 
     @classmethod
-    def constant(cls, c: ScalarLike, var: str = "t") -> Polynomial:
-        return cls((c,), var=var)
-
-    @classmethod
-    def variable(cls, var: str = "t") -> Polynomial:
-        """The monomial ``var`` itself."""
-        return cls((0, 1), var=var)
-
-    @classmethod
     def monomial(cls, k: int, c: ScalarLike = 1, var: str = "t") -> Polynomial:
         """c * var**k."""
         if k < 0:
@@ -151,7 +147,10 @@ class Polynomial:
         return self._coeffs == o._coeffs
 
     def __hash__(self) -> int:
-        return hash((self._coeffs, self._var if self._coeffs else ""))
+        # A constant compares equal to its scalar, so it hashes like it.
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
+        return hash((self._coeffs, self._var))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -468,12 +467,8 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conj(self) -> QuadExt:
-        """Field conjugate a - b*sqrt(2); a ring automorphism."""
-        return QuadExt(self._a, -self._b)
-
     def norm(self) -> ScalarLike:
-        """Field norm a**2 - 2*b**2 = self * self.conj()."""
+        """Field norm a**2 - 2*b**2 = (a + b*sqrt(2)) (a - b*sqrt(2))."""
         return self._a * self._a - 2 * self._b * self._b
 
     def inverse(self) -> QuadExt:
@@ -487,12 +482,6 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> QuadExt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int) -> QuadExt:
         if not isinstance(n, int):
@@ -572,6 +561,10 @@ class RationalFunction:
     function is 0/1.  The constructor divides out the gcd of the pair;
     from_coprime reaches the same form without it, for a pair proven
     coprime.
+
+    There is no arithmetic: callers build the pair with polynomial
+    arithmetic and pay for one gcd per value (gf_via_recurrence takes
+    one per cell, gf none).
     """
 
     __slots__ = ("_num", "_den")
@@ -629,72 +622,13 @@ class RationalFunction:
     def zero(cls, var: str = "t") -> RationalFunction:
         return cls.from_coprime(Polynomial.zero(var), Polynomial.one(var))
 
-    def _coerce(self, other: object) -> RationalFunction | None:
-        if isinstance(other, RationalFunction):
-            if other.var != self.var:
-                raise ValueError(
-                    f"variable mismatch: {self.var!r} vs {other.var!r}"
-                )
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other, Polynomial.one(other.var))
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(
-                Polynomial.constant(other, var=self.var),
-                Polynomial.one(self.var),
-            )
-        return None
-
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self._num == o._num and self._den == o._den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
-
-    def __add__(self, other: object) -> RationalFunction:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(
-            self._num * o._den + o._num * self._den, self._den * o._den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self._num, self._den)
-
-    def __sub__(self, other: object) -> RationalFunction:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> RationalFunction:
-        return -(self - other)
-
-    def __mul__(self, other: object) -> RationalFunction:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self._num * o._num, self._den * o._den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> RationalFunction:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self._num * o._den, self._den * o._num)
-
-    def __rtruediv__(self, other: object) -> RationalFunction:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def series_coefficients(self, m_max: int) -> list[ScalarLike]:
         """Taylor coefficients c_0 .. c_m_max of the expansion at 0.

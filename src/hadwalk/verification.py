@@ -175,8 +175,8 @@ def check_series_vs_paths(n_max: int) -> CheckResult:
 def check_recurrence_built_gf(n_max: int) -> CheckResult:
     """The closed-form generating functions equal the ones rebuilt from
     the two-step recurrence system (range capped at 12 for cost: on a
-    2-vCPU machine rows 2..12 take about 0.03 s, rows 13 and 14 would
-    add about 0.02 s)."""
+    2-vCPU machine rows 2..12 take about 0.025 s, rows 13 and 14 would
+    add about 0.016 s)."""
     name = "recurrence-built-gf"
     hi = min(n_max, 12)
     for n in range(2, hi + 1):

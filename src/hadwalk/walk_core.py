@@ -146,7 +146,7 @@ def _in_z_squared(p: Polynomial, shift: int, sign: int) -> Polynomial:
     return Polynomial(out, var="z")
 
 
-_Z_RF = RationalFunction(Polynomial.variable("z"), Polynomial.one("z"))
+_Z = Polynomial((0, 1), var="z")
 
 # Entries kept by each of the two recurrence caches below: every cell of
 # the rows up to 16 (120 cells), so a sweep over rows in order rebuilds
@@ -157,9 +157,11 @@ _RECURRENCE_CACHE = 128
 @lru_cache(maxsize=_RECURRENCE_CACHE)
 def _f1(n: int) -> RationalFunction:
     if n == 2:
-        return _Z_RF
+        return RationalFunction(_Z, Polynomial.one("z"))
     prev = _f1(n - 1)
-    return _Z_RF * (1 - 2 * _Z_RF * prev) / (1 - _Z_RF * prev)
+    p, q = prev.num, prev.den
+    # z (1 - 2z p/q) / (1 - z p/q) with q cleared from both parts.
+    return RationalFunction(_Z * (q - 2 * _Z * p), q - _Z * p)
 
 
 @lru_cache(maxsize=_RECURRENCE_CACHE)
@@ -170,13 +172,17 @@ def gf_via_recurrence(j: int, n: int) -> RationalFunction:
     f_1^(n) = z (1 - 2z f_1^(n-1)) / (1 - z f_1^(n-1)),
     f_j^(n) = f_{j-1}^(n-1) (f_1^(n) - 2z)   for j >= 2.
 
-    Shares no code with gf, which is the point: equality of the two
-    constructions is a cross-check of both.
+    Each cell is one numerator and denominator pair, multiplied out from
+    the cached previous entries, and one gcd reduces it to canonical
+    form.  Shares no code with gf, which is the point: equality of the
+    two constructions is a cross-check of both.
     """
     _validate(j, n, 1, n - 1)
     if j == 1:
         return _f1(n)
-    return gf_via_recurrence(j - 1, n - 1) * (_f1(n) - 2 * _Z_RF)
+    prev, f1 = gf_via_recurrence(j - 1, n - 1), _f1(n)
+    return RationalFunction(prev.num * (f1.num - 2 * _Z * f1.den),
+                            prev.den * f1.den)
 
 
 def gf_coefficients(j: int, n: int, m_max: int) -> list[int]:

@@ -144,7 +144,7 @@ def test_gf_via_recurrence_frozen_examples():
 
 
 def test_gf_equals_gf_via_recurrence():
-    for n in range(2, 11):
+    for n in range(2, 21):
         for j in range(1, n):
             assert gf(j, n) == gf_via_recurrence(j, n), (j, n)
 
@@ -174,6 +174,25 @@ def test_gf_takes_no_gcd_and_the_recurrence_construction_does(monkeypatch):
         gf_via_recurrence(2, 5)
 
 
+def test_recurrence_takes_one_gcd_per_cell(monkeypatch):
+    # Each cell multiplies out one numerator/denominator pair from the
+    # cached entries and reduces it once: rows 2..12 hold 66 cells.
+    calls = []
+    gcd = exactq._primitive_gcd
+
+    def counting(p, q):
+        calls.append(1)
+        return gcd(p, q)
+
+    monkeypatch.setattr(exactq, "_primitive_gcd", counting)
+    gf_via_recurrence.cache_clear()
+    _f1.cache_clear()
+    for n in range(2, 13):
+        for j in range(1, n):
+            gf_via_recurrence(j, n)
+    assert len(calls) == 66
+
+
 def test_recurrence_caches_hold_a_sweep_and_stay_bounded():
     # verify's recurrence-built-gf sweep (rows <= 12) builds each cell
     # once; a longer sweep leaves both caches at their bound.
@@ -200,19 +219,19 @@ def test_gf_row_shares_canonical_denominator():
 
 
 def test_gf_grouping_identity():
-    # f_j = z f_{j+1} + sum_{k=2..j} (-1)^k z^k f_{j+2-k} + (-1)^(j-1) z^j
-    z = RationalFunction(Z(0, 1), Z(1))
+    # f_j = z f_{j+1} + sum_{k=2..j} (-1)^k z^k f_{j+2-k} + (-1)^(j-1) z^j.
+    # The cells of a row share one canonical denominator D, so over D the
+    # identity is one of numerators:
+    # N_j = z N_{j+1} + sum (-1)^k z^k N_{j+2-k} + (-1)^(j-1) z^j D.
     for n in range(3, 11):
+        den = gf(1, n).den
+        num = {j: gf(j, n).num for j in range(1, n)}
         for j in range(1, n - 1):
-            rhs = z * gf(j + 1, n)
+            rhs = Z(0, 1) * num[j + 1]
             for k in range(2, j + 1):
-                rhs = rhs + (-1) ** k * RationalFunction(
-                    Polynomial.monomial(k, var="z"), Z(1)
-                ) * gf(j + 2 - k, n)
-            rhs = rhs + (-1) ** (j - 1) * RationalFunction(
-                Polynomial.monomial(j, var="z"), Z(1)
-            )
-            assert gf(j, n) == rhs, (j, n)
+                rhs = rhs + Polynomial.monomial(k, (-1) ** k, "z") * num[j + 2 - k]
+            rhs = rhs + Polynomial.monomial(j, (-1) ** (j - 1), "z") * den
+            assert num[j] == rhs, (j, n)
 
 
 def test_gf_validates_range():
