@@ -15,6 +15,7 @@ no code path for the final value:
 from fractions import Fraction
 
 from hadwalk import (
+    Polynomial,
     build_integrand,
     denominator_bound,
     find_roots,
@@ -53,7 +54,8 @@ print(f"denominator bound:  delta = {bound.delta} "
 # The poles start from the roots of r_(n-1), which lie on |t| = 1/2 in
 # closed form, scaled just inside the contour.
 roots = find_roots(ig.d, 128, row_starts(N)[0])
-print(f"poles inside:       {len(roots.approximations)} roots of {ig.d}, "
+d = Polynomial(ig.d, var="t")  # ig.d holds its integer coefficients
+print(f"poles inside:       {len(roots.approximations)} roots of {d}, "
       f"each pinned within {float(roots.error_radius):.1e}")
 contour = integrate_exact(ig)
 print(f"contour integral:   {contour}")

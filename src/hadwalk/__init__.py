@@ -53,6 +53,7 @@ _SOURCES = {
         "integrate_row",
         "row_starts",
     ),
+    "rfamily": ("absorption_denominator", "gf_denominator", "p_exact"),
     "simulator": (
         "AmplitudeState",
         "SimulationReport",
@@ -66,14 +67,11 @@ _SOURCES = {
     "walk_core": (
         "A",
         "B",
-        "absorption_denominator",
         "gf",
         "gf_coefficients",
-        "gf_denominator",
         "gf_via_recurrence",
         "h_quotient",
         "p_closed",
-        "p_exact",
         "r_poly",
         "row_common_denominator",
         "row_table",

@@ -37,11 +37,13 @@ from .errors import (
     StepBudgetExceeded,
 )
 
-# The polynomial layer (walk_core, exactq), the contour route, the
-# simulator and the verification suite are imported by the runner that
-# uses them, so a process loads only its route: `prob --method simulate`
-# adds the simulator to cells, and neither walk_core nor exactq.  No
-# route loads csv: _csv_table writes its unquoted fields itself.
+# The r family's integers (rfamily), the polynomial layer (walk_core,
+# exactq), the contour route, the simulator and the verification suite
+# are imported by the runner that uses them, so a process loads only its
+# route: the residue and contour routes add rfamily to cells but neither
+# walk_core nor exactq, and `prob --method simulate` adds the simulator
+# alone.  No route loads csv: _csv_table writes its unquoted fields
+# itself.
 if TYPE_CHECKING:
     from .exactq import Rational
     from .simulator import SimulationReport
@@ -326,10 +328,14 @@ def _one_method(cfg: CommandConfig, method: str):
         from .residue_engine import build_integrand, integrate_exact
 
         p = integrate_exact(build_integrand(j, n), start_bits=cfg.precision_bits)
-    else:
-        from .walk_core import p_closed, p_exact
+    elif method == "closed":
+        from .walk_core import p_closed
 
-        p = (p_closed if method == "closed" else p_exact)(j, n)
+        p = p_closed(j, n)
+    else:
+        from .rfamily import p_exact
+
+        p = p_exact(j, n)
     return AbsorptionResult(p_left=p, p_right=1 - p, method=method), None
 
 
@@ -483,10 +489,10 @@ def _run_gf(cfg: CommandConfig) -> int:
 
 def _run_verify(cfg: CommandConfig) -> int:
     # The contour route first, then the suite that imports it: in this
-    # order `verify --n-max 14` peaks at 17.1 MB RSS, against 17.3 MB when
-    # the suite's import pulls it in (medians of 20 runs, each started
-    # from a bare Python parent, quartile spread at most 0.1 MB, Python
-    # 3.11).
+    # order `verify --n-max 14` peaks at 16.9 MB RSS, against 17.1 MB when
+    # the suite's import pulls it in (medians of 20 alternating runs, each
+    # started from a bare Python parent, quartile spread at most 0.07 MB,
+    # Python 3.11, 2-vCPU VM).
     from . import residue_engine  # noqa: F401
     from .verification import run_suite
 
@@ -550,10 +556,14 @@ def _root_entries(poly, poles, role: str):
 
 
 def _run_roots(cfg: CommandConfig) -> int:
+    # The engine gives each factor as its integer coefficient tuple; only
+    # the display of the factors needs the polynomial layer.
+    from .exactq import Polynomial
     from .residue_engine import row_poles
 
     n = cfg.n
     (d, d_poles), (c, c_poles) = row_poles(n, cfg.precision_bits)
+    d, c = Polynomial(d, var="t"), Polynomial(c, var="t")
     blocks = [_root_entries(d, d_poles, "inside-factor")]
     if c_poles is not None:
         blocks.append(_root_entries(c, c_poles, "outside-factor"))

@@ -97,8 +97,7 @@ from .errors import (
     PrecisionError,
     PrecisionEscalation,
 )
-from .exactq import Polynomial, Rational
-from .walk_core import absorption_denominator, gf_denominator
+from .rfamily import absorption_denominator, gf_denominator
 
 _T = TypeVar("_T")
 
@@ -147,7 +146,12 @@ def require_row(n: int) -> None:
         )
 
 
-def _factors(n: int) -> tuple[Polynomial, Polynomial]:
+# A polynomial as its integer coefficients, low degree first, with a
+# nonzero last coefficient.
+_Coeffs = tuple[int, ...]
+
+
+def _factors(n: int) -> tuple[_Coeffs, _Coeffs]:
     """(c, d) of row n, once n is known to lie within MAX_ROW."""
     require_row(n)
     return gf_denominator(n), absorption_denominator(n)
@@ -156,8 +160,8 @@ def _factors(n: int) -> tuple[Polynomial, Polynomial]:
 class _IntegrandFields(NamedTuple):
     j: int
     n: int
-    c: Polynomial
-    d: Polynomial
+    c: _Coeffs
+    d: _Coeffs
 
 
 class Integrand(_IntegrandFields):
@@ -165,9 +169,10 @@ class Integrand(_IntegrandFields):
     with b = t^(j-1) r_{n-j}^2, c = r_n + 2t r_{n-1} and d = r_n - r_{n-1}.
 
     Constructed from (j, n) alone, 1 <= j < n <= MAX_ROW; c and d are
-    derived once, at construction, with integer coefficients exactly as
-    the r family gives them.  b is never multiplied out: the engine
-    evaluates it at the roots of d by the r recurrence.
+    derived once, at construction, as integer coefficient tuples, low
+    degree first, exactly as the r family gives them.  b is never
+    multiplied out: the engine evaluates it at the roots of d by the r
+    recurrence.
     """
 
     __slots__ = ()
@@ -326,18 +331,17 @@ def build_integrand(j: int, n: int) -> Integrand:
     return Integrand(j, n)
 
 
-def _row_bound(d: Polynomial) -> int:
+def _row_bound(d: _Coeffs) -> int:
     """N = 2^(n-1) d(-1/2) for d of degree n - 1: the part of the bound
     that a row's cells share.  Checks the coefficient hypotheses of the
     proof on DenominatorBound, d_0 = 0 and d_1 = -1 (n >= 3) and N != 0,
     and raises ConsistencyError on a violation: each contradicts the
     r family (N = (A^(n-1) + B^(n-1))/2 >= 2).
     """
-    ints = _int_coeffs(d)
-    if len(ints) > 2 and ints[:2] != [0, -1]:
-        raise ConsistencyError(f"d does not start -t: {ints[:2]}")
-    top = len(ints) - 1
-    N = sum((-a if i % 2 else a) << (top - i) for i, a in enumerate(ints))
+    if len(d) > 2 and d[:2] != (0, -1):
+        raise ConsistencyError(f"d does not start -t: {d[:2]}")
+    top = len(d) - 1
+    N = sum((-a if i % 2 else a) << (top - i) for i, a in enumerate(d))
     if N == 0:
         raise ConsistencyError("d vanishes at t = -1/2")
     return N
@@ -351,7 +355,7 @@ def denominator_bound(ig: Integrand) -> DenominatorBound:
 
 def _row(
     n: int, js: Sequence[int] | None
-) -> tuple[list[int], Polynomial, Polynomial, list[DenominatorBound]]:
+) -> tuple[list[int], _Coeffs, _Coeffs, list[DenominatorBound]]:
     """(js, c, d, bounds) for the cells (j, n), j in js (default
     1..n-1), with the row part of the bounds computed once."""
     _validate(1, n, 1, n - 1)
@@ -369,10 +373,23 @@ def denominator_bounds(n: int) -> list[DenominatorBound]:
     return _row(n, None)[3]
 
 
-def _int_coeffs(p: Polynomial) -> list[int]:
-    if any(c.denominator != 1 for c in p.coeffs):
-        raise ValueError("root finding and residues need integer coefficients")
-    return [int(c) for c in p.coeffs]
+def _check_coefficients(p: _Coeffs) -> None:
+    """The engine's one check of a polynomial that a caller passes in
+    (find_roots, certified_poles, residue_sum): a tuple of ints, low
+    degree first, whose last coefficient is not zero.  The fixed-point
+    kernels would truncate a rational coefficient, and a trailing zero
+    would overstate the degree, so either raises ValueError, as does any
+    other type of p."""
+    if not (isinstance(p, tuple) and all(isinstance(a, int) for a in p)):
+        raise ValueError(
+            "root finding and residues need a tuple of integer coefficients")
+    if p and not p[-1]:
+        raise ValueError("a coefficient tuple ends in a nonzero coefficient")
+
+
+def _derivative(p: Sequence[int]) -> list[int]:
+    """The coefficients of p', low degree first."""
+    return [k * a for k, a in enumerate(p)][1:]
 
 
 # A Gaussian fixed-point value at F bits: (X, Y) for (X + iY) 2^-F.
@@ -463,7 +480,7 @@ def _value_on_disk(
     coefficients, plus rho^2 Q(|x| + 1), summed upward.
     """
     v, e = _horner(coeffs, x, F)
-    deriv = [k * a for k, a in enumerate(coeffs)][1:] or [0]
+    deriv = _derivative(coeffs) or [0]
     slope, e_slope = _horner(deriv, x, F)
     reach = _abs_up(x) + (1 << F)
     far = 0
@@ -509,7 +526,7 @@ def _aberth(
     """Aberth sweeps at F bits until every step is below 2^(12-F)
     (1 + |x|) or p(x) is at its evaluation noise floor."""
     deg = len(coeffs) - 1
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    deriv = _derivative(coeffs)
     one, two_f = 1 << F, 2 * F
     for _ in range(60 + F // 2):
         moved = False
@@ -548,9 +565,10 @@ def _aberth(
 
 
 def find_roots(
-    p: Polynomial, precision_bits: int, start: RootSet | Sequence[complex]
+    p: _Coeffs, precision_bits: int, start: RootSet | Sequence[complex]
 ) -> RootSet:
-    """All complex roots of p with a certified error radius; a set that
+    """All complex roots of p, given by its integer coefficient tuple,
+    low degree first, with a certified error radius; a set that
     certifies proves p squarefree (RootSet).
 
     precision_bits is raised to _DOUBLE_BITS when lower; that is the
@@ -563,17 +581,19 @@ def find_roots(
     Results are memoised (functools.lru_cache, 256 entries) on
     (p, raised precision, start), so calls that differ only in a
     precision below the floor, or in passing equal points as a list or
-    a tuple, share one entry and get back the same set.  Certification
-    is a posteriori and ignores where the approximations came from: the
-    disk of radius deg * |p(x)/p'(x)| around any point contains a root,
-    so taking the worst such radius (|p| bounded above and |p'| below,
-    both with their Horner error) and checking the disks are pairwise
-    disjoint pins exactly one root per disk.  A poor start can therefore
+    a tuple, share one entry and get back the same set.  Certification is a posteriori and ignores where the
+    approximations came from: the disk of radius deg * |p(x)/p'(x)|
+    around any point contains a root, so taking the worst such radius
+    (|p| bounded above and |p'| below, both with their Horner error) and
+    checking the disks are pairwise disjoint pins exactly one root per
+    disk.  A poor start can therefore
     only cost sweeps or an escalation, never a wrong certificate, and a
     repeated root never certifies.  Failure to certify raises the
     precision-escalation signal; a start with the wrong number of
-    points, or a point that is not finite, raises ValueError.
+    points, a point that is not finite, or coefficients that
+    _check_coefficients refuses raise ValueError.
     """
+    _check_coefficients(p)
     if not isinstance(start, RootSet):
         start = tuple(map(complex, start))
         if not all(math.isfinite(z.real) and math.isfinite(z.imag)
@@ -586,18 +606,19 @@ def find_roots(
 
 @functools.lru_cache(maxsize=256)
 def _find_roots(
-    p: Polynomial, precision_bits: int, start: RootSet | tuple[complex, ...]
+    p: _Coeffs, precision_bits: int, start: RootSet | tuple[complex, ...]
 ) -> RootSet:
-    """find_roots at a precision already raised to the floor."""
-    if p.degree < 1:
+    """find_roots on checked coefficients, at a precision already raised
+    to the floor."""
+    deg = len(p) - 1
+    if deg < 1:
         raise ValueError("root finding needs degree >= 1")
     warm = isinstance(start, RootSet)
     points = start.approximations if warm else start
-    if len(points) != p.degree:
+    if len(points) != deg:
         raise ValueError("a start needs one point per root")
     if warm and start.precision_bits >= precision_bits:
         return start
-    ints = _int_coeffs(p)
     at = start.precision_bits if warm else _DOUBLE_BITS
     roots = list(points) if warm else [_fixed(z, at) for z in points]
     # Near simple roots an Aberth sweep triples the correct bits, so
@@ -608,14 +629,13 @@ def _find_roots(
         rungs.append(rungs[-1] // 2)
     for bits in reversed(rungs):
         up = bits - at
-        roots = _aberth(ints, [(x << up, y << up) for x, y in roots], bits)
+        roots = _aberth(p, [(x << up, y << up) for x, y in roots], bits)
         at = bits
     F = precision_bits
-    deriv = [k * a for k, a in enumerate(ints)][1:]
-    deg = p.degree
+    deriv = _derivative(p)
     radius = 0
     for x in roots:
-        pv, pe = _horner(ints, x, F)
+        pv, pe = _horner(p, x, F)
         dv, de = _horner(deriv, x, F)
         dlo = _abs_down(dv) - de
         if dlo <= 0:
@@ -666,15 +686,17 @@ def classify_roots(
 
 
 def certified_poles(
-    p: Polynomial,
+    p: _Coeffs,
     start: Sequence[complex],
     start_bits: int = START_BITS,
 ) -> tuple[RootSet, tuple[_Gauss, ...], tuple[_Gauss, ...]]:
-    """(roots, inside, outside): the roots of p, certified (which proves
-    p squarefree) and classified against |t| = 1/2 at the same rung of
+    """(roots, inside, outside): the roots of p, given by its integer
+    coefficients as for find_roots, certified (which proves p
+    squarefree) and classified against |t| = 1/2 at the same rung of
     the ladder.  The first rung refines start, one point per root; each
     later rung starts from the last set certified.  A p with a repeated
     root never certifies, so it ends the ladder with PrecisionError."""
+    _check_coefficients(p)
     warm: RootSet | Sequence[complex] = start
 
     def rung(bits: int):
@@ -683,22 +705,22 @@ def certified_poles(
         return (warm, *classify_roots(warm))
 
     return _escalate(
-        rung, f"the roots of a degree-{p.degree} polynomial", start_bits
+        rung, f"the roots of a degree-{len(p) - 1} polynomial", start_bits
     )
 
 
 def row_poles(
     n: int, start_bits: int = START_BITS
-) -> tuple[tuple[Polynomial, tuple], tuple[Polynomial, tuple | None]]:
-    """((d, poles of d), (c, poles of c)) for row n: each factor's
-    roots certified and classified by certified_poles from its
-    row_starts(n) point, first d, then c.  c is the constant 1 at n = 2
-    and has no poles (None).  Rows above MAX_ROW fail before any
-    polynomial is built."""
+) -> tuple[tuple[_Coeffs, tuple], tuple[_Coeffs, tuple | None]]:
+    """((d, poles of d), (c, poles of c)) for row n, each factor as its
+    integer coefficient tuple: each factor's roots certified and
+    classified by certified_poles from its row_starts(n) point, first d,
+    then c.  c is the constant 1 at n = 2 and has no poles (None).  Rows
+    above MAX_ROW fail before any coefficient is computed."""
     c, d = _factors(n)
     d_start, c_start = row_starts(n)
     d_poles = certified_poles(d, d_start, start_bits)
-    c_poles = certified_poles(c, c_start, start_bits) if c.degree >= 1 else None
+    c_poles = certified_poles(c, c_start, start_bits) if len(c) > 1 else None
     return (d, d_poles), (c, c_poles)
 
 
@@ -734,7 +756,7 @@ def _weight(
 
 
 def _weights(
-    c: Polynomial, d: Polynomial, d_roots: RootSet
+    c: _Coeffs, d: _Coeffs, d_roots: RootSet
 ) -> list[tuple[_Gauss, int]]:
     """_weight at every approximation of d_roots, at its precision.
 
@@ -745,9 +767,8 @@ def _weights(
     F = d_roots.precision_bits
     if d_roots.radius >= 1 << (F - 1):
         raise PrecisionEscalation(f"root disks too wide at {F} bits")
-    cc = _int_coeffs(c)
-    dc = _int_coeffs(d.derivative())
-    return [_weight(cc, dc, x, d_roots.radius, F)
+    dc = _derivative(d)
+    return [_weight(c, dc, x, d_roots.radius, F)
             for x in d_roots.approximations]
 
 
@@ -789,14 +810,15 @@ def _weighted_sum(
 
 
 def residue_sum(
-    b: Polynomial,
-    c: Polynomial,
-    d: Polynomial,
+    b: _Coeffs,
+    c: _Coeffs,
+    d: _Coeffs,
     d_roots: RootSet,
-) -> tuple[tuple[Rational, Rational], Rational]:
-    """Sum of b(x)/(c(x) d'(x)) over the roots of d, for integer
-    polynomials b, c and d, with a certified error bound covering both
-    root uncertainty and rounding.  b is evaluated by Horner's rule on
+) -> tuple[tuple[Fraction, Fraction], Fraction]:
+    """Sum of b(x)/(c(x) d'(x)) over the roots of d, for polynomials b,
+    c and d given by their integer coefficient tuples, low degree first,
+    with a certified error bound covering both root
+    uncertainty and rounding.  b is evaluated by Horner's rule on
     each root disk; the contour route itself takes its numerators from
     the r recurrence instead (integrate_row).
 
@@ -805,9 +827,10 @@ def residue_sum(
     imaginary part above the bound is impossible and triggers
     escalation.
     """
+    for p in (b, c, d):
+        _check_coefficients(p)
     F = d_roots.precision_bits
-    bc = _int_coeffs(b)
-    values = [_value_on_disk(bc, x, d_roots.radius, F)
+    values = [_value_on_disk(b, x, d_roots.radius, F)
               for x in d_roots.approximations]
     (re, im), err = _weighted_sum(values, _weights(c, d, d_roots), F)
     unit = 1 << F
@@ -902,7 +925,7 @@ def _numerators_at(
 
 def _round_cell(
     total: _Gauss, err: int, sign: int, delta: int, F: int
-) -> Rational:
+) -> Fraction:
     quarter = Fraction(1, 4)
     unit = 1 << F
     if delta * Fraction(err, unit) >= quarter:
@@ -918,11 +941,11 @@ def _round_cell(
 
 def _integrate(
     n: int,
-    c: Polynomial,
-    d: Polynomial,
+    c: _Coeffs,
+    d: _Coeffs,
     cells: Sequence[tuple[int, int]],
     start_bits: int,
-) -> list[Rational]:
+) -> list[Fraction]:
     """The contour route's one engine: p_j^(n) = (-1)^j times the sum of
     b_j/(c d') over the roots of d, one per cell (j, delta) of row n,
     with c and d the row's factors.
@@ -946,12 +969,12 @@ def _integrate(
     what = f"the integral for a {widest}-bit delta"
     if widest > MAX_BITS - 8:
         raise _exhausted(what, f"delta needs more than {MAX_BITS} bits")
-    done: dict[int, Rational] = {}
+    done: dict[int, Fraction] = {}
     # The next rung's start: the lemma's points, then the last certified
     # set of d's roots.
     d_roots: RootSet | Sequence[complex] = row_starts(n)[0]
 
-    def rung(bits: int) -> list[Rational]:
+    def rung(bits: int) -> list[Fraction]:
         nonlocal d_roots
         # The certified error never drops below _ERROR_FLOOR ulps, so a
         # cell with delta >= 2^(bits-8) cannot certify here: it waits.
@@ -989,7 +1012,7 @@ def _integrate(
     return _escalate(rung, what, start_bits)
 
 
-def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
+def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Fraction:
     """Exact value of the contour integral, via certified rounding.
 
     The one cell (ig.j, ig.n) through the engine of integrate_row.  The
@@ -1001,7 +1024,7 @@ def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Rational:
 
 def integrate_row(
     n: int, js: Sequence[int] | None = None, start_bits: int = START_BITS
-) -> list[Rational]:
+) -> list[Fraction]:
     """Exact p_j^(n) for each j in js (default every interior cell
     1..n-1), in that order, by the contour route.
 

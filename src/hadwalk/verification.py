@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from .cells import significant
 from .errors import PrecisionError
-from .exactq import QuadExt, Rational, poly_discriminant
+from .exactq import Polynomial, QuadExt, Rational, poly_discriminant
 from .residue_engine import (
     denominator_bounds,
     integrate_row,
@@ -304,7 +304,8 @@ def check_squarefree_denominators(n_max: int) -> CheckResult:
     certificate proves on each row it runs."""
     name = "squarefree-denominators"
     for n in range(2, n_max + 1):
-        if poly_discriminant(absorption_denominator(n)) == 0:
+        d = Polynomial(absorption_denominator(n), var="t")
+        if poly_discriminant(d) == 0:
             return _fail(name, f"repeated pole at n={n}")
     return _ok(name, f"n = 2..{n_max}")
 

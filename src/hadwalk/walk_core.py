@@ -3,10 +3,11 @@
 The object of study is the Hadamard walk on sites 0..n with absorbing
 barriers at both ends, started at site j in the rightward coin state.
 This module provides the polynomial family r_k underlying all closed
-forms, the signed path-count generating functions f_j^(n), and three of
-the four probability pipelines: the evaluated residue formula (p_exact),
-the Q(sqrt 2) closed form (p_closed), and the shared structural pieces
-used by the numeric contour route in residue_engine.
+forms, the signed path-count generating functions f_j^(n), and the
+Q(sqrt 2) closed form (p_closed).  The integer side of the family, the
+row's two factors and the evaluated residue formula live in rfamily,
+which the residue and contour routes load without this module; they are
+re-exported here (p_exact, gf_denominator, absorption_denominator).
 
 Conventions fixed here once and used everywhere:
   * p_0^(n) = 1 and p_n^(n) = 0 (absorption at the left barrier is
@@ -20,10 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import Sequence
 
 from .cells import _validate
 from .errors import ConsistencyError
 from .exactq import SQRT2, Polynomial, QuadExt, Rational, RationalFunction
+# Re-exported: the same objects as in rfamily.
+from .rfamily import absorption_denominator, gf_denominator  # noqa: F401
+from .rfamily import outside_factor, p_exact, r_coefficients
 
 # Fundamental units of the closed form: A = 2 + sqrt2, B = 2 - sqrt2.
 A = QuadExt(2, 1)
@@ -82,38 +87,13 @@ class RFamily:
     # Stateless class, not a function: the benchmark traces RFamily.r by name.
     def r(self, *ks: int) -> tuple[Polynomial, ...]:
         """(r_k for k in ks), in the order asked, from one pass of the
-        recurrence on int coefficient lists."""
-        if min(ks) < 0:
-            raise ValueError(f"r_k needs k >= 0, got {min(ks)}")
-        found = {}
-        r_k, r_next = [], [1]
-        for k in range(max(ks) + 1):
-            if k in ks:
-                found[k] = Polynomial(r_k, var="t")
-            # r_{k+2}[i] = r_{k+1}[i] - 2 r_{k+1}[i-1] + r_k[i-1]
-            r_k, r_next = r_next, [a - 2 * b + c for a, b, c in zip(
-                r_next + [0], [0] + r_next, [0] + r_k + [0])]
-        return tuple(found[k] for k in ks)
+        recurrence on int coefficient lists (rfamily.r_coefficients)."""
+        return tuple(Polynomial(r, var="t") for r in r_coefficients(*ks))
 
 
 def r_poly(k: int) -> Polynomial:
     """The k-th member of the r family."""
     return RFamily().r(k)[0]
-
-
-def gf_denominator(n: int) -> Polynomial:
-    """r_n + 2t r_{n-1}: common denominator (in t) of the row's
-    generating functions."""
-    r_n, r_m = RFamily().r(n, n - 1)
-    return r_n + Polynomial((0, 2), var="t") * r_m
-
-
-def absorption_denominator(n: int) -> Polynomial:
-    """r_n - r_{n-1}: its value at t = -1/2 is the denominator scale of
-    the row's absorption probabilities, and its roots are the poles
-    picked up by the contour route."""
-    r_n, r_m = RFamily().r(n, n - 1)
-    return r_n - r_m
 
 
 def gf(j: int, n: int) -> RationalFunction:
@@ -131,18 +111,18 @@ def gf(j: int, n: int) -> RationalFunction:
     if j == n:
         return RationalFunction.zero("z")
     sign = 1 if j % 2 else -1
-    r_top, r_n, r_m = RFamily().r(n - j, n, n - 1)
-    c = r_n + Polynomial((0, 2), var="t") * r_m
+    r_top, r_n, r_m = r_coefficients(n - j, n, n - 1)
     # Coprime by the lemma on RFamily, so no gcd is taken.
-    return RationalFunction.from_coprime(_in_z_squared(r_top, j, sign),
-                                         _in_z_squared(c, 0, 1))
+    return RationalFunction.from_coprime(
+        _in_z_squared(r_top, j, sign),
+        _in_z_squared(outside_factor(r_n, r_m), 0, 1))
 
 
-def _in_z_squared(p: Polynomial, shift: int, sign: int) -> Polynomial:
-    """sign z^shift p(z^2): the coefficient of t^k becomes that of
-    z^(2k + shift)."""
-    out = [0] * (shift + 2 * len(p.coeffs))
-    out[shift::2] = [sign * a for a in p.coeffs]
+def _in_z_squared(coeffs: Sequence[int], shift: int, sign: int) -> Polynomial:
+    """sign z^shift p(z^2) for p with the given coefficients in t, low
+    degree first: the coefficient of t^k becomes that of z^(2k + shift)."""
+    out = [0] * (shift + 2 * len(coeffs))
+    out[shift::2] = [sign * a for a in coeffs]
     return Polynomial(out, var="z")
 
 
@@ -207,38 +187,6 @@ def gf_coefficients(j: int, n: int, m_max: int) -> list[int]:
             )
         out.append(int(c))
     return out
-
-
-def p_exact(j: int, n: int) -> Rational:
-    """Left-barrier absorption probability, by the evaluated residue
-    formula
-
-        p_j^(n) = (1/2) r_{n-j}(r_j - r_{j-1}) / (r_n - r_{n-1})
-
-    with every polynomial evaluated at t = -1/2.  Only those values are
-    needed, so no polynomial is built: the integers s_k = 2^k r_k(-1/2)
-    obey s_0 = 0, s_1 = 2, s_{k+2} = 4 s_{k+1} - 2 s_k, and the formula
-    becomes s_{n-j} (s_j - 2 s_{j-1}) / (2 (s_n - 2 s_{n-1})).  One
-    pass keeps only those five values, so memory is O(n) bits.  Exact
-    rational; j = 0 returns the convention value 1.
-    """
-    _validate(j, n, 0, n)
-    if j == 0:
-        return Fraction(1)
-    wanted = {j - 1, j, n - j, n - 1, n}
-    s = {}
-    s_k, s_next = 0, 2
-    for k in range(n + 1):
-        if k in wanted:
-            s[k] = s_k
-        s_k, s_next = s_next, 4 * s_next - 2 * s_k
-    den = 2 * (s[n] - 2 * s[n - 1])
-    if den == 0:
-        raise ConsistencyError(f"absorption denominator vanished at n={n}")
-    p = Fraction(s[n - j] * (s[j] - 2 * s[j - 1]), den)
-    if not 0 <= p <= 1:
-        raise ConsistencyError(f"p_exact({j}, {n}) = {p} outside [0, 1]")
-    return p
 
 
 def p_closed(j: int, n: int) -> Rational:

@@ -678,7 +678,7 @@ def test_roots_print_only_certified_digits(capsys, precision):
     for poly, factor in zip(polys, obj["factors"]):
         with mpmath.workprec(200):
             roots = mpmath.polyroots(
-                [int(a) for a in reversed(poly.coeffs)], maxsteps=200,
+                list(reversed(poly)), maxsteps=200,
                 extraprec=400)
             reals = sorted(float(x.real) for x in roots
                            if abs(x.imag) < mpmath.mpf(10) ** -40)
@@ -827,9 +827,10 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # layer, and the stdlib modules that only some routes need.
 _TRACKED = ("mpmath", "hadwalk.residue_engine", "hadwalk.simulator",
             "hadwalk.verification", "hadwalk.exactq", "hadwalk.walk_core",
-            "dataclasses", "csv")
-_EXACT = ("hadwalk.exactq", "hadwalk.walk_core")
-_ENGINE = ("hadwalk.residue_engine", *_EXACT)
+            "hadwalk.rfamily", "dataclasses", "csv")
+_RFAMILY = ("hadwalk.rfamily",)
+_EXACT = ("hadwalk.exactq", "hadwalk.walk_core", *_RFAMILY)
+_ENGINE = ("hadwalk.residue_engine", *_RFAMILY)
 
 
 def _cli(*argv):
@@ -859,32 +860,34 @@ def _bare_modules() -> frozenset:
 
 
 @pytest.mark.parametrize("code,loaded", [
-    (_cli("prob", "--n", "5", "--j", "2"), _EXACT),
+    (_cli("prob", "--n", "5", "--j", "2"), _RFAMILY),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "closed"), _EXACT),
     (_cli("table", "--n-max", "6"), _EXACT),
     (_cli("gf", "--n", "5", "--j", "2"), _EXACT),
-    ("import hadwalk\nhadwalk.p_exact(2, 5)\n", _EXACT),
+    ("import hadwalk\nhadwalk.p_exact(2, 5)\n", _RFAMILY),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate"),
      ("hadwalk.simulator",)),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "numeric"), _ENGINE),
     ("import hadwalk.residue_engine\n", _ENGINE),
-    (_cli("roots", "--n", "5"), _ENGINE),
+    (_cli("roots", "--n", "5"), (*_ENGINE, "hadwalk.exactq")),
     (_cli("verify", "--suite", "limits"),
-     (*_ENGINE, "hadwalk.simulator", "hadwalk.verification")),
+     (*_ENGINE, *_EXACT, "hadwalk.simulator", "hadwalk.verification")),
     (_cli("prob", "--n", "12", "--j", "6", "--method", "simulate",
           "--tail-eps", "1e-10", "--format", "json"), ("hadwalk.simulator",)),
     (_cli("prob", "--n", "5", "--j", "2", "--method", "simulate",
           "--format", "csv"), ("hadwalk.simulator",)),
     (_cli("table", "--n-max", "4", "--format", "csv"), _EXACT),
     (_cli("verify", "--suite", "limits", "--format", "json"),
-     (*_ENGINE, "hadwalk.simulator", "hadwalk.verification")),
+     (*_ENGINE, *_EXACT, "hadwalk.simulator", "hadwalk.verification")),
 ], ids=["residue", "closed", "table", "gf", "library", "simulate", "numeric",
         "engine", "roots", "verify", "simulate-json", "simulate-csv",
         "table-csv", "verify-json"])
 def test_a_process_loads_only_the_pipeline_it_runs(code, loaded):
     # A tracked module counts when the route loads it on top of a bare
     # interpreter: no route loads dataclasses, the simulator route loads
-    # no polynomial layer, and no route loads csv.
+    # no polynomial layer, the residue and contour routes load the r
+    # family's integers alone (roots adds exactq to print its factors),
+    # and no route loads csv.
     proc = _python_c(code + _LIST_MODULES)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.split()) - _bare_modules()
@@ -926,6 +929,10 @@ def test_package_names_resolve_on_first_access():
     assert set(hadwalk.__all__) <= set(names)
     assert set(hadwalk.__all__) <= set(dir(hadwalk))
     assert hadwalk.integrate_row is residue_engine.integrate_row
+    # walk_core re-exports the r family's integer side as the same objects.
+    assert hadwalk.p_exact is walk_core.p_exact
+    assert hadwalk.gf_denominator is walk_core.gf_denominator
+    assert hadwalk.absorption_denominator is walk_core.absorption_denominator
     with pytest.raises(AttributeError):
         hadwalk.no_such_name
 

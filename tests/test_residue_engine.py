@@ -59,13 +59,19 @@ def T(*coeffs):
     return Polynomial(coeffs, var="t")
 
 
+def ints(p: Polynomial) -> tuple[int, ...]:
+    """p as the engine takes a polynomial: its integer coefficients, low
+    degree first (Polynomial stores an integral coefficient as an int)."""
+    return p.coeffs
+
+
 def one_plus_2t():
     return T(1, 2)
 
 
-def ring(p: Polynomial) -> list[complex]:
+def ring(p: tuple[int, ...]) -> list[complex]:
     """A start that knows nothing of p: deg p points spread on |t| = 1."""
-    deg = p.degree
+    deg = len(p) - 1
     return [cmath.rect(1, 2 * cmath.pi * k / deg + 0.7) for k in range(deg)]
 
 
@@ -106,8 +112,8 @@ def test_build_integrand_frozen_smallest():
     # j=1, n=2: b = r_1^2 = 1, c = D_2 = 1, d = r_2 - r_1 = -2t.
     ig = build_integrand(1, 2)
     assert numerator(1, 2) == T(1)
-    assert ig.c == T(1)
-    assert ig.d == T(0, -2)
+    assert ig.c == (1,)
+    assert ig.d == (0, -2)
     assert (ig.j, ig.n) == (1, 2)
 
 
@@ -186,8 +192,8 @@ def test_outside_factor_proof_inputs():
     # root with r_{n-1}, so every root of c is a pole of f_1.
     for n in range(2, 61):
         c = gf_denominator(n)
-        assert c.coeffs[0] == 1, n
-        assert poly_gcd(c, r_poly(n - 1)).degree == 0, n
+        assert c[0] == 1, n
+        assert poly_gcd(T(*c), r_poly(n - 1)).degree == 0, n
 
 
 def test_inside_factor_proof_identities():
@@ -197,7 +203,7 @@ def test_inside_factor_proof_identities():
     for n in range(1, MAX_ROW + 1):
         pairs = [(r_poly(n), r_poly(n))]
         if n >= 2:
-            pairs.append((gf_denominator(n), absorption_denominator(n)))
+            pairs.append((T(*gf_denominator(n)), T(*absorption_denominator(n))))
         for p, q in pairs:
             for i in range(n):
                 assert (p[i] * 4 ** (n - 1 - i)
@@ -208,7 +214,7 @@ def test_d_starts_with_minus_t():
     # The hypothesis d_0 = 0, d_1 = -1 holds on every row the route runs.
     for n in range(3, MAX_ROW + 1):
         d = absorption_denominator(n)
-        assert (d.coeffs[0], d.coeffs[1]) == (0, -1), n
+        assert (d[0], d[1]) == (0, -1), n
 
 
 def test_quarter_scaled_r_has_integer_coefficients_and_unit_lead():
@@ -240,7 +246,7 @@ def test_the_bound_residues_at_zero_half_and_infinity():
     q = _casoratian_partner(14)
     half = F(-1, 2)
     for n in range(3, 15):
-        d = absorption_denominator(n)
+        d = T(*absorption_denominator(n))
         Q = q[n - 1] - q[n]
         sign = (-1) ** (n - 1)
         # Phi = num / (t^n low) = num / full.
@@ -267,10 +273,10 @@ def test_denominator_bound_degenerate_pole_configurations():
     # d(-1/2) = 0: -1/2 is the one root that c and d could share, and
     # the closed form rules it out (N = (A^(n-1) + B^(n-1))/2).
     with pytest.raises(ConsistencyError, match="-1/2"):
-        _row_bound(T(0, -1, -2))
+        _row_bound((0, -1, -2))
     # Every d of the family starts -t; anything else is a bug.
     with pytest.raises(ConsistencyError):
-        _row_bound(T(0, 1, 1))
+        _row_bound((0, 1, 1))
 
 
 def test_row_bound_is_half_the_closed_form_denominator():
@@ -285,11 +291,11 @@ def test_a_repeated_root_never_certifies(monkeypatch):
     # The root certificate is what proves d squarefree: deg p disjoint
     # disks that each hold a root cannot cover a double root.
     with pytest.raises(PrecisionEscalation, match="overlap"):
-        find_roots(T(1, -2, 1), 128, ring(T(1, -2, 1)))
+        find_roots((1, -2, 1), 128, ring((1, -2, 1)))
     # So a ladder on such a p ends with PrecisionError.  A 256-bit
     # ceiling keeps it short (each climb to 8,192 bits takes seconds).
     monkeypatch.setattr(residue_engine, "MAX_BITS", 256)
-    for p in (T(1, -2, 1), T(0, 1, -2, 1)):
+    for p in ((1, -2, 1), (0, 1, -2, 1)):
         with pytest.raises(PrecisionError, match="root disks overlap"):
             certified_poles(p, ring(p))
 
@@ -315,8 +321,8 @@ def _dyadic_points(bits: int, count: int, seed: int) -> list[tuple[int, int]]:
 
 
 _KERNEL_POLYS = {
-    "d12": absorption_denominator(12),
-    "c9": gf_denominator(9),
+    "d12": T(*absorption_denominator(12)),
+    "c9": T(*gf_denominator(9)),
     "huge": T(-2, 0, 1) * T(-3, 1) * 10 ** 400,
 }
 
@@ -348,10 +354,10 @@ def test_horner_value_within_its_bound(bits, name):
     # The absolute bound holds inside and outside the unit disk, and for
     # coefficients far beyond the double range.
     poly = _KERNEL_POLYS[name]
-    ints = [int(a) for a in poly.coeffs]
+    coeffs = ints(poly)
     ulp2 = F(1, 1 << bits) ** 2
-    for x in _dyadic_points(bits, 12, len(ints) + bits):
-        value, err = _horner(ints, x, bits)
+    for x in _dyadic_points(bits, 12, len(coeffs) + bits):
+        value, err = _horner(coeffs, x, bits)
         want = _exact_at(poly, exact(x, bits))
         assert gap2(exact(value, bits), want) <= err * err * ulp2, (name, x)
 
@@ -363,16 +369,16 @@ def test_value_on_disk_covers_the_disk(name):
     # rim point lies beyond the first-order part of the bound,
     # e + rho (|q'(x)| + e'), so the rho^2 tail is what covers it.
     poly = _KERNEL_POLYS[name]
-    ints = [int(a) for a in poly.coeffs]
-    deriv = [int(a) for a in poly.derivative().coeffs]
+    coeffs = ints(poly)
+    deriv = ints(poly.derivative())
     bits = 128
     ulp2 = F(1, 1 << bits) ** 2
     for log_rho in (30, 2):
         rho = 1 << (bits - log_rho)
         beyond_first_order = False
         for x in _dyadic_points(bits, 6, 7):
-            value, err = _value_on_disk(ints, x, rho, bits)
-            _, e = _horner(ints, x, bits)
+            value, err = _value_on_disk(coeffs, x, rho, bits)
+            _, e = _horner(coeffs, x, bits)
             slope, e_slope = _horner(deriv, x, bits)
             first = e + -(-rho * (_abs_up(slope) + e_slope) >> bits)
             point = exact(x, bits)
@@ -389,18 +395,18 @@ def test_value_on_disk_covers_the_disk(name):
 
 
 def test_find_roots_frozen_small():
-    rs = find_roots(T(0, -2), 128, ring(T(0, -2)))  # -2t
+    rs = find_roots((0, -2), 128, ring((0, -2)))  # -2t
     assert rs.precision_bits == 128
     assert len(rs.approximations) == 1
     assert near(rs, rs.approximations[0], (0, 0), rs.error_radius)
     assert rs.error_radius < F(1, 10 ** 25)
 
-    rs = find_roots(T(0, -1, 4), 128, ring(T(0, -1, 4)))  # t(4t - 1)
+    rs = find_roots((0, -1, 4), 128, ring((0, -1, 4)))  # t(4t - 1)
     got = sorted(rs.approximations)
     assert near(rs, got[0], (0, 0), rs.error_radius)
     assert near(rs, got[1], (F(1, 4), 0), rs.error_radius)
 
-    rs = find_roots(T(1, -1), 128, ring(T(1, -1)))  # 1 - t
+    rs = find_roots((1, -1), 128, ring((1, -1)))  # 1 - t
     assert near(rs, rs.approximations[0], (1, 0), rs.error_radius)
 
 
@@ -523,13 +529,13 @@ def test_find_roots_under_concurrent_callers():
     assert residue_engine._find_roots.cache_info().currsize <= 256
 
 
-def _one_true_root_per_disk(p: Polynomial, rs) -> None:
+def _one_true_root_per_disk(p: tuple[int, ...], rs) -> None:
     """Each certified disk holds exactly one root of mpmath.polyroots
     computed at twice the certifying precision, and no root is missed."""
     bits = rs.precision_bits
     with mpmath.workprec(2 * bits):
         true = mpmath.polyroots(
-            [int(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=64
+            list(reversed(p)), maxsteps=400, extraprec=64
         )
         radius = mpmath.mpf((rs.radius, -bits))
         points = [mpmath.mpc(mpmath.mpf((x, -bits)), mpmath.mpf((y, -bits)))
@@ -542,10 +548,10 @@ def _one_true_root_per_disk(p: Polynomial, rs) -> None:
     assert sorted(h[0] for h in hits) == list(range(len(true)))
 
 
-def _bad_starts(p: Polynomial) -> dict[str, list]:
-    deg = p.degree
-    lead = abs(p.leading_coefficient)
-    cauchy = 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+def _bad_starts(p: tuple[int, ...]) -> dict[str, list]:
+    deg = len(p) - 1
+    lead = abs(p[-1])
+    cauchy = 1 + max(abs(c) for c in p[:-1]) / lead
     far = 10 ** 6 * float(cauchy)
     return {
         "all equal": [complex(0.3, 0.1)] * deg,
@@ -558,7 +564,7 @@ def _bad_starts(p: Polynomial) -> dict[str, list]:
 @pytest.mark.parametrize("p", [
     absorption_denominator(7),
     gf_denominator(8),
-    T(-2, 0, 1) * T(-3, 1),
+    ints(T(-2, 0, 1) * T(-3, 1)),
 ], ids=["d7", "c8", "cubic"])
 def test_find_roots_is_sound_from_bad_starts(p):
     # A start can cost sweeps or force an escalation, but whatever
@@ -573,8 +579,8 @@ def test_find_roots_is_sound_from_bad_starts(p):
 
 def test_find_roots_coefficients_beyond_the_double_range():
     # Fixed-point Horner never converts a coefficient to a double.
-    p = T(-2, 0, 1) * T(-3, 1) * 10 ** 400
-    assert max(abs(c) for c in p.coeffs) > 10 ** 308
+    p = ints(T(-2, 0, 1) * T(-3, 1) * 10 ** 400)
+    assert max(abs(c) for c in p) > 10 ** 308
     rs = find_roots(p, 128, ring(p))
     _one_true_root_per_disk(p, rs)
 
@@ -593,21 +599,28 @@ def test_find_roots_rejects_a_malformed_start():
 
 def test_find_roots_validation():
     with pytest.raises(ValueError):
-        find_roots(T(3), 128, ())
+        find_roots((3,), 128, ())
     # Truncating 1/2 to 0 would certify the root 0 of t.
     with pytest.raises(ValueError, match="integer coefficients"):
-        find_roots(T(F(1, 2), 1), 128, [0.3])
+        find_roots((F(1, 2), 1), 128, [0.3])
+    # A Polynomial is not a coefficient sequence (indexing it past its
+    # degree gives 0 forever), so it is refused, not iterated.
+    with pytest.raises(ValueError, match="integer coefficients"):
+        find_roots(T(1, 1), 128, [0.3])
+    # A trailing zero would overstate the degree.
+    with pytest.raises(ValueError, match="nonzero"):
+        find_roots((1, -1, 0), 128, [0.9, 0.1])
 
 
 # ----------------------------------------------------------- classification
 
 
 def test_classify_frozen():
-    rs = find_roots(T(0, -1, 4), 128, ring(T(0, -1, 4)))
+    rs = find_roots((0, -1, 4), 128, ring((0, -1, 4)))
     inside, outside = classify_roots(rs)
     assert len(inside) == 2 and not outside
 
-    rs = find_roots(T(1, -1), 128, ring(T(1, -1)))
+    rs = find_roots((1, -1), 128, ring((1, -1)))
     inside, outside = classify_roots(rs)
     assert not inside and len(outside) == 1
 
@@ -617,10 +630,10 @@ def test_classify_every_row_splits_cleanly():
     # factors certify and classify at the first rung.
     for n in range(2, 41):
         d, c = absorption_denominator(n), gf_denominator(n)
-        assert (len(d_start(n)), len(c_start(n))) == (d.degree, c.degree)
+        assert (len(d_start(n)), len(c_start(n))) == (len(d) - 1, len(c) - 1)
         inside, outside = classify_roots(find_roots(d, START_BITS, d_start(n)))
         assert len(inside) == n - 1 and not outside
-        if c.degree >= 1:
+        if len(c) > 1:
             inside, outside = classify_roots(
                 find_roots(c, START_BITS, c_start(n))
             )
@@ -629,21 +642,21 @@ def test_classify_every_row_splits_cleanly():
 
 def test_certified_poles_escalates_transparently():
     # Degree-1 input certifies at the first rung.
-    rs, inside, outside = certified_poles(T(1, -1), ring(T(1, -1)))
+    rs, inside, outside = certified_poles((1, -1), ring((1, -1)))
     assert rs.precision_bits == 128
     assert not inside and len(outside) == 1
     with pytest.raises(ValueError):
-        certified_poles(T(5), ())
+        certified_poles((5,), ())
 
 
 def test_certified_poles_reports_exhaustion():
     # Roots exactly on the contour never classify, at any precision.
     with pytest.raises(PrecisionError, match="degree-2 polynomial"):
-        certified_poles(T(-1, 0, 4), ring(T(-1, 0, 4)), 4096)
+        certified_poles((-1, 0, 4), ring((-1, 0, 4)), 4096)
 
 
 def test_classify_root_on_contour_escalates():
-    rs = find_roots(T(-1, 0, 4), 128, ring(T(-1, 0, 4)))  # roots at +-1/2
+    rs = find_roots((-1, 0, 4), 128, ring((-1, 0, 4)))  # roots at +-1/2
     with pytest.raises(PrecisionEscalation):
         classify_roots(rs)
 
@@ -655,7 +668,7 @@ def test_residue_sum_frozen():
     # j=1, n=3: residues of (1-2t)^2 / ((1-t) t(4t-1)) at t=0 and t=1/4
     # are -1 and 1/3.
     ig = build_integrand(1, 3)
-    (re, im), err = residue_sum(numerator(1, 3), ig.c, ig.d,
+    (re, im), err = residue_sum(ints(numerator(1, 3)), ig.c, ig.d,
                                 find_roots(ig.d, 128, d_start(3)))
     assert err < F(1, 10 ** 25)
     assert abs(re + F(2, 3)) <= err
@@ -665,13 +678,13 @@ def test_residue_sum_frozen():
 def test_residue_closure_over_the_whole_plane():
     # For N / ((1+2t)(r_n - r_{n-1})) the denominator degree exceeds the
     # numerator degree by 2, so the residues over all poles sum to zero.
-    lin = one_plus_2t()
+    lin = ints(one_plus_2t())
     lin_roots = find_roots(lin, 128, ring(lin))
     for n in range(2, 13):
         d = absorption_denominator(n)
         d_roots = find_roots(d, 128, d_start(n))
         for j in sorted({1, n // 2, n - 1}):
-            num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
+            num = ints(r_poly(n - j) * (r_poly(j) - r_poly(j - 1)))
             s1, e1 = residue_sum(num, lin, d, d_roots)
             s2, e2 = residue_sum(num, d, lin, lin_roots)
             assert gap2(s1, (-s2[0], -s2[1])) <= (e1 + e2) ** 2
@@ -679,10 +692,10 @@ def test_residue_closure_over_the_whole_plane():
 
 def test_residue_at_minus_half_recovers_the_evaluated_formula():
     # The pole at t = -1/2 alone carries p_exact.
-    lin = one_plus_2t()
+    lin = ints(one_plus_2t())
     lin_roots = find_roots(lin, 128, ring(lin))
     for j, n in [(1, 2), (1, 3), (2, 5), (4, 9), (3, 11)]:
-        num = r_poly(n - j) * (r_poly(j) - r_poly(j - 1))
+        num = ints(r_poly(n - j) * (r_poly(j) - r_poly(j - 1)))
         (re, _), err = residue_sum(num, absorption_denominator(n), lin,
                                    lin_roots)
         assert abs(re - p_exact(j, n)) <= err
@@ -709,7 +722,7 @@ def test_outside_factor_is_never_root_found(monkeypatch):
     # cell needs.  (1, 30) needs 256 bits.  (15, 30), (1, 13) and (2, 20)
     # certify at the rung integrate_row(n, [j]) uses, since a single cell
     # takes its numerator from the same recurrence.
-    calls: list[tuple[Polynomial, int]] = []
+    calls: list[tuple[tuple[int, ...], int]] = []
     real = residue_engine.find_roots
 
     def spy(p, precision_bits, start):
@@ -754,8 +767,8 @@ def test_residue_sum_refuses_disks_wider_than_half():
     rs = find_roots(ig.d, 128, d_start(3))
     wide = rs._replace(radius=1 << (rs.precision_bits - 1))
     with pytest.raises(PrecisionEscalation, match="root disks too wide"):
-        residue_sum(numerator(1, 3), ig.c, ig.d, wide)
-    assert residue_sum(numerator(1, 3), ig.c, ig.d, rs)[1] < F(1, 10 ** 25)
+        residue_sum(ints(numerator(1, 3)), ig.c, ig.d, wide)
+    assert residue_sum(ints(numerator(1, 3)), ig.c, ig.d, rs)[1] < F(1, 10 ** 25)
 
 
 def _highest_rung(monkeypatch, run):
@@ -913,7 +926,7 @@ def test_weights_once_per_root_and_rung(monkeypatch):
         integrate_row(n, js)
         monkeypatch.undo()
         rungs = sorted(set(precisions))
-        assert precisions == [bits for bits in rungs for _ in range(d.degree)]
+        assert precisions == [bits for bits in rungs for _ in range(len(d) - 1)]
     # The full row of 30 runs two rungs: the count is per rung, not per
     # cell.
     assert rungs == [128, 256]

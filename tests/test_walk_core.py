@@ -97,23 +97,23 @@ def test_r_family_is_self_inversive():
 
 
 def test_gf_denominator_frozen_values():
-    assert gf_denominator(2) == T(1)
-    assert gf_denominator(3) == T(1, -1)
-    assert gf_denominator(4) == T(1, -2, 2)
-    assert gf_denominator(5) == T(1, -3, 5, -4)
+    assert gf_denominator(2) == (1,)
+    assert gf_denominator(3) == (1, -1)
+    assert gf_denominator(4) == (1, -2, 2)
+    assert gf_denominator(5) == (1, -3, 5, -4)
     for n in range(3, 25):
         dn = gf_denominator(n)
-        assert dn.degree == n - 2
-        assert dn.leading_coefficient == -((-2) ** (n - 3))
+        assert len(dn) - 1 == n - 2
+        assert dn[-1] == -((-2) ** (n - 3))
 
 
 def test_absorption_denominator_basic_shape():
-    assert absorption_denominator(2) == T(0, -2)
+    assert absorption_denominator(2) == (0, -2)
     for n in range(2, 25):
         d = absorption_denominator(n)
-        assert d.degree == n - 1
+        assert len(d) - 1 == n - 1
         assert d[0] == 0  # simple root at t = 0
-        assert d.leading_coefficient == (-2) ** (n - 1)
+        assert d[-1] == (-2) ** (n - 1)
 
 
 # ------------------------------------------------------- generating functions
@@ -156,7 +156,7 @@ def test_gf_is_the_gcd_constructors_lowest_terms():
         c_in_z = _in_z_squared(gf_denominator(n), 0, 1)
         for j in range(1, n + 1):
             sign = 1 if j % 2 else -1
-            num = _in_z_squared(r_poly(n - j), j, sign)
+            num = _in_z_squared(r_poly(n - j).coeffs, j, sign)
             assert gf(j, n) == RationalFunction(num, c_in_z), (j, n)
 
 
@@ -430,7 +430,7 @@ def test_absorption_denominator_squarefree():
     from hadwalk.exactq import poly_discriminant
 
     for n in range(2, 31):
-        assert poly_discriminant(absorption_denominator(n)) != 0, n
+        assert poly_discriminant(T(*absorption_denominator(n))) != 0, n
 
 
 # ------------------------------------------------------------- result types
