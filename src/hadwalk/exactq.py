@@ -363,6 +363,10 @@ def poly_resultant(p: Polynomial, q: Polynomial) -> Fraction:
     res(p, q) = (-1)**(deg p * deg q) * lc(q)**(deg p - deg r) * res(q, r)
     with r = p mod q.  Zero iff p and q share a root; a zero input gives
     zero, and two nonzero constants give one (empty Sylvester matrix).
+
+    Nothing in the package calls it at run time: it is a reference for
+    the tests, and perfbench's tracer wraps it by name until that tracer
+    reads an in-package trace (ROADMAP item 4).
     """
     if p.var != q.var:
         raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
@@ -387,6 +391,10 @@ def poly_discriminant(p: Polynomial) -> Fraction:
 
     disc(p) = (-1)**(m(m-1)/2) * res(p, p') / lc(p) with m = deg p.
     Requires deg p >= 1; a linear polynomial has discriminant 1.
+
+    Like poly_resultant, a reference for the tests with no caller at run
+    time: verify's squarefree-denominators check tests that gcd(p, p')
+    is a constant, which is the same condition.
     """
     m = p.degree
     if m < 1:

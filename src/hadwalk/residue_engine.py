@@ -581,12 +581,12 @@ def find_roots(
     Results are memoised (functools.lru_cache, 256 entries) on
     (p, raised precision, start), so calls that differ only in a
     precision below the floor, or in passing equal points as a list or
-    a tuple, share one entry and get back the same set.  Certification is a posteriori and ignores where the
-    approximations came from: the disk of radius deg * |p(x)/p'(x)|
-    around any point contains a root, so taking the worst such radius
-    (|p| bounded above and |p'| below, both with their Horner error) and
-    checking the disks are pairwise disjoint pins exactly one root per
-    disk.  A poor start can therefore
+    a tuple, share one entry and get back the same set.  Certification
+    is a posteriori and ignores where the approximations came from: the
+    disk of radius deg * |p(x)/p'(x)| around any point contains a root,
+    so taking the worst such radius (|p| bounded above and |p'| below,
+    both with their Horner error) and checking the disks are pairwise
+    disjoint pins exactly one root per disk.  A poor start can therefore
     only cost sweeps or an escalation, never a wrong certificate, and a
     repeated root never certifies.  Failure to certify raises the
     precision-escalation signal; a start with the wrong number of

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from .cells import significant
 from .errors import PrecisionError
-from .exactq import Polynomial, QuadExt, Rational, poly_discriminant
+from .exactq import Polynomial, QuadExt, Rational, poly_gcd
 from .residue_engine import (
     denominator_bounds,
     integrate_row,
@@ -299,13 +299,19 @@ def check_quotient_structure(n_max: int) -> CheckResult:
 
 
 def check_squarefree_denominators(n_max: int) -> CheckResult:
-    """discriminant(r_n - r_{n-1}) != 0, exactly: the independent
-    reference for the squarefreeness that the contour route's root
-    certificate proves on each row it runs."""
+    """gcd(d, d') is a constant for d = r_n - r_{n-1}, exactly: the
+    independent reference for the squarefreeness that the contour
+    route's root certificate proves on each row it runs.
+
+    poly_gcd runs the primitive remainder sequence over Z on d's integer
+    coefficients, with no root and no float.  By Gauss's lemma the gcd
+    of two primitive polynomials in Z[t] is their gcd in Q[t] up to a
+    unit, and a gcd over Q is one over C, so it has positive degree
+    exactly when d has a repeated root, that is when disc(d) = 0."""
     name = "squarefree-denominators"
     for n in range(2, n_max + 1):
         d = Polynomial(absorption_denominator(n), var="t")
-        if poly_discriminant(d) == 0:
+        if poly_gcd(d, d.derivative()).degree > 0:
             return _fail(name, f"repeated pole at n={n}")
     return _ok(name, f"n = 2..{n_max}")
 

@@ -246,8 +246,7 @@ def _h_quotient(j: int, n: int, r) -> Polynomial:
 def row_table(n: int) -> list[Rational]:
     """[p_1^(n), ..., p_{n-1}^(n)] by p_exact, each entry cross-checked
     against p_closed.  Disagreement raises instead of returning."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+    _validate(1, n, 1, n - 1)
     row: list[Rational] = []
     for j in range(1, n):
         pe = p_exact(j, n)

@@ -330,6 +330,12 @@ def test_row_table_frozen_examples():
     ]
 
 
+def test_row_table_validates_the_row():
+    for row in (row_table, row_common_denominator):
+        with pytest.raises(ValueError, match="^need n >= 2, got n=1$"):
+            row(1)
+
+
 def test_row_common_denominator_matches_reference_presentation():
     for n in range(2, 10):
         den, nums = row_common_denominator(n)
@@ -427,10 +433,17 @@ def test_h_quotient_closed_form_and_recurrence():
 
 
 def test_absorption_denominator_squarefree():
-    from hadwalk.exactq import poly_discriminant
+    # verify's witness (gcd(d, d') is a constant) against its reference
+    # (disc(d) != 0): they agree on rows 2..30 and both flag a square.
+    from hadwalk.exactq import poly_discriminant, poly_gcd
+
+    def squarefree(d):
+        return poly_gcd(d, d.derivative()).degree == 0, poly_discriminant(d) != 0
 
     for n in range(2, 31):
-        assert poly_discriminant(T(*absorption_denominator(n))) != 0, n
+        assert squarefree(T(*absorption_denominator(n))) == (True, True), n
+    d = T(*absorption_denominator(7)) * T(1, -3) * T(1, -3)
+    assert squarefree(d) == (False, False)
 
 
 # ------------------------------------------------------------- result types
