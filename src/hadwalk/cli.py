@@ -26,6 +26,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Sequence
 
 from .cells import METHODS, AbsorptionResult, _quotient, _validate, significant
@@ -446,8 +447,7 @@ def _run_table(cfg: CommandConfig) -> int:
     cells = _table_rows(cfg)
     if cfg.format in ("frac", "text", "dec"):
         width = len(f"n={cfg.n_max}")
-        for n in range(2, cfg.n_max + 1):
-            row = [c for c in cells if c[0] == n]
+        for n, row in groupby(cells, key=lambda cell: cell[0]):
             if cfg.format == "dec":
                 shown = ["≈" + decimal_expansion(Fraction(*p))
                          for _, _, p, _ in row]

@@ -25,8 +25,8 @@ bit a step, so step k costs O(n k) bit operations.
 Fixed-point simulator (`simulate`).  A bracket needs no exact state, so
 `simulate` keeps the interior amplitudes as ints A at F fractional bits,
 standing for A 2^-F.  A pair of steps applies the move twice and then
-shifts every amplitude right by one bit, which is the exact (1/sqrt2)^2
-scale followed by a floor; nothing else is rounded.
+shifts every amplitude right by one bit (`_halve`), which is the exact
+(1/sqrt2)^2 scale followed by a floor; nothing else is rounded.
 
 Live parity class.  Every move changes the site by +-1, so after k steps
 all amplitude sits on the sites s with s - j - k even, and the other
@@ -67,14 +67,19 @@ The bracket is certified by the absolute-error lemma of residue_engine
     stepper would.
 
 Masses are integers in units of 2^-(2F+2), one half-ulp squared: the
-interior is 4 sum(A^2) at a pair boundary and 2 sum(U^2) after the
-first step of a pair.  Each shift changes the interior mass by an exact
-integer, sum(V^2) - 4 sum((V >> 1)^2), and ``drift`` adds these changes
-up, so ``left + right + interior + drift == 2^(2F+2)`` holds in integers
-after every step and is checked there, as the exact stepper checks its
-identity: it fails if a move loses or creates mass.  The widening
-w = e (2x + e) is added up apart from the hits, so the identity involves
-computed masses only.
+interior is 4 sum(A^2) at a pair boundary, 2 sum(U^2) after the pair's
+first move and sum(V^2) after its second, and a hit's mass h^2 carries
+the same factor, 2 after the first move and 1 after the second.  Both
+steps of a pair check ``left + right + interior + drift == 2^(2F+2)`` in
+integers on the moved state, before any floor, as the exact stepper
+checks its identity.  The floor then changes the interior mass by the
+exact integer sum(V^2) - 4 sum((V >> 1)^2), and ``drift`` adds it up
+from the parities alone: 4 floor(v/2)^2 is v^2 for even v and (v - 1)^2
+for odd v, so each odd amplitude loses 2v - 1.  The next move's measured
+sum then checks the floor as well as the move, so the identity fails if
+a move loses or creates mass or if a floor is not the floor of v/2.  The
+widening w = e (2x + e) is added up apart from the hits, so the identity
+involves computed masses only.
 
 F is chosen once from (n, tail_eps, max_steps).  Within max_steps every
 hit has e <= e_max = max_steps c and x <= 2^(F+1) + e_max + 1 half-ulps,
@@ -311,6 +316,12 @@ def _move_live(right, left, odd: bool, holds_last: bool
     return up, down, left_hit, right_hit
 
 
+def _halve(values: list[int]) -> list[int]:
+    """The floor of v/2 of each amplitude: the one rounding `simulate`
+    makes, after the second move of a pair."""
+    return [v >> 1 for v in values]
+
+
 def _simulate(
     j: int, n: int, tail_eps: Fraction, max_steps: int, frac_bits: int
 ) -> SimulationReport:
@@ -344,19 +355,12 @@ def _simulate(
             right, left, odd, odd == last_odd)
         odd = not odd
         steps += 1
-        if steps & 1:
-            hit_left, hit_right = 2 * left_hit**2, 2 * right_hit**2
-            state = right + left
-            interior = 2 * sum(map(mul, state, state))
-        else:
-            hit_left, hit_right = left_hit**2, right_hit**2
-            state = right + left
-            unrounded = sum(map(mul, state, state))
-            right = [v >> 1 for v in right]
-            left = [v >> 1 for v in left]
-            state = right + left
-            interior = 4 * sum(map(mul, state, state))
-            drift += unrounded - interior
+        # Masses carry a scale of 2 after a pair's first move, 1 after
+        # its second.
+        scale = 1 + (steps & 1)
+        hit_left, hit_right = scale * left_hit**2, scale * right_hit**2
+        state = right + left
+        interior = scale * sum(map(mul, state, state))
         left_mass += hit_left
         right_mass += hit_right
         # Error of the state the hits came from: c per shift before them.
@@ -371,6 +375,11 @@ def _simulate(
                 f"fixed-point mass identity broken at step {steps} "
                 f"(j={j}, n={n}, F={frac_bits})"
             )
+        if not steps & 1:
+            # v^2 - 4 floor(v/2)^2 is 0 for even v and 2v - 1 for odd v.
+            odd_values = [v for v in state if v & 1]
+            drift += 2 * sum(odd_values) - len(odd_values)
+            right, left = _halve(right), _halve(left)
 
 
 def _report(lower_left: int, lower_right: int, rest: int, total: int,

@@ -289,19 +289,39 @@ def test_simulate_reports_of_rows_2_to_12_are_pinned():
 
 
 def test_fixed_point_identity_catches_a_faulty_move(monkeypatch):
+    # Call 5 is the first move of the third pair, call 6 its second: the
+    # identity is checked on the moved state, before the pair's floor.
     move = simulator._move_live
+    for faulty_call in (5, 6):
+        calls = []
+
+        def faulty(*args):
+            right, left, left_hit, right_hit = move(*args)
+            calls.append(None)
+            if len(calls) == faulty_call:
+                right[0] += 1  # changes the interior mass by 2v + 1, never 0
+            return right, left, left_hit, right_hit
+
+        monkeypatch.setattr(simulator, "_move_live", faulty)
+        with pytest.raises(ConsistencyError,
+                           match=f"fixed-point mass identity broken at step "
+                                 f"{faulty_call} "):
+            simulate(3, 7, F(1, 10**10))
+
+
+def test_fixed_point_identity_catches_a_faulty_floor(monkeypatch):
+    # Each pair floors its right list, then its left one, so call 5 is
+    # the right list of the third pair, after step 6; step 7 measures it.
+    halve = simulator._halve
     calls = []
 
-    def faulty(*args):
-        right, left, left_hit, right_hit = move(*args)
+    def faulty(values):
         calls.append(None)
-        if len(calls) == 5:
-            right[0] += 1  # changes the interior mass by 2v + 1, never 0
-        return right, left, left_hit, right_hit
+        return values if len(calls) == 5 else halve(values)
 
-    monkeypatch.setattr(simulator, "_move_live", faulty)
+    monkeypatch.setattr(simulator, "_halve", faulty)
     with pytest.raises(ConsistencyError,
-                       match="fixed-point mass identity broken at step 5"):
+                       match="fixed-point mass identity broken at step 7"):
         simulate(3, 7, F(1, 10**10))
 
 
