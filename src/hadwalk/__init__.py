@@ -26,7 +26,7 @@ import importlib
 # Each public name and the submodule that defines it.  A name is imported
 # on first access (PEP 562), so ``import hadwalk`` loads no pipeline.
 _SOURCES = {
-    "cells": ("AbsorptionResult", "METHODS"),
+    "cells": ("METHODS",),
     "errors": (
         "ConsistencyError",
         "PrecisionError",

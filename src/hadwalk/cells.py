@@ -3,22 +3,22 @@ polynomial.
 
 A cell is a start site j and a right barrier n.  This module holds the
 names of the four pipelines (``METHODS``), the package's one range check
-of a cell (``_validate``), the result type that the exact routes and the
-simulator's lower bounds share (``AbsorptionResult``), and the correctly
-rounded decimal rendering of a rational (``_quotient``, ``significant``)
-that the CLI and the verification suite print.  It imports no other
-route, so a process that runs one pipeline loads only that pipeline on
-top of it: the simulator, in particular, needs neither the exact
-polynomial layer nor the generating functions.
+of a cell (``_validate``) and the correctly rounded decimal rendering of
+a rational (``_quotient``, ``significant``) that the CLI and the
+verification suite print.  It holds no result type: each route
+certifies the value it returns (``p_exact`` and ``p_closed`` refuse one
+outside [0, 1], the contour engine refuses a certified cell outside it,
+and ``SimulationReport`` checks its bounds), so the CLI prints the
+routes' values as they come.  It imports no other route, so a process
+that runs one pipeline loads only that pipeline on top of it: the
+simulator, in particular, needs neither the exact polynomial layer nor
+the generating functions.
 """
 
 from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from typing import NamedTuple
-
-from .errors import ConsistencyError
 
 METHODS = ("closed", "residue", "numeric", "simulate")
 
@@ -30,46 +30,6 @@ def _validate(j: int, n: int, j_low: int, j_high: int) -> None:
         raise ValueError(f"need n >= 2, got n={n}")
     if not j_low <= j <= j_high:
         raise ValueError(f"start site j={j} outside {j_low}..{j_high} for n={n}")
-
-
-class _AbsorptionFields(NamedTuple):
-    p_left: Fraction
-    p_right: Fraction
-    method: str
-
-
-class AbsorptionResult(_AbsorptionFields):
-    """Absorption probabilities for one (j, n) as computed by one method.
-
-    For the exact methods (closed, residue, numeric) the two sides sum
-    to exactly 1.  For simulate, p_left and p_right are certified lower
-    bounds and may sum to less than 1 by the unabsorbed residual.  The
-    checks run on every construction, ``_replace`` included.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> AbsorptionResult:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not (0 <= self.p_left <= 1 and 0 <= self.p_right <= 1):
-            raise ConsistencyError(
-                f"probabilities outside [0, 1]: {self.p_left}, {self.p_right}"
-            )
-        total = self.p_left + self.p_right
-        if self.method == "simulate":
-            if total > 1:
-                raise ConsistencyError(f"lower bounds sum above 1: {total}")
-        elif total != 1:
-            raise ConsistencyError(
-                f"exact method {self.method}: p_left + p_right = {total} != 1"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, fields) -> AbsorptionResult:
-        return cls(*fields)
 
 
 def _quotient(x: Fraction, ctx: decimal.Context) -> decimal.Decimal:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Sequence
 
-from .cells import METHODS, AbsorptionResult, _quotient, _validate, significant
+from .cells import METHODS, _quotient, _validate, significant
 from .errors import (
     MAX_BITS,
     START_BITS,
@@ -313,18 +313,15 @@ def _csv_table(rows: list[tuple[int, int, Pair, Pair, str]]) -> str:
 
 
 def _one_method(cfg: CommandConfig, method: str):
-    """(AbsorptionResult, SimulationReport | None) for one pipeline."""
+    """(p_left, p_right, SimulationReport | None) for one pipeline: the
+    simulator's two lower bounds and its report, or an exact p and 1 - p.
+    Each route checks its own value, so nothing is checked here."""
     n, j = cfg.n, cfg.j
     if method == "simulate":
         from .simulator import simulate
 
         report = simulate(j, n, cfg.tail_eps)
-        result = AbsorptionResult(
-            p_left=report.p_left_lower,
-            p_right=report.p_right_lower,
-            method="simulate",
-        )
-        return result, report
+        return report.p_left_lower, report.p_right_lower, report
     if method == "numeric":
         from .residue_engine import build_integrand, integrate_exact
 
@@ -337,38 +334,32 @@ def _one_method(cfg: CommandConfig, method: str):
         from .rfamily import p_exact
 
         p = p_exact(j, n)
-    return AbsorptionResult(p_left=p, p_right=1 - p, method=method), None
+    return p, 1 - p, None
 
 
-def _prob_line(res: AbsorptionResult, rep: SimulationReport | None,
+def _prob_line(p: Rational, q: Rational, rep: SimulationReport | None,
                fmt: str) -> str:
     if rep is not None:
         if fmt == "frac":
-            return " ".join(
-                _frac(_nd(x)) for x in (res.p_left, res.p_right, rep.residual)
-            )
-        return (f"≈ {decimal_expansion(res.p_left)} "
-                f"≈ {decimal_expansion(res.p_right)} "
+            return " ".join(_frac(_nd(x)) for x in (p, q, rep.residual))
+        return (f"≈ {decimal_expansion(p)} "
+                f"≈ {decimal_expansion(q)} "
                 f"≈ {decimal_expansion(rep.residual)}")
     if fmt == "frac":
-        return _frac(_nd(res.p_left))
-    return f"≈ {decimal_expansion(res.p_left)}"
+        return _frac(_nd(p))
+    return f"≈ {decimal_expansion(p)}"
 
 
-def _prob_text(cfg: CommandConfig, res: AbsorptionResult,
+def _prob_text(cfg: CommandConfig, method: str, p: Rational, q: Rational,
                rep: SimulationReport | None) -> list[str]:
-    lines = [f"n = {cfg.n}  j = {cfg.j}  method = {res.method}"]
+    lines = [f"n = {cfg.n}  j = {cfg.j}  method = {method}"]
     if rep is None:
-        lines.append(f"p_left  = {_frac(_nd(res.p_left))}"
-                     f"  ≈ {decimal_expansion(res.p_left)}")
-        lines.append(f"p_right = {_frac(_nd(res.p_right))}"
-                     f"  ≈ {decimal_expansion(res.p_right)}")
+        lines.append(f"p_left  = {_frac(_nd(p))}  ≈ {decimal_expansion(p)}")
+        lines.append(f"p_right = {_frac(_nd(q))}  ≈ {decimal_expansion(q)}")
     else:
         lines[0] += f"  steps = {rep.steps_run}"
-        lines.append(f"p_left  >= {_frac(_nd(res.p_left))}"
-                     f"  ≈ {decimal_expansion(res.p_left)}")
-        lines.append(f"p_right >= {_frac(_nd(res.p_right))}"
-                     f"  ≈ {decimal_expansion(res.p_right)}")
+        lines.append(f"p_left  >= {_frac(_nd(p))}  ≈ {decimal_expansion(p)}")
+        lines.append(f"p_right >= {_frac(_nd(q))}  ≈ {decimal_expansion(q)}")
         lines.append(f"residual <= {_frac(_nd(rep.residual))}"
                      f"  ≈ {decimal_expansion(rep.residual)}")
     return lines
@@ -379,23 +370,20 @@ def _run_prob(cfg: CommandConfig) -> int:
     computed = [(m, *_one_method(cfg, m)) for m in methods]
 
     if cfg.format in ("frac", "dec"):
-        for m, res, rep in computed:
+        for m, p, q, rep in computed:
             prefix = f"{m} " if cfg.method == "all" else ""
-            print(prefix + _prob_line(res, rep, cfg.format))
+            print(prefix + _prob_line(p, q, rep, cfg.format))
     elif cfg.format == "text":
-        blocks = ["\n".join(_prob_text(cfg, res, rep)) for _, res, rep in computed]
+        blocks = ["\n".join(_prob_text(cfg, *cell)) for cell in computed]
         print("\n\n".join(blocks))
     elif cfg.format == "csv":
         print(_csv_table(
-            [(cfg.n, cfg.j, _nd(res.p_left), _nd(res.p_right), m)
-             for m, res, rep in computed]
+            [(cfg.n, cfg.j, _nd(p), _nd(q), m) for m, p, q, _ in computed]
         ), end="")
     else:
         cells = []
-        for m, res, rep in computed:
-            cell = _cell_json(
-                cfg.n, cfg.j, _nd(res.p_left), _nd(res.p_right), m
-            )
+        for m, p, q, rep in computed:
+            cell = _cell_json(cfg.n, cfg.j, _nd(p), _nd(q), m)
             if rep is not None:
                 cell["residual"] = _pair(_nd(rep.residual))
                 cell["steps"] = rep.steps_run
@@ -403,8 +391,7 @@ def _run_prob(cfg: CommandConfig) -> int:
         print(canonical_json(cells if cfg.method == "all" else cells[0]))
 
     if cfg.method == "all":
-        exact = {res.p_left for m, res, _ in computed
-                 if m in ("closed", "residue", "numeric")}
+        exact = {p for m, p, _, _ in computed if m != "simulate"}
         if len(exact) != 1:
             sys.stderr.write(
                 f"error: verification: exact methods disagree at "
@@ -412,8 +399,8 @@ def _run_prob(cfg: CommandConfig) -> int:
             )
             return EXIT_VERIFICATION
         p = exact.pop()
-        _, sim_res, sim_rep = next(c for c in computed if c[0] == "simulate")
-        if not sim_res.p_left <= p <= sim_res.p_left + sim_rep.residual:
+        _, sim_p, _, sim_rep = next(c for c in computed if c[0] == "simulate")
+        if not sim_p <= p <= sim_p + sim_rep.residual:
             sys.stderr.write(
                 f"error: verification: simulate interval misses the exact "
                 f"value at j={cfg.j}, n={cfg.n}\n"

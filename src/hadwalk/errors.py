@@ -46,3 +46,8 @@ class StepBudgetExceeded(Exception):
     def __init__(self, message: str, report: object) -> None:
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        # args holds the message alone, so the default reduction would
+        # rebuild the exception without its report (pickle, copy).
+        return type(self), (str(self), self.report)

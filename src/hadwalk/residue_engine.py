@@ -961,7 +961,11 @@ def _integrate(
     recurrence gives b_j for every pending cell whose delta the rung
     allows (_numerators_at), and each such cell is one weighted sum.  A
     cell is done once delta * error < 1/4 and the scaled sum lies within
-    1/4 of an integer: that integer over delta is then exact.
+    1/4 of an integer: that integer over delta is then exact.  A
+    certified value is a probability, so one outside [0, 1] can only be
+    a fault of the route: it raises ConsistencyError, which the ladder
+    does not catch, and names the cell but not the value, whose
+    numerator and delta may run to thousands of digits.
     """
     if not cells:
         return []
@@ -1009,14 +1013,21 @@ def _integrate(
             raise failure
         return [done[k] for k in range(len(cells))]
 
-    return _escalate(rung, what, start_bits)
+    values = _escalate(rung, what, start_bits)
+    for (j, _), p in zip(cells, values):
+        if not 0 <= p <= 1:
+            raise ConsistencyError(
+                f"contour value at j={j}, n={n} outside [0, 1]"
+            )
+    return values
 
 
 def integrate_exact(ig: Integrand, start_bits: int = START_BITS) -> Fraction:
     """Exact value of the contour integral, via certified rounding.
 
     The one cell (ig.j, ig.n) through the engine of integrate_row.  The
-    returned rational is exact, not approximate.
+    returned rational is exact, not approximate, and lies in [0, 1]: the
+    engine raises ConsistencyError on a certified value outside it.
     """
     cell = (ig.j, denominator_bound(ig).delta)
     return _integrate(ig.n, ig.c, ig.d, [cell], start_bits)[0]

@@ -227,8 +227,9 @@ class SimulationReport(_ReportFields):
 
     The exact left probability lies in
     [p_left_lower, p_left_lower + residual], and similarly on the
-    right; the three fields always sum to exactly 1, which every
-    construction (``_replace`` included) checks.
+    right.  The three fields are nonnegative and sum to exactly 1, so
+    each lies in [0, 1] and the two bounds sum to at most 1; every
+    construction (``_replace`` included) checks both.
     """
 
     __slots__ = ()
@@ -237,6 +238,9 @@ class SimulationReport(_ReportFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.residual < 0:
             raise ConsistencyError(f"negative residual {self.residual}")
+        low = min(self.p_left_lower, self.p_right_lower)
+        if low < 0:
+            raise ConsistencyError(f"negative lower bound {low}")
         total = self.p_left_lower + self.p_right_lower + self.residual
         if total != 1:
             raise ConsistencyError(f"report mass {total} != 1")

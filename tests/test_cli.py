@@ -347,6 +347,18 @@ def test_prob_numeric_exhaustion_is_one_short_line(capsys, monkeypatch):
     assert len(err) < 200
 
 
+def test_prob_numeric_value_outside_the_unit_interval_exits_one(
+    capsys, monkeypatch
+):
+    # The contour engine checks its own value's range.
+    monkeypatch.setattr(residue_engine, "_round_cell", lambda *args: F(3, 2))
+    code, out, err = invoke(capsys, "prob", "--n", "3", "--j", "1",
+                            "--method", "numeric")
+    assert (code, out) == (1, "")
+    assert err == ("error: verification: contour value at j=1, n=3 "
+                   "outside [0, 1]\n")
+
+
 def test_prob_numeric_above_the_row_ceiling_fails_before_any_work(
     capsys, monkeypatch
 ):

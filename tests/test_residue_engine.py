@@ -837,6 +837,18 @@ def test_integrate_exact_reports_exhaustion(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 2)])
+def test_a_certified_value_outside_the_unit_interval_raises(monkeypatch, bad):
+    # A probability outside [0, 1] can only be the engine's fault.  Both
+    # entry points refuse it, naming the cell and not the value.
+    monkeypatch.setattr(residue_engine, "_round_cell", lambda *args: bad)
+    message = r"^contour value at j=1, n=3 outside \[0, 1\]$"
+    with pytest.raises(ConsistencyError, match=message):
+        integrate_exact(build_integrand(1, 3))
+    with pytest.raises(ConsistencyError, match=message):
+        integrate_row(3)
+
+
 def test_integrate_exact_certifies_at_n_50():
     # delta has 110 bits at (25, 50), far inside MAX_BITS, so the route
     # certifies there.

@@ -3,7 +3,9 @@ enumeration oracle."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -223,11 +225,25 @@ def test_simulation_report_checks_every_construction():
     with pytest.raises(AttributeError):
         rep.residual = F(0)
     for bad in ({"residual": F(-1, 4), "p_left_lower": F(1)},
-                {"residual": F(1, 8)}):
+                {"residual": F(1, 8)},
+                {"p_left_lower": F(-1, 4), "p_right_lower": F(1)}):
         with pytest.raises(ConsistencyError):
             rep._replace(**bad)
         with pytest.raises(ConsistencyError):
             SimulationReport(**{**rep._asdict(), **bad})
+
+
+def test_budget_error_survives_pickle_and_copy():
+    # The partial report crosses a process boundary with the message.
+    with pytest.raises(StepBudgetExceeded) as info:
+        simulate(6, 12, F(1, 10**10), max_steps=10)
+    exc = info.value
+    assert exc.report.steps_run == 10
+    for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc),
+                  copy.deepcopy(exc)):
+        assert type(clone) is StepBudgetExceeded
+        assert str(clone) == str(exc)
+        assert clone.report == exc.report
 
 
 def test_simulate_budget_error_carries_partial_report():

@@ -86,6 +86,35 @@ def test_squarefree_check_flags_a_repeated_pole(monkeypatch, capsys):
                             "repeated pole at n=7\n")
 
 
+@pytest.mark.parametrize("fault, detail", [
+    # The bracket [0, residual] lies below p_exact(2, 4) = 2/5.
+    ({"p_left_lower": Fraction(0)}, "bracket misses exact value at j=2, n=4"),
+    # The bracket [0, 1] holds p_exact, but its residual is all the mass.
+    ({"p_left_lower": Fraction(0), "p_right_lower": Fraction(0),
+      "residual": Fraction(1)}, "tail above eps at j=2, n=4"),
+])
+def test_simulator_bracketing_flags_a_faulty_report(monkeypatch, capsys,
+                                                    fault, detail):
+    real = verification.simulate
+
+    def faulty(j, n, tail_eps):
+        rep = real(j, n, tail_eps)
+        if (j, n) != (2, 4):
+            return rep
+        moved = {"p_right_lower": 1 - rep.residual, **fault}
+        return rep._replace(**moved)
+
+    monkeypatch.setattr(verification, "simulate", faulty)
+    r = verification.check_simulator_bracketing(6, Fraction(1, 10**10))
+    assert (r.passed, r.detail) == (False, detail)
+    code = cli.run(["verify", "--suite", "oracles", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"FAIL simulator-bracketing: {detail}\n" in captured.out
+    assert captured.err == (
+        f"error: verification: simulator-bracketing: {detail}\n")
+
+
 def test_structure_suite_runs_no_resultant(monkeypatch):
     # The squarefree witness is a gcd: neither exact resultant runs.
     def refuse(*args):

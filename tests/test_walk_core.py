@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hadwalk import exactq
-from hadwalk.cells import AbsorptionResult
 from hadwalk.errors import ConsistencyError
 from hadwalk.exactq import Polynomial, QuadExt, RationalFunction
 from hadwalk.residue_engine import MAX_ROW
@@ -305,6 +305,20 @@ def test_p_closed_frozen_values():
         p_closed(0, 4)
 
 
+@pytest.mark.parametrize("module, route", [("rfamily", "p_exact"),
+                                           ("walk_core", "p_closed")])
+def test_exact_routes_refuse_a_value_outside_the_unit_interval(
+    monkeypatch, module, route
+):
+    # Each exact route checks its own value's range, so no caller
+    # re-checks it: with every quotient shifted up by one, both refuse.
+    module = importlib.import_module(f"hadwalk.{module}")
+    monkeypatch.setattr(module, "Fraction", lambda *args: F(*args) + 1)
+    with pytest.raises(ConsistencyError, match=rf"^{route}\(1, 2\) = .* "
+                       r"outside \[0, 1\]$"):
+        getattr(module, route)(1, 2)
+
+
 def test_closed_form_powers_stay_integral():
     # Q(sqrt 2) components are stored as ints when integral, so powers
     # of A never build a Fraction; p_closed still returns a Fraction,
@@ -444,26 +458,3 @@ def test_absorption_denominator_squarefree():
         assert squarefree(T(*absorption_denominator(n))) == (True, True), n
     d = T(*absorption_denominator(7)) * T(1, -3) * T(1, -3)
     assert squarefree(d) == (False, False)
-
-
-# ------------------------------------------------------------- result types
-
-
-def test_absorption_result_validation():
-    AbsorptionResult(p_left=F(2, 3), p_right=F(1, 3), method="closed")
-    AbsorptionResult(p_left=F(1, 3), p_right=F(1, 2), method="simulate")
-    with pytest.raises(ConsistencyError):
-        AbsorptionResult(p_left=F(1, 3), p_right=F(1, 2), method="closed")
-    with pytest.raises(ConsistencyError):
-        AbsorptionResult(p_left=F(3, 2), p_right=F(-1, 2), method="residue")
-    with pytest.raises(ValueError):
-        AbsorptionResult(p_left=F(1, 2), p_right=F(1, 2), method="magic")
-    # Immutable values, checked on every construction.
-    res = AbsorptionResult(F(2, 3), F(1, 3), "closed")
-    assert res == AbsorptionResult(p_left=F(2, 3), p_right=F(1, 3),
-                                   method="closed")
-    with pytest.raises(AttributeError):
-        res.p_left = F(1, 3)
-    with pytest.raises(ConsistencyError):
-        res._replace(p_left=F(1, 3))
-
