@@ -60,10 +60,14 @@ print(f"poles inside:       {len(roots.approximations)} roots of {d}, "
 contour = integrate_exact(ig)
 print(f"contour integral:   {contour}")
 
-# --- 4. Simulation.  Fixed-point integer amplitudes, rounded once per
-# pair of steps; the mass absorbed at the barriers accumulates as exact
-# dyadic rationals, lowered by the proven rounding error, so after enough
-# steps the truth is bracketed to any requested tail.
+# --- 4. Simulation.  The walk runs transposed, from the left barrier:
+# at step k, coordinate (j, R) of one vector is the left-barrier hit of
+# the walk from |j, R>, and coordinate (n - j, L) its right-barrier hit,
+# so the same run serves every start site of the row.  Amplitudes are
+# fixed-point integers, rounded once per pair of steps; the squared hits
+# accumulate as exact dyadic rationals, lowered by the proven rounding
+# error, so after enough steps the truth is bracketed to any requested
+# tail.
 report = simulate(J, N, Fraction(1, 10 ** 12))
 print(f"simulation:         p_left >= {report.p_left_lower} "
       f"after {report.steps_run} steps")

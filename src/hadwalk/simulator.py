@@ -7,10 +7,11 @@ from (s, L) it moves to (s+1, R) with +1/sqrt2 and to (s-1, L) with
 -1/sqrt2.  Amplitude arriving at a barrier is measured there and then,
 so each absorbed path contributes its squared amplitude exactly once, at
 its arrival step.  Both steppers below apply this rule without the
-1/sqrt2 factor, as integer sums and differences: the exact stepper on
-every interior slot (`_move`), the simulator on the live parity class
-only (`_move_live`, below).  The exact stepper keeps the full-width move
-because it is the oracle that the tests compare `simulate` against.
+1/sqrt2 factor, as integer sums and differences: the exact stepper
+forwards on every interior slot (`_move`), the simulator transposed on
+the live parity class only (`_move_transposed`, below).  The exact
+stepper keeps the forward full-width move because it is the oracle that
+the tests compare `simulate` against.
 
 Exact stepper (`step`).  All amplitudes are integers under a global
 (1/sqrt2)^step scale, so every probability mass is an integer numerator
@@ -22,20 +23,51 @@ evolution exact and makes the stepper a true oracle for the series
 coefficients of the generating functions.  Its numerators grow by half a
 bit a step, so step k costs O(n k) bit operations.
 
-Fixed-point simulator (`simulate`).  A bracket needs no exact state, so
-`simulate` keeps the interior amplitudes as ints A at F fractional bits,
-standing for A 2^-F.  A pair of steps applies the move twice and then
-shifts every amplitude right by one bit (`_halve`), which is the exact
-(1/sqrt2)^2 scale followed by a floor; nothing else is rounded.
+Transposed walk.  Write U for the move on all slots of sites 0..n,
+without the 1/sqrt2 factor (so U/sqrt2 is orthogonal), and P for the
+projection that drops the four barrier slots.  The walk from |j, R>
+then hits the barriers at step k with the amplitudes
+e_(0,L)^T U (PU)^(k-1) e_(j,R) and e_(n,R)^T U (PU)^(k-1) e_(j,R),
+up to the scale.  The simulator runs the transpose, as the adjoint view
+of the absorbing walk suggests (Ambainis, Bach, Nayak, Vishwanath and
+Watrous, STOC 2001):
 
-Live parity class.  Every move changes the site by +-1, so after k steps
-all amplitude sits on the sites s with s - j - k even, and the other
-class is identically zero.  `simulate` holds only the live class, the
-odd sites 1, 3, ... or the even sites 2, 4, ... up to n - 1, which is
-about n - 1 slots for both directions together, and each step maps one
-class to the other.  Only the odd class holds site 1, so only it feeds
-the left barrier; the right barrier is fed by the class that holds site
-n - 1.  A dropped slot is an exact zero, which every move and floor
+    v_1 = P U^T e_(0,L) = e_(1,R) - e_(1,L),    v_(k+1) = P U^T v_k,
+
+where U^T maps (R, L) to R'[s] = R[s+1] + L[s-1] and
+L'[s] = R[s+1] - L[s-1].
+
+  * Left hits.  P is symmetric and (PU)^T = U^T P, so
+    a_k(j) = e_(0,L)^T U (PU)^(k-1) e_(j,R) = v_k[(j, R)].
+  * Right hits.  Let T act as (Tv)_R(s) = v_L(n-s) and
+    (Tv)_L(s) = -v_R(n-s).  Then T P U^T = -P U^T T, and
+    T v_1 = -(e_(n-1,R) + e_(n-1,L)) = -P U^T e_(n,R), minus the right
+    barrier's first vector.  So T v_k = (-1)^k (P U^T)^(k-1) P U^T e_(n,R),
+    and the right hit from |j, R> at step k is (-1)^k v_k[(n - j, L)].
+
+So one vector holds, at step k, both barrier hits of every start site
+of the row.  `simulate_row` reads all n - 1 cells from one run, and
+`simulate` reads one.  Each cell keeps its own two lower bounds and
+stops, with its own report, at the first step where its own residual is
+below the tail; the vector runs until the last requested cell stops.
+The tests check both hit formulas in exact integers against `_move` and
+`step`, for every start site of rows 2..9 over 30 steps.
+
+Fixed-point simulator (`simulate`, `simulate_row`).  A bracket needs no
+exact state, so the simulator keeps v as ints A at F fractional bits,
+standing for A 2^-F, and starts from v_1 at 2^F.  A pair of steps
+applies the move twice and then shifts every amplitude right by one bit
+(`_halve`), which is the exact (1/sqrt2)^2 scale followed by a floor;
+nothing else is rounded.
+
+Live parity class.  Every move changes the site by +-1, so v_k sits on
+the sites s with s - k even, and the other class is identically zero.
+The simulator holds only the live class, the odd sites 1, 3, ... or the
+even sites 2, 4, ... up to n - 1, which is about n - 1 slots for both
+directions together, and each step maps one class to the other.  Only
+the odd class holds site 1, so only it loses R[1] to the barrier slots
+of site 0; the class that holds site n - 1 loses L[n - 1] to those of
+site n.  A dropped slot is an exact zero, which every move and floor
 keeps, so the state, the hits and every output are those of a
 full-width loop.
 
@@ -43,9 +75,9 @@ The bracket is certified by the absolute-error lemma of residue_engine
 (Higham 2002, ch. 3), here with e counted in half-ulps (units of
 2^-(F+1)):
 
-  * the interior map of one step, the unitary move followed by dropping
-    the two barrier slots, is a contraction, so an error already in the
-    state never grows;
+  * the map of one step, P U^T P / sqrt2, is an orthogonal map followed
+    by dropping the barrier slots, so it contracts like P U P, and an
+    error already in the state never grows;
   * the floor of v/2 errs by 0 or 1/2 ulp in each of the 2(n-1)
     interior slots, so one shift moves the state by at most
     c = ceil(sqrt(2(n-1))) half-ulps in the 2-norm, and after r shifts
@@ -54,37 +86,40 @@ The bracket is certified by the absolute-error lemma of residue_engine
     exactly, so c counted over all 2(n-1) slots is loose but valid; it
     is kept, since a smaller c would change F, the widening and so the
     output;
-  * a barrier hit is the barrier slot after one or two unitary moves of
-    the state, a linear functional of norm 1, so the computed hit h~
-    lies within e of the exact hit h, and for any integer x >= |h~|,
+  * a hit at step k is a coordinate of v_k, a linear functional of
+    norm 1, and v_k is the move of a state after floor((k-1)/2) shifts,
+    so the computed hit h~ lies within e = floor((k-1)/2) c of the
+    exact hit h, and for any integer x >= |h~|,
     h^2 >= h~^2 - e (2x + e) (when |h~| < e the right side is negative);
   * each hit therefore adds max(0, h~^2 - e (2x + e)) to a lower bound on
     the mass absorbed on its side.  With lower bounds L and R, the exact
     p_left is at most the absorbed left mass plus the interior mass,
     which is 1 minus the absorbed right mass, so at most 1 - R; hence
     residual = 1 - L - R brackets both sides, and it is never below the
-    exact interior mass, so `simulate` never stops before the exact
-    stepper would.
+    exact interior mass, so the simulator never stops a cell before the
+    exact stepper would.
 
 Masses are integers in units of 2^-(2F+2), one half-ulp squared: the
-interior is 4 sum(A^2) at a pair boundary, 2 sum(U^2) after the pair's
-first move and sum(V^2) after its second, and a hit's mass h^2 carries
-the same factor, 2 after the first move and 1 after the second.  Both
-steps of a pair check ``left + right + interior + drift == 2^(2F+2)`` in
-integers on the moved state, before any floor, as the exact stepper
-checks its identity.  The floor then changes the interior mass by the
-exact integer sum(V^2) - 4 sum((V >> 1)^2), and ``drift`` adds it up
-from the parities alone: 4 floor(v/2)^2 is v^2 for even v and (v - 1)^2
-for odd v, so each odd amplitude loses 2v - 1.  The next move's measured
-sum then checks the floor as well as the move, so the identity fails if
-a move loses or creates mass or if a floor is not the floor of v/2.  The
-widening w = e (2x + e) is added up apart from the hits, so the identity
-involves computed masses only.
+state's mass is 4 sum(A^2) at a pair boundary, 2 sum(U^2) after the
+pair's first move and sum(V^2) after its second, and a hit's mass h^2
+carries the same factor, 2 after the first move and 1 after the second.
+Every step checks ``lost + interior + drift == 2^(2F+2)`` in integers
+on the moved state, before any floor, as the exact stepper checks its
+identity.  U^T sends R[1] and L[n-1] to two barrier slots each, which P
+drops, so a move adds 2 scale (R[1]^2 + L[n-1]^2) to ``lost``, at the
+scale of the moved state.  The floor then changes the mass by the exact
+integer sum(V^2) - 4 sum((V >> 1)^2), and ``drift`` adds it up from the
+parities alone: 4 floor(v/2)^2 is v^2 for even v and (v - 1)^2 for odd
+v, so each odd amplitude loses 2v - 1.  The next move's measured sum
+then checks the floor as well as the move, so the identity fails if a
+move loses or creates mass or if a floor is not the floor of v/2.  The
+hits are coordinates of the checked state, and their widening is added
+up per cell, apart from the identity.
 
 F is chosen once from (n, tail_eps, max_steps).  Within max_steps every
 hit has e <= e_max = max_steps c and x <= 2^(F+1) + e_max + 1 half-ulps,
-so with e_max < 2^F each of the 2 max_steps hits widens the bracket by
-less than e_max 2^(F+3) units, in all by less than
+so with e_max < 2^F each of a cell's 2 max_steps hits widens its bracket
+by less than e_max 2^(F+3) units, in all by less than
 4 max_steps e_max 2^-F, and F makes that at most tail_eps / 2.
 """
 
@@ -251,36 +286,54 @@ class SimulationReport(_ReportFields):
         return cls(*fields)
 
 
-# Step budget of `simulate`.  A step costs O(n) operations on the n - 1
-# live slots, ints of about F bits: some 16 us at n = 46 on a 2-vCPU
-# machine (Python 3.11), and a cell needs about n^3 steps.  The centre
-# cell of row 46 certifies at 1e-10 in 95,673 steps (1.5 s), and those
-# of rows 47 and 48 exit at the budget after about 1.6 s.
+# Step budget of one run of the transposed walk, for one cell or a
+# row.  A step costs O(n) operations on the n - 1 live slots, ints of
+# about F bits: some 14 us at n = 46 for one cell on a 2-vCPU machine
+# (Python 3.11), and a cell needs about n^3 steps.  The centre cell of
+# row 46 certifies at 1e-10 in 95,673 steps (1.3 s), and those of rows
+# 47 and 48 exit at the budget after about 1.2-1.3 s.
 MAX_STEPS = 100_000
 
 
-def simulate(
-    j: int,
-    n: int,
-    tail_eps: Rational,
-    max_steps: int = MAX_STEPS,
-) -> SimulationReport:
+def simulate(j: int, n: int, tail_eps: Rational,
+             max_steps: int = MAX_STEPS) -> SimulationReport:
     """Run the walk until the certified residual drops below tail_eps.
 
     tail_eps is a hard bound, not a heuristic: the returned report
     brackets the true probabilities (proof in the module docstring).  If
     max_steps is reached first, StepBudgetExceeded carries the partial
-    report, which brackets them too.
+    report, which brackets them too.  The run is that of
+    `simulate_row`, read at the one cell j.
     """
+    _validate(j, n, 1, n - 1)
+    return _run((j,), n, tail_eps, max_steps)[0]
+
+
+def simulate_row(n: int, tail_eps: Rational,
+                 max_steps: int = MAX_STEPS) -> list[SimulationReport]:
+    """The reports of simulate(j, n, tail_eps, max_steps) for
+    j = 1..n-1, from one run of the transposed walk.
+
+    Each report is the one the one-cell call returns.  If max_steps is
+    reached before every cell has stopped, StepBudgetExceeded carries
+    the partial report of the lowest j still running.
+    """
+    _validate(1, n, 1, n - 1)
+    return _run(range(1, n), n, tail_eps, max_steps)
+
+
+def _run(cells, n: int, tail_eps: Rational,
+         max_steps: int) -> list[SimulationReport]:
+    """`_walk` at the F that the module docstring derives from
+    (n, tail_eps, max_steps)."""
     tail_eps = Fraction(tail_eps)
     if tail_eps <= 0:
         raise ValueError(f"tail_eps must be > 0, got {tail_eps}")
-    _validate(j, n, 1, n - 1)
     e_max = max_steps * _round_error(n)
     scaled = 8 * max_steps * e_max * tail_eps.denominator
     frac_bits = max(scaled.bit_length() - tail_eps.numerator.bit_length() + 1,
                     e_max.bit_length() + 1)
-    return _simulate(j, n, tail_eps, max_steps, frac_bits)
+    return _walk(cells, n, tail_eps, max_steps, frac_bits)
 
 
 def _round_error(n: int) -> int:
@@ -288,112 +341,138 @@ def _round_error(n: int) -> int:
     return isqrt(2 * (n - 1) - 1) + 1
 
 
-def _widening(mass: int, hit: int, e: int) -> int:
-    """min(mass, e (2x + e)) with x = ceil(sqrt(mass)) >= |h~|, for the
-    mass hit^2 or 2 hit^2 of a hit != 0: x = |hit| when mass = hit^2,
-    which saves an isqrt."""
-    x = abs(hit)
-    if mass != x * x:
-        x = isqrt(mass - 1) + 1
-    return min(mass, e * (2 * x + e))
-
-
-def _move_live(right, left, odd: bool, holds_last: bool
-               ) -> tuple[list[int], list[int], int, int]:
-    """`_move` on the live class: (right', left', left_hit, right_hit).
+def _move_transposed(right, left, odd: bool, holds_last: bool
+                     ) -> tuple[list[int], list[int], int]:
+    """P U^T on the live class without the 1/sqrt2 factor:
+    (right', left', dropped), with right'[s] = R[s+1] + L[s-1] and
+    left'[s] = R[s+1] - L[s-1] on the other class.
 
     right and left hold the sites of one parity, 1, 3, ... (odd) or
-    2, 4, ... (even), up to n - 1; the result holds the other class.
-    Only the odd class holds site 1 and feeds the left barrier, and only
-    the class that holds site n - 1 (holds_last) feeds the right one.
+    2, 4, ... (even), up to n - 1 (holds_last when the class holds
+    n - 1), and are consumed.  U^T sends R[1] to both slots of site 0
+    and L[n-1] to both of site n, which P drops;
+    dropped = R[1]^2 + L[n-1]^2.
     """
+    dropped = 0
+    if odd:
+        r = right.pop(0)
+        dropped = r * r
+    else:  # L[0] = 0 feeds site 1
+        left.insert(0, 0)
+    if holds_last:
+        v = left.pop()
+        dropped += v * v
     up = list(map(add, right, left))
     down = list(map(sub, right, left))
-    left_hit = down.pop(0) if odd else 0
-    if holds_last:
-        right_hit = up.pop()
-    else:
-        right_hit = 0
-        down.append(0)
-    if not odd:
-        up.insert(0, 0)
-    return up, down, left_hit, right_hit
+    if not holds_last:  # site n - 1 takes L[n-2], and R[n] = 0
+        up.append(left[-1])
+        down.append(-left[-1])
+    return up, down, dropped
 
 
 def _halve(values: list[int]) -> list[int]:
-    """The floor of v/2 of each amplitude: the one rounding `simulate`
-    makes, after the second move of a pair."""
+    """The floor of v/2 of each amplitude: the one rounding the
+    simulator makes, after the second move of a pair."""
     return [v >> 1 for v in values]
 
 
-def _simulate(
-    j: int, n: int, tail_eps: Fraction, max_steps: int, frac_bits: int
-) -> SimulationReport:
+def _taps(cells, n: int) -> tuple[list, list]:
+    """For the live class of each parity: the hits of the given start
+    sites read there, as (slot of right + left, index into the lower
+    bounds), v_k[(j, R)] at 2j and v_k[(n - j, L)] at 2j + 1."""
+    size = ((n - 1) // 2, n // 2)  # slots per direction, by parity
+    taps = ([], [])
+    for j in cells:
+        taps[j & 1].append(((j - 1) // 2, 2 * j))
+        p = (n - j) & 1
+        taps[p].append((size[p] + (n - j - 1) // 2, 2 * j + 1))
+    return taps
+
+
+def _simulate(j: int, n: int, tail_eps: Fraction, max_steps: int,
+              frac_bits: int) -> SimulationReport:
     """simulate() at a given number of fractional bits."""
+    return _walk((j,), n, tail_eps, max_steps, frac_bits)[0]
+
+
+def _walk(cells, n: int, tail_eps: Fraction, max_steps: int,
+          frac_bits: int) -> list[SimulationReport]:
+    """The transposed walk at frac_bits fractional bits: the report of
+    each start site in cells (ascending), each cut at the first step
+    where its own residual is below tail_eps."""
     total = 1 << (2 * frac_bits + 2)
-    # For an integer rest, rest < stop iff rest / total < tail_eps.
+    # For an integer rest, rest < stop iff rest / total < tail_eps, and a
+    # cell's rest is total less its two lower bounds.
     stop = -(-tail_eps.numerator * total // tail_eps.denominator)
+    need = total - stop
     c = _round_error(n)
-    odd = j & 1 == 1
-    last_odd = n & 1 == 0  # the parity of site n - 1
-    right = [0] * (n // 2 if odd else (n - 1) // 2)
-    right[(j - 1) // 2] = 1 << frac_bits
-    left = [0] * len(right)
-    # Computed absorbed masses, their widening, and the floors' drift.
-    left_mass = right_mass = left_wide = right_wide = drift = 0
-    steps = 0
+    last = (n - 1) & 1  # the parity of site n - 1
+    reports = {}
+    low = [0] * (2 * n)  # lower bounds on the left and right mass of j
+    active = list(cells)
+    taps = _taps(active, n)
+    # v_1 = P U^T e_(0,L) = e_(1,R) - e_(1,L), at F bits.
+    right = [1 << frac_bits] + [0] * (n // 2 - 1)
+    left = [-v for v in right]
+    state = right + left
+    steps = lost = drift = 0
+    stopping = need < 0
     while True:
-        lower_left = left_mass - left_wide
-        lower_right = right_mass - right_wide
-        rest = total - lower_left - lower_right
-        if rest < stop:
-            return _report(lower_left, lower_right, rest, total, steps)
+        if stopping:
+            stopping = False
+            for j in active:
+                if low[2 * j] + low[2 * j + 1] > need:
+                    reports[j] = _report(low, j, total, steps)
+            active = [j for j in active if j not in reports]
+            if not active:
+                return [reports[j] for j in cells]
+            taps = _taps(active, n)
         if steps >= max_steps:
-            report = _report(lower_left, lower_right, rest, total, steps)
+            report = _report(low, active[0], total, steps)
             raise StepBudgetExceeded(
                 f"residual {float(report.residual):.3e} still above "
-                f"tail_eps after {steps} steps",
-                report,
-            )
-        right, left, left_hit, right_hit = _move_live(
-            right, left, odd, odd == last_odd)
-        odd = not odd
+                f"tail_eps after {steps} steps", report)
+        if steps:
+            odd = steps & 1 == 1
+            if not odd:
+                # v^2 - 4 floor(v/2)^2 is 0 for even v and 2v - 1 for
+                # odd v.
+                odd_values = [v for v in state if v & 1]
+                drift += 2 * sum(odd_values) - len(odd_values)
+                right, left = _halve(right), _halve(left)
+            right, left, dropped = _move_transposed(right, left, odd,
+                                                    odd == last)
+            state = right + left
+            # The dropped slots' mass at the scale of the moved state.
+            lost += (2 if odd else 4) * dropped
         steps += 1
         # Masses carry a scale of 2 after a pair's first move, 1 after
         # its second.
         scale = 1 + (steps & 1)
-        hit_left, hit_right = scale * left_hit**2, scale * right_hit**2
-        state = right + left
-        interior = scale * sum(map(mul, state, state))
-        left_mass += hit_left
-        right_mass += hit_right
-        # Error of the state the hits came from: c per shift before them.
+        if lost + scale * sum(map(mul, state, state)) + drift != total:
+            raise ConsistencyError(f"fixed-point mass identity broken at "
+                                   f"step {steps} (n={n}, F={frac_bits})")
+        # Error of the state the hits come from: c per shift before it.
         e = (steps - 1) // 2 * c
-        if e:
-            if hit_left:
-                left_wide += _widening(hit_left, left_hit, e)
-            if hit_right:
-                right_wide += _widening(hit_right, right_hit, e)
-        if left_mass + right_mass + interior + drift != total:
-            raise ConsistencyError(
-                f"fixed-point mass identity broken at step {steps} "
-                f"(j={j}, n={n}, F={frac_bits})"
-            )
-        if not steps & 1:
-            # v^2 - 4 floor(v/2)^2 is 0 for even v and 2v - 1 for odd v.
-            odd_values = [v for v in state if v & 1]
-            drift += 2 * sum(odd_values) - len(odd_values)
-            right, left = _halve(right), _halve(left)
+        for slot, at in taps[steps & 1]:
+            hit = state[slot]
+            if hit:
+                mass = scale * hit * hit
+                if e:
+                    # x >= |h~| in half-ulps: ceil(sqrt(mass)), which is
+                    # |hit| at scale 1.
+                    x = abs(hit) if scale == 1 else isqrt(mass - 1) + 1
+                    mass = max(mass - e * (2 * x + e), 0)
+                low[at] += mass
+                if low[at] + low[at ^ 1] > need:
+                    stopping = True
 
 
-def _report(lower_left: int, lower_right: int, rest: int, total: int,
+def _report(low: list[int], j: int, total: int,
             steps: int) -> SimulationReport:
-    return SimulationReport(
-        p_left_lower=Fraction(lower_left, total),
-        p_right_lower=Fraction(lower_right, total),
-        residual=Fraction(rest, total),
-        steps_run=steps,
-    )
+    left, right = low[2 * j], low[2 * j + 1]
+    return SimulationReport(Fraction(left, total), Fraction(right, total),
+                            Fraction(total - left - right, total), steps)
 
 
 class SignedPathTally(NamedTuple):

@@ -24,6 +24,7 @@ from hadwalk.simulator import (
     initial_state,
     interior_mass,
     simulate,
+    simulate_row,
     step,
 )
 from hadwalk.walk_core import gf_coefficients, p_exact
@@ -204,6 +205,73 @@ def test_simulate_stops_where_the_exact_stepper_does():
             assert simulate(j, n, eps).steps_run == s.step, (j, n)
 
 
+def _transposed_walk(n, steps):
+    """v_1, ..., v_steps of the transposed walk in exact integers (no
+    floor), each as a map (site, "L"/"R") -> value on its live class."""
+    right = [0] * (n // 2)
+    right[0] = 1
+    left = [-1] + right[1:]
+    last = (n - 1) & 1
+    out = []
+    for k in range(1, steps + 1):
+        if k > 1:
+            odd = (k - 1) & 1 == 1
+            right, left, _ = simulator._move_transposed(
+                right, left, odd, odd == last)
+        sites = range(2 - (k & 1), n, 2)
+        out.append({**{(s, "R"): v for s, v in zip(sites, right)},
+                    **{(s, "L"): v for s, v in zip(sites, left)}})
+    return out
+
+
+def test_transposed_walk_gives_every_barrier_hit_of_a_row():
+    # One vector serves the whole row: v_k[(j, R)] is the left hit of
+    # the walk from |j, R> at step k, and (-1)^k v_k[(n - j, L)] its
+    # right hit.
+    for n in range(2, 10):
+        walk = _transposed_walk(n, 30)
+        for j in range(1, n):
+            s = initial_state(j, n)
+            for k, v in enumerate(walk, start=1):
+                prev, s = s, step(s, n)
+                _, _, left_hit, right_hit = simulator._move(
+                    prev.right[1:n], prev.left[1:n])
+                left_t = v.get((j, "R"), 0)
+                right_t = (-1) ** k * v.get((n - j, "L"), 0)
+                assert (left_t, right_t) == (left_hit, right_hit), (j, n, k)
+                assert left_t**2 == s.left_num - 2 * prev.left_num
+                assert right_t**2 == s.right_num - 2 * prev.right_num
+
+
+def test_simulate_row_gives_each_cell_its_one_cell_report():
+    eps = F(1, 10**10)
+    for n in range(2, 13):
+        row = simulate_row(n, eps)
+        assert len(row) == n - 1
+        for j, rep in enumerate(row, start=1):
+            assert rep == simulate(j, n, eps), (j, n)
+
+
+def test_simulate_row_budget_error_names_the_lowest_running_cell():
+    # At 10 steps no cell of row 12 has stopped, so j = 1 is reported;
+    # at 1,460 cells 1 and 11 have stopped (1,437 steps), so j = 2 is.
+    eps = F(1, 10**10)
+    for max_steps, j in ((10, 1), (1460, 2)):
+        with pytest.raises(StepBudgetExceeded) as row:
+            simulate_row(12, eps, max_steps=max_steps)
+        with pytest.raises(StepBudgetExceeded) as cell:
+            simulate(j, 12, eps, max_steps=max_steps)
+        assert row.value.report == cell.value.report
+        assert row.value.report.steps_run == max_steps
+        assert str(row.value) == str(cell.value)
+        assert str(row.value).endswith(
+            f"still above tail_eps after {max_steps} steps")
+    with pytest.raises(ValueError):
+        simulate_row(1, eps)
+    with pytest.raises(ValueError):
+        simulate_row(5, F(0))
+
+
 def test_coarse_precision_keeps_the_bracket():
     # At 10 fractional bits the rounding error is large, and the widening
     # it earns keeps the residual above the tail, so nearly every run
@@ -266,21 +334,22 @@ def test_simulate_budget_error_carries_partial_report():
 
 def test_simulate_reports_are_pinned():
     # Every field of two reports, down to the last bit: the stepping
-    # layout may change, the fixed-point arithmetic may not.
+    # layout may change, the fixed-point arithmetic of the transposed
+    # walk may not.
     assert simulate(7, 14, F(1, 10**10)) == SimulationReport(
-        p_left_lower=F(63077365538113154430946262911434264361552999,
+        p_left_lower=F(63077365538113154430909160410687388180448799,
                        178405961588244985132285746181186892047843328),
-        p_right_lower=F(57664298016189877929613148331896648670939463,
-                        89202980794122492566142873090593446023921664),
-        residual=F(17752074842113186605959330344411403,
-                   178405961588244985132285746181186892047843328),
+        p_right_lower=F(115328596032379755859202896730064599274123583,
+                        178405961588244985132285746181186892047843328),
+        residual=F(8876037421086844520217452296635473,
+                   89202980794122492566142873090593446023921664),
         steps_run=2597)
     assert simulate(3, 10, F(1, 10**10)) == SimulationReport(
-        p_left_lower=F(32466262548776631611428381192301947435748261,
+        p_left_lower=F(32466262548776631611430896008592765536000209,
                        89202980794122492566142873090593446023921664),
-        p_right_lower=F(28368359118411014838022466120807469218941505,
+        p_right_lower=F(28368359118411014838024644731587989978193435,
                         44601490397061246283071436545296723011960832),
-        residual=F(8523831278669559656676560150290393,
+        residual=F(8523831278662687618824700531534585,
                    89202980794122492566142873090593446023921664),
         steps_run=907)
 
@@ -301,44 +370,53 @@ def test_simulate_reports_of_rows_2_to_12_are_pinned():
                     rep = exc.report
                 digest.update(repr(rep).encode())
     assert digest.hexdigest() == (
-        "a6d0b1ff37f1535bce141173152673c549ac3211b1cdb0b9d3e417828088ead7")
+        "68a3c9526d84abdf802529e9f5de605ac667ea77149bc352337f6de574731a80")
+
+
+def _one_cell_and_row():
+    # The same walk serves both calls: one cell of row 7, and the row.
+    return (lambda: simulate(3, 7, F(1, 10**10)),
+            lambda: simulate_row(7, F(1, 10**10)))
 
 
 def test_fixed_point_identity_catches_a_faulty_move(monkeypatch):
-    # Call 5 is the first move of the third pair, call 6 its second: the
-    # identity is checked on the moved state, before the pair's floor.
-    move = simulator._move_live
-    for faulty_call in (5, 6):
-        calls = []
+    # v_1 is built, not moved, so call k of the move makes step k + 1:
+    # call 4 is the first move of the third pair, call 5 its second.
+    # The identity is checked on the moved state, before the pair's floor.
+    move = simulator._move_transposed
+    for run in _one_cell_and_row():
+        for faulty_step in (5, 6):
+            calls = []
 
-        def faulty(*args):
-            right, left, left_hit, right_hit = move(*args)
-            calls.append(None)
-            if len(calls) == faulty_call:
-                right[0] += 1  # changes the interior mass by 2v + 1, never 0
-            return right, left, left_hit, right_hit
+            def faulty(*args):
+                right, left, dropped = move(*args)
+                calls.append(None)
+                if len(calls) + 1 == faulty_step:
+                    right[0] += 1  # moves the interior mass by 2v + 1, never 0
+                return right, left, dropped
 
-        monkeypatch.setattr(simulator, "_move_live", faulty)
-        with pytest.raises(ConsistencyError,
-                           match=f"fixed-point mass identity broken at step "
-                                 f"{faulty_call} "):
-            simulate(3, 7, F(1, 10**10))
+            monkeypatch.setattr(simulator, "_move_transposed", faulty)
+            with pytest.raises(ConsistencyError,
+                               match=f"fixed-point mass identity broken at "
+                                     f"step {faulty_step} "):
+                run()
 
 
 def test_fixed_point_identity_catches_a_faulty_floor(monkeypatch):
     # Each pair floors its right list, then its left one, so call 5 is
     # the right list of the third pair, after step 6; step 7 measures it.
     halve = simulator._halve
-    calls = []
+    for run in _one_cell_and_row():
+        calls = []
 
-    def faulty(values):
-        calls.append(None)
-        return values if len(calls) == 5 else halve(values)
+        def faulty(values):
+            calls.append(None)
+            return values if len(calls) == 5 else halve(values)
 
-    monkeypatch.setattr(simulator, "_halve", faulty)
-    with pytest.raises(ConsistencyError,
-                       match="fixed-point mass identity broken at step 7"):
-        simulate(3, 7, F(1, 10**10))
+        monkeypatch.setattr(simulator, "_halve", faulty)
+        with pytest.raises(ConsistencyError, match="fixed-point mass "
+                           "identity broken at step 7 "):
+            run()
 
 
 def test_simulate_validates_input():

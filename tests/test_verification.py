@@ -95,16 +95,17 @@ def test_squarefree_check_flags_a_repeated_pole(monkeypatch, capsys):
 ])
 def test_simulator_bracketing_flags_a_faulty_report(monkeypatch, capsys,
                                                     fault, detail):
-    real = verification.simulate
+    real = verification.simulate_row
 
-    def faulty(j, n, tail_eps):
-        rep = real(j, n, tail_eps)
-        if (j, n) != (2, 4):
-            return rep
-        moved = {"p_right_lower": 1 - rep.residual, **fault}
-        return rep._replace(**moved)
+    def faulty(n, tail_eps):
+        reps = real(n, tail_eps)
+        if n == 4:
+            rep = reps[1]  # j = 2
+            moved = {"p_right_lower": 1 - rep.residual, **fault}
+            reps[1] = rep._replace(**moved)
+        return reps
 
-    monkeypatch.setattr(verification, "simulate", faulty)
+    monkeypatch.setattr(verification, "simulate_row", faulty)
     r = verification.check_simulator_bracketing(6, Fraction(1, 10**10))
     assert (r.passed, r.detail) == (False, detail)
     code = cli.run(["verify", "--suite", "oracles", "--n-max", "6"])
