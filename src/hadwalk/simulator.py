@@ -47,9 +47,10 @@ L'[s] = R[s+1] - L[s-1].
 
 So one vector holds, at step k, both barrier hits of every start site
 of the row.  `simulate_row` reads all n - 1 cells from one run, and
-`simulate` reads one.  Each cell keeps its own two lower bounds and
-stops, with its own report, at the first step where its own residual is
-below the tail; the vector runs until the last requested cell stops.
+`simulate` reads one.  Each cell keeps the sums of its own two sides'
+squared hits and stops, with its own report, at the first step where
+its own certified residual is below the tail; the vector runs until the
+last requested cell stops.
 The tests check both hit formulas in exact integers against `_move` and
 `step`, for every start site of rows 2..9 over 30 steps.
 
@@ -89,15 +90,35 @@ The bracket is certified by the absolute-error lemma of residue_engine
   * a hit at step k is a coordinate of v_k, a linear functional of
     norm 1, and v_k is the move of a state after floor((k-1)/2) shifts,
     so the computed hit h~ lies within e = floor((k-1)/2) c of the
-    exact hit h, and for any integer x >= |h~|,
-    h^2 >= h~^2 - e (2x + e) (when |h~| < e the right side is negative);
-  * each hit therefore adds max(0, h~^2 - e (2x + e)) to a lower bound on
-    the mass absorbed on its side.  With lower bounds L and R, the exact
-    p_left is at most the absorbed left mass plus the interior mass,
-    which is 1 minus the absorbed right mass, so at most 1 - R; hence
-    residual = 1 - L - R brackets both sides, and it is never below the
-    exact interior mass, so the simulator never stops a cell before the
-    exact stepper would.
+    exact hit h.  In half-ulps |h~| is x = sqrt(s h~^2), where s is the
+    mass scale below (1 or 2), and, with no clip at 0,
+    h^2 >= (x - e)^2 - 2 e^2 = s h~^2 - e (2x + e).
+
+A cell side (the left hits of j, or its right hits) sits on one parity
+class, so it is read at every other step, with one scale s.  Read at K
+steps, with computed hits h~_i, errors e_i <= E (E is the e of its last
+read: (K - 1) c) and S = sum s h~_i^2, an exact integer:
+
+  * summing the per-hit bound, sum h_i^2 >= S - 2E sum x_i - K E^2;
+  * by Cauchy-Schwarz, sum x_i <= sqrt(K S) <= isqrt(K S) + 1;
+  * so sum h_i^2 >= S - 2E (isqrt(K S) + 1) - K E^2, and >= 0 (a
+    zero hit adds nothing to S; counting it in K, as here, only loosens
+    the bound).
+
+That is the side's certified lower bound on the mass it has absorbed
+(`_certified`).  The walk only adds up S per side; a bound never exceeds
+its S, so a cell whose two sums stay at most `need` (total less the
+tail) cannot stop, and both bounds are certified only at the steps where
+the sums exceed it, and at the budget.  A side's bound is its own S, K
+and E alone, so a one-cell run and a row run report the same.  Between
+two nonzero hits on a cell's sides its bound can only fall (K and E
+grow, S stays), so checking at the steps with such a hit finds the first
+step whose certified residual is below the tail.  With lower bounds L
+and R, the exact p_left is at most the absorbed left mass plus the
+interior mass, which is 1 minus the absorbed right mass, so at most
+1 - R; hence residual = 1 - L - R brackets both sides, and it is never
+below the exact interior mass, so the simulator never stops a cell
+before the exact stepper would.
 
 Masses are integers in units of 2^-(2F+2), one half-ulp squared: the
 state's mass is 4 sum(A^2) at a pair boundary, 2 sum(U^2) after the
@@ -113,14 +134,19 @@ parities alone: 4 floor(v/2)^2 is v^2 for even v and (v - 1)^2 for odd
 v, so each odd amplitude loses 2v - 1.  The next move's measured sum
 then checks the floor as well as the move, so the identity fails if a
 move loses or creates mass or if a floor is not the floor of v/2.  The
-hits are coordinates of the checked state, and their widening is added
-up per cell, apart from the identity.
+hits are coordinates of the checked state, and their sums are kept per
+cell side, apart from the identity.
 
-F is chosen once from (n, tail_eps, max_steps).  Within max_steps every
-hit has e <= e_max = max_steps c and x <= 2^(F+1) + e_max + 1 half-ulps,
-so with e_max < 2^F each of a cell's 2 max_steps hits widens its bracket
-by less than e_max 2^(F+3) units, in all by less than
-4 max_steps e_max 2^-F, and F makes that at most tail_eps / 2.
+F is chosen once from (n, tail_eps, max_steps).  Within max_steps a side
+has K <= max_steps reads and E <= e_max = max_steps c, with e_max < 2^F.
+Its exact hits carry at most 2^(2F+2) units, so by Minkowski
+sqrt(S) <= 2^(F+1) + sqrt(K) E, and its widening
+2E (isqrt(K S) + 1) + K E^2 is at most
+2^(F+2) E sqrt(K) + 3 K E^2 + 2E <= K e_max (2^(F+2) + 3 e_max + 2),
+less than max_steps e_max 2^(F+3) units: the bound that each of a
+side's max_steps hits, widened one by one, had to stay under.  So a
+cell's widening is in all less than 4 max_steps e_max 2^-F, and F makes
+that at most tail_eps / 2.
 """
 
 from __future__ import annotations
@@ -288,10 +314,10 @@ class SimulationReport(_ReportFields):
 
 # Step budget of one run of the transposed walk, for one cell or a
 # row.  A step costs O(n) operations on the n - 1 live slots, ints of
-# about F bits: some 14 us at n = 46 for one cell on a 2-vCPU machine
+# about F bits: some 12 us at n = 46 for one cell on a 2-vCPU machine
 # (Python 3.11), and a cell needs about n^3 steps.  The centre cell of
-# row 46 certifies at 1e-10 in 95,673 steps (1.3 s), and those of rows
-# 47 and 48 exit at the budget after about 1.2-1.3 s.
+# row 46 certifies at 1e-10 in 95,675 steps (1.2 s), and those of rows
+# 47 and 48 exit at the budget after about 1.1-1.2 s.
 MAX_STEPS = 100_000
 
 
@@ -378,8 +404,8 @@ def _halve(values: list[int]) -> list[int]:
 
 def _taps(cells, n: int) -> tuple[list, list]:
     """For the live class of each parity: the hits of the given start
-    sites read there, as (slot of right + left, index into the lower
-    bounds), v_k[(j, R)] at 2j and v_k[(n - j, L)] at 2j + 1."""
+    sites read there, as (slot of right + left, index into the hit
+    sums), v_k[(j, R)] at 2j and v_k[(n - j, L)] at 2j + 1."""
     size = ((n - 1) // 2, n // 2)  # slots per direction, by parity
     taps = ([], [])
     for j in cells:
@@ -399,7 +425,13 @@ def _walk(cells, n: int, tail_eps: Fraction, max_steps: int,
           frac_bits: int) -> list[SimulationReport]:
     """The transposed walk at frac_bits fractional bits: the report of
     each start site in cells (ascending), each cut at the first step
-    where its own residual is below tail_eps."""
+    where its own certified residual is below tail_eps.
+
+    Each step only adds the squared hits, at the step's scale, to the
+    sums of their cell sides.  A side's bound is certified from its sum
+    (`_certified`) only when its cell can stop, that is when the cell's
+    two sums exceed what a stop needs, or at the budget.
+    """
     total = 1 << (2 * frac_bits + 2)
     # For an integer rest, rest < stop iff rest / total < tail_eps, and a
     # cell's rest is total less its two lower bounds.
@@ -408,7 +440,7 @@ def _walk(cells, n: int, tail_eps: Fraction, max_steps: int,
     c = _round_error(n)
     last = (n - 1) & 1  # the parity of site n - 1
     reports = {}
-    low = [0] * (2 * n)  # lower bounds on the left and right mass of j
+    sums = [0] * (2 * n)  # S of the left and of the right side of j
     active = list(cells)
     taps = _taps(active, n)
     # v_1 = P U^T e_(0,L) = e_(1,R) - e_(1,L), at F bits.
@@ -421,14 +453,17 @@ def _walk(cells, n: int, tail_eps: Fraction, max_steps: int,
         if stopping:
             stopping = False
             for j in active:
-                if low[2 * j] + low[2 * j + 1] > need:
-                    reports[j] = _report(low, j, total, steps)
+                if sums[2 * j] + sums[2 * j + 1] > need:
+                    bounds = _bounds(sums, j, n, steps, c)
+                    if sum(bounds) > need:
+                        reports[j] = _report(bounds, total, steps)
             active = [j for j in active if j not in reports]
             if not active:
                 return [reports[j] for j in cells]
             taps = _taps(active, n)
         if steps >= max_steps:
-            report = _report(low, active[0], total, steps)
+            report = _report(_bounds(sums, active[0], n, steps, c), total,
+                             steps)
             raise StepBudgetExceeded(
                 f"residual {float(report.residual):.3e} still above "
                 f"tail_eps after {steps} steps", report)
@@ -452,25 +487,35 @@ def _walk(cells, n: int, tail_eps: Fraction, max_steps: int,
         if lost + scale * sum(map(mul, state, state)) + drift != total:
             raise ConsistencyError(f"fixed-point mass identity broken at "
                                    f"step {steps} (n={n}, F={frac_bits})")
-        # Error of the state the hits come from: c per shift before it.
-        e = (steps - 1) // 2 * c
         for slot, at in taps[steps & 1]:
             hit = state[slot]
             if hit:
-                mass = scale * hit * hit
-                if e:
-                    # x >= |h~| in half-ulps: ceil(sqrt(mass)), which is
-                    # |hit| at scale 1.
-                    x = abs(hit) if scale == 1 else isqrt(mass - 1) + 1
-                    mass = max(mass - e * (2 * x + e), 0)
-                low[at] += mass
-                if low[at] + low[at ^ 1] > need:
+                sums[at] += scale * hit * hit
+                if sums[at] + sums[at ^ 1] > need:
                     stopping = True
 
 
-def _report(low: list[int], j: int, total: int,
+def _certified(mass: int, reads: int, c: int) -> int:
+    """Lower bound on the exact mass absorbed on one side, from the sum
+    of its computed squared hits over its first reads reads (module
+    docstring); e = (reads - 1) c bounds the error of every one."""
+    if not mass:
+        return 0
+    e = (reads - 1) * c
+    return max(mass - 2 * e * (isqrt(reads * mass) + 1) - reads * e * e, 0)
+
+
+def _bounds(sums: list[int], j: int, n: int, steps: int,
+            c: int) -> tuple[int, int]:
+    """The certified left and right lower bounds of j after steps steps.
+    A side of a site of parity p is read at the steps k = p (mod 2)."""
+    return (_certified(sums[2 * j], (steps + (j & 1)) // 2, c),
+            _certified(sums[2 * j + 1], (steps + ((n - j) & 1)) // 2, c))
+
+
+def _report(bounds: tuple[int, int], total: int,
             steps: int) -> SimulationReport:
-    left, right = low[2 * j], low[2 * j + 1]
+    left, right = bounds
     return SimulationReport(Fraction(left, total), Fraction(right, total),
                             Fraction(total - left - right, total), steps)
 

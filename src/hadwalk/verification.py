@@ -207,9 +207,9 @@ def check_absorbed_mass_series(n_max: int) -> CheckResult:
 
 
 # Largest row the bracketing check simulates.  The cap is for cost: at
-# 1e-10 on a 2-vCPU machine rows 2..12 take about 65 ms in all (one run
+# 1e-10 on a 2-vCPU machine rows 2..12 take about 36 ms in all (one run
 # of the transposed walk a row, 5,723 steps), while rows 13 and 14 would
-# add about 70 ms more, since a row's run takes about n^3 steps of O(n)
+# add about 36 ms more, since a row's run takes about n^3 steps of O(n)
 # work each.
 SIMULATOR_BRACKETING_MAX_N = 12
 

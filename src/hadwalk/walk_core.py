@@ -152,17 +152,25 @@ def gf_via_recurrence(j: int, n: int) -> RationalFunction:
     f_1^(n) = z (1 - 2z f_1^(n-1)) / (1 - z f_1^(n-1)),
     f_j^(n) = f_{j-1}^(n-1) (f_1^(n) - 2z)   for j >= 2.
 
-    Each cell is one numerator and denominator pair, multiplied out from
-    the cached previous entries, and one gcd reduces it to canonical
-    form.  Shares no code with gf, which is the point: equality of the
-    two constructions is a cross-check of both.
+    Each cell is one numerator and denominator pair built from the
+    cached previous entries, and one gcd reduces it to canonical form.
+    For j >= 2 the factor f_1^(n) - 2z is (f1.num - 2z f1.den) / f1.den,
+    whose numerator is -z times the denominator of row n - 1 up to a
+    constant, so prev.den divides it: the division is exact (a remainder
+    raises), and the gcd runs on prev.num (f1.num - 2z f1.den) / prev.den
+    over f1.den.  Shares no code with gf, which is the point: equality
+    of the two constructions is a cross-check of both.
     """
     _validate(j, n, 1, n - 1)
     if j == 1:
         return _f1(n)
     prev, f1 = gf_via_recurrence(j - 1, n - 1), _f1(n)
-    return RationalFunction(prev.num * (f1.num - 2 * _Z * f1.den),
-                            prev.den * f1.den)
+    quot, rem = divmod(f1.num - 2 * _Z * f1.den, prev.den)
+    if not rem.is_zero:
+        raise ConsistencyError(
+            f"denominator of f_{j - 1}^({n - 1}) does not divide "
+            f"f_1^({n}) - 2z; remainder {rem}")
+    return RationalFunction(prev.num * quot, f1.den)
 
 
 def gf_coefficients(j: int, n: int, m_max: int) -> list[int]:
